@@ -137,6 +137,11 @@ def cmd_derive(args) -> int:
         except ValueError:
             raise InputError(f"{what} must be an integer, got {raw!r}") from None
 
+    def path(i, what):
+        if i >= len(paths):
+            raise InputError(f"{name} needs {what} as input {i + 1}")
+        return paths[i]
+
     def out_doc_for_algebra(result, params):
         prov = _provenance(name, params, [p for p in result.provenance[2]])
         return docs.algebra_to_doc(result.output, provenance=prov), result.cert
@@ -157,14 +162,14 @@ def cmd_derive(args) -> int:
         out, cert = out_doc_for_algebra(result, {"k": args.k})
     elif name == "yau-twist":
         a = _load_algebra(paths[0])
-        g = _load_operator(paths[1])
+        g = _load_operator(path(1, "the twist map (an operator document)"))
         twisted = yau_twist(a, g)
         cert = check_axioms(twisted)
         out = docs.algebra_to_doc(twisted, provenance=_provenance(
             name, {}, [a.digest()]))
     elif name == "rb-dendriform":
         a = _load_algebra(paths[0])
-        r = _load_operator(paths[1])
+        r = _load_operator(path(1, "the Rota-Baxter operator (an operator document)"))
         result = functors.rb_dendriform(a, r, rat(args.weight))
         out, cert = out_doc_for_algebra(result, {"weight": args.weight})
     elif name == "adjoint-bimodule":
@@ -185,13 +190,15 @@ def cmd_derive(args) -> int:
         cert = check_module_axioms(module)
         out = docs.module_to_doc(module, provenance=_provenance(name, {}, [m.digest()]))
     elif name == "direct-sum-modules":
-        m1, m2 = _load_module(paths[0]), _load_module(paths[1])
+        m1 = _load_module(paths[0])
+        m2 = _load_module(path(1, "a second module document"))
         module = direct_sum(m1, m2)
         cert = check_module_axioms(module)
         out = docs.module_to_doc(module, provenance=_provenance(
             name, {}, [m1.digest(), m2.digest()]))
     elif name == "tensor-modules":
-        m1, m2 = _load_module(paths[0]), _load_module(paths[1])
+        m1 = _load_module(paths[0])
+        m2 = _load_module(path(1, "a second module document"))
         k = int_param(args.k, 1, "--k")
         module = tensor_product(m1, m2, k)
         cert = check_module_axioms(module)
@@ -213,35 +220,35 @@ def cmd_derive(args) -> int:
             name, {"k": k}, [m.digest()]))
     elif name == "twist-beta":
         m = _load_module(paths[0])
-        b = _load_operator(paths[1])
-        bm = _load_operator(paths[2])
+        b = _load_operator(path(1, "the algebra twist b (an operator document)"))
+        bm = _load_operator(path(2, "the carrier twist bM (an operator document)"))
         _, module = twist_beta(m, b, bm)
         cert = check_module_axioms(module)
         out = docs.module_to_doc(module, provenance=_provenance(
             name, {}, [m.digest()]))
     elif name == "oop-lie-to-prelie":
         m = _load_module(paths[0])
-        t = _load_operator(paths[1])
+        t = _load_operator(path(1, "the O-operator (an operator document)"))
         result = functors.oop_lie_to_prelie(m.algebra, m, t)
         out, cert = out_doc_for_algebra(result, {})
     elif name == "oop-assoc-to-dendriform":
         m = _load_module(paths[0])
-        t = _load_operator(paths[1])
+        t = _load_operator(path(1, "the O-operator (an operator document)"))
         result = functors.oop_assoc_to_dendriform(m.algebra, m, t)
         out, cert = out_doc_for_algebra(result, {})
     elif name == "oop-assoc-to-prelie":
         m = _load_module(paths[0])
-        t = _load_operator(paths[1])
+        t = _load_operator(path(1, "the O-operator (an operator document)"))
         result = functors.oop_assoc_to_prelie(m.algebra, m, t)
         out, cert = out_doc_for_algebra(result, {})
     elif name == "oop-assoc-to-ldendriform":
         m = _load_module(paths[0])
-        t = _load_operator(paths[1])
+        t = _load_operator(path(1, "the O-operator (an operator document)"))
         result = functors.oop_assoc_to_ldendriform(m.algebra, m, t)
         out, cert = out_doc_for_algebra(result, {})
     elif name == "oop-prelie-to-dendriform":
         m = _load_module(paths[0])
-        t = _load_operator(paths[1])
+        t = _load_operator(path(1, "the O-operator (an operator document)"))
         dual = functors.oop_prelie_to_dendriform(m.algebra, m, t)
         cert = dual.dendriform.cert.merged_with(
             dual.l_dendriform.cert, "dendriform:", "l-dendriform:")
@@ -324,6 +331,8 @@ def cmd_search_postlie(args) -> int:
 # certify-corpus
 
 def cmd_certify_corpus(args) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be non-negative, got {args.trials}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     summary, all_pass = run_corpus_certification(

@@ -66,9 +66,7 @@ def algebra_to_doc(a: HomAlgebra, basis: Optional[list[str]] = None,
 def algebra_from_doc(doc: dict) -> HomAlgebra:
     _check_header(doc)
     kind = doc.get("kind")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 0:
-        raise InputError("dim must be a non-negative integer")
+    dim = _count(doc.get("dim"), "dim")
     if kind not in KIND_OPS:
         raise InputError(f"unknown algebra kind {kind!r}")
     alpha = _matrix_from_lists(doc.get("alpha"), "alpha")
@@ -113,9 +111,7 @@ def module_from_doc(doc: dict, base_dir: str = ".") -> HomModule:
         algebra = algebra_from_doc(alg_field)
     else:
         raise InputError("algebra must be an inline document or a file reference")
-    mdim = doc.get("mdim")
-    if not isinstance(mdim, int) or mdim < 0:
-        raise InputError("mdim must be a non-negative integer")
+    mdim = _count(doc.get("mdim"), "mdim")
     beta = _matrix_from_lists(doc.get("beta"), "beta")
     actions_doc = doc.get("actions")
     if not isinstance(actions_doc, dict):
@@ -145,6 +141,13 @@ def operator_from_doc(doc: dict) -> Matrix:
     if m.rows != doc.get("rows") or m.cols != doc.get("cols"):
         raise InputError("operator entries do not match the declared shape")
     return m
+
+
+def _count(value, what: str) -> int:
+    # bool subclasses int, but true is not a dimension
+    if type(value) is not int or value < 0:
+        raise InputError(f"{what} must be a non-negative integer")
+    return value
 
 
 def _check_header(doc):

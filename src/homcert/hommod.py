@@ -484,6 +484,12 @@ def twist_beta(m: HomModule, b: Matrix, bm: Matrix) -> tuple[HomAlgebra, HomModu
 # ---------------------------------------------------------------------------
 # O-operators
 
+def oop_twist_sides(t: Matrix, m: HomModule) -> tuple[Matrix, Matrix]:
+    """Both sides of the ``oop-twist-compat`` row, alpha.T = T.beta; linear
+    in T, so the O-operator search solves it before certifying."""
+    return mat_mul(m.algebra.alpha, t), mat_mul(t, m.beta)
+
+
 def check_oop(t: Matrix, m: HomModule) -> CertReport:
     """Certify t : carrier -> algebra as an O-operator for the module's kind.
 
@@ -497,8 +503,7 @@ def check_oop(t: Matrix, m: HomModule) -> CertReport:
         raise InputError(f"operator must be {a.dim}x{m.mdim}, got {t.rows}x{t.cols}")
     rows = []
     from .homcore import _matrix_equation_result
-    rows.append(_matrix_equation_result(
-        "oop-twist-compat", mat_mul(a.alpha, t), mat_mul(t, m.beta)))
+    rows.append(_matrix_equation_result("oop-twist-compat", *oop_twist_sides(t, m)))
 
     from .exactlin import bilinear_eval, vec_add, vec_sub
 

@@ -1,10 +1,13 @@
 """Searching for Hom-post-Lie products, plus the instance generators and
-brute-force oracles the test corpus is built from.
+box searches the test corpus is built from.
 
 Finding a post-Lie product on a given Hom-Lie algebra splits into an exact
 linear step (the bracket-compatibility identity is linear in the unknown
 structure constants) and a quadratic filter (the twisted left-symmetry
 identity), handled by bounded integer enumeration over the kernel basis.
+The O-operator, Rota-Baxter and coproduct box searches take the same two
+steps: integer box points in the kernel of their linear certification rows,
+then full certification of each.
 """
 
 from __future__ import annotations
@@ -18,14 +21,14 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (BudgetError, CertificationError, InputError,
                      PreconditionError, UnsupportedError)
-from .exactlin import (ONE, ZERO, Matrix, Tensor3, bilinear_eval, nullspace,
-                       rank, rat)
+from .exactlin import (ONE, ZERO, Matrix, Tensor3, basis_vec, bilinear_eval,
+                       nullspace, rank, rat, rref)
 from .homcore import (CertReport, EpsilonHomBialgebra, HomAlgebra,
-                      _epsilon_delta_rows, _epsilon_mul_rows, check_axioms,
-                      check_rota_baxter, kind_axioms, require_certified,
-                      yau_twist)
+                      _epsilon_delta_rows, _epsilon_linear_residual,
+                      _epsilon_mul_rows, check_axioms, check_rota_baxter,
+                      kind_axioms, rb_twist_sides, require_certified, yau_twist)
 from .functors import FunctorResult
-from .hommod import HomModule, check_oop
+from .hommod import HomModule, check_oop, oop_twist_sides
 
 DEFAULT_CANDIDATE_BUDGET = 200_000
 
@@ -186,70 +189,118 @@ def postlie_search(l: HomAlgebra, combo_bound: int,
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles
+# brute-force oracles: the linear step, then certification
+#
+# Each search certifies every integer point of a box [-bound, bound]^cells.
+# Some of its certification rows are linear in the unknown entries, and most
+# box points fail them, so only the points in their kernel are enumerated:
+# the same list, in the same row-major lexicographic order, as a walk of the
+# whole box would certify.
+
+def _box_points_in_kernel(residual: Callable[[tuple], Sequence], cells: int,
+                          bound: int) -> list[tuple[int, ...]]:
+    """The integer points of [-bound, bound]^cells on which the linear map
+    ``residual`` vanishes, sorted as ``itertools.product`` would visit them.
+
+    The constraint matrix has residual(e_c) as column c.  Its reduced echelon
+    form writes each pivot coordinate in terms of the free ones, so the free
+    coordinates run over the box and a point is kept when every pivot value
+    is an integer inside the bound.
+    """
+    columns = [tuple(residual(basis_vec(cells, c))) for c in range(cells)]
+    reduced, pivots = rref(Matrix([list(row) for row in zip(*columns)]))
+    free = [c for c in range(cells) if c not in pivots]
+    solve = [(p, [(f, -reduced[r, f]) for f in free if reduced[r, f]])
+             for r, p in enumerate(pivots)]
+    points = []
+    point = [0] * cells
+    for values in itertools.product(range(-bound, bound + 1), repeat=len(free)):
+        for f, v in zip(free, values):
+            point[f] = v
+        for p, terms in solve:
+            x = sum(c * point[f] for f, c in terms)
+            if x.denominator != 1 or not -bound <= x <= bound:
+                break
+            point[p] = int(x)
+        else:
+            points.append(tuple(point))
+    points.sort()
+    return points
+
+
+def _require_box(what: str, cells: int, bound: int, max_candidates: int) -> None:
+    total = (2 * bound + 1) ** cells
+    if total > max_candidates:
+        raise BudgetError(f"{what} box has {total} points, budget is {max_candidates}",
+                          needed=total, budget=max_candidates)
+
+
+def _operator_box(rows: int, cols: int, twist_sides, bound: int) -> list[Matrix]:
+    """rows x cols integer matrices in the box whose two twist sides agree."""
+    def as_matrix(flat):
+        return Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)])
+
+    def residual(flat):
+        lhs, rhs = twist_sides(as_matrix(flat))
+        return [v for row in (lhs - rhs).data for v in row]
+
+    return [as_matrix(flat) for flat in _box_points_in_kernel(residual, rows * cols, bound)]
+
 
 def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
                            max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> list[Matrix]:
     """All integer matrices T with entries in [-bound, bound] passing the
-    O-operator certification, in row-major lexicographic order."""
+    O-operator certification, in row-major lexicographic order.
+
+    Only the box points solving the linear ``oop-twist-compat`` row are
+    certified; the list equals a certified walk of the whole box."""
     if entry_bound < 0:
         raise InputError("entry_bound must be non-negative")
-    cells = a.dim * m.mdim
-    total = (2 * entry_bound + 1) ** cells
-    if total > max_candidates:
-        raise BudgetError(
-            f"operator box has {total} points, budget is {max_candidates}",
-            needed=total, budget=max_candidates)
-    found = []
-    for flat in itertools.product(range(-entry_bound, entry_bound + 1), repeat=cells):
-        t = Matrix([flat[r * m.mdim:(r + 1) * m.mdim] for r in range(a.dim)])
-        if check_oop(t, m).passed:
-            found.append(t)
-    return found
+    _require_box("operator", a.dim * m.mdim, entry_bound, max_candidates)
+    return [t for t in _operator_box(a.dim, m.mdim, lambda t: oop_twist_sides(t, m),
+                                     entry_bound)
+            if check_oop(t, m).passed]
 
 
 def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
                           max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> list[Matrix]:
     """All integer matrices in the box certified as Rota-Baxter operators of
-    the given weight (including the twist-commutation requirement)."""
+    the given weight (including the twist-commutation requirement), in
+    row-major lexicographic order.
+
+    Only the box points solving the linear ``commutes-with-twist`` row are
+    certified; the list equals a certified walk of the whole box."""
     if entry_bound < 0:
         raise InputError("entry_bound must be non-negative")
-    cells = a.dim * a.dim
-    total = (2 * entry_bound + 1) ** cells
-    if total > max_candidates:
-        raise BudgetError(
-            f"operator box has {total} points, budget is {max_candidates}",
-            needed=total, budget=max_candidates)
-    found = []
-    for flat in itertools.product(range(-entry_bound, entry_bound + 1), repeat=cells):
-        r = Matrix([flat[i * a.dim:(i + 1) * a.dim] for i in range(a.dim)])
-        if check_rota_baxter(a, r, weight).passed:
-            found.append(r)
-    return found
+    _require_box("operator", a.dim * a.dim, entry_bound, max_candidates)
+    return [r for r in _operator_box(a.dim, a.dim, lambda r: rb_twist_sides(a.alpha, r),
+                                     entry_bound)
+            if check_rota_baxter(a, r, weight).passed]
 
 
 def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int = 1,
                                    max_candidates: int = DEFAULT_CANDIDATE_BUDGET
                                    ) -> list[EpsilonHomBialgebra]:
     """All coproducts with entries in [-bound, bound] making (mul, delta,
-    alpha) satisfy the bialgebra prerequisites.  Returns [] when the fixed
-    product-side prerequisites already fail."""
+    alpha) satisfy the bialgebra prerequisites, in lexicographic order of
+    the flat coproduct.  Returns [] when the fixed product-side prerequisites
+    already fail.
+
+    Only the box points solving the linear compatibility and cocentroid rows
+    are certified; the list equals a certified walk of the whole box."""
     n = mul.d1
     probe = EpsilonHomBialgebra(n, mul, Tensor3.zeros(n), alpha)
     if not all(r.passed for r in _epsilon_mul_rows(probe)):
         return []
-    cells = n ** 3
-    total = (2 * entry_bound + 1) ** cells
-    if total > max_candidates:
-        raise BudgetError(
-            f"coproduct box has {total} points, budget is {max_candidates}",
-            needed=total, budget=max_candidates)
-    found = []
-    for flat in itertools.product(range(-entry_bound, entry_bound + 1), repeat=cells):
-        cand = EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha)
-        if all(r.passed for r in _epsilon_delta_rows(cand)):
-            found.append(cand)
-    return found
+    _require_box("coproduct", n ** 3, entry_bound, max_candidates)
+
+    def bialgebra(flat):
+        return EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha)
+
+    kernel = _box_points_in_kernel(
+        lambda flat: _epsilon_linear_residual(bialgebra(flat)), n ** 3, entry_bound)
+    return [b for b in map(bialgebra, kernel)
+            if all(r.passed for r in _epsilon_delta_rows(b))]
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +585,8 @@ def corpus(kind: str, count: int, max_dim: int, seed: int,
     produce the kind; repeats are skipped.  Raises UnsupportedError when the
     kind and dimension bound cannot supply that many within the attempt
     budget."""
+    if max_dim < 1:
+        raise InputError(f"max_dim must be at least 1, got {max_dim}")
     dims = [d for d in range(1, max_dim + 1)]
     out = []
     seen = set()

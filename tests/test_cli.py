@@ -166,6 +166,27 @@ def test_derive_precondition_failure_exit(workdir, dual_numbers):
                  "--weight", "0", "--out", "x.json"]) == 1
 
 
+@pytest.mark.parametrize("functor", ["yau-twist", "rb-dendriform"])
+def test_derive_missing_operator_is_input_error(workdir, dual_numbers, capsys, functor):
+    path = write_algebra("dual.json", dual_numbers)
+    assert main(["derive", functor, path, "--out", "x.json"]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "operator document" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("functor", ["direct-sum-modules", "tensor-modules",
+                                     "twist-beta", "oop-lie-to-prelie",
+                                     "oop-assoc-to-dendriform", "oop-assoc-to-prelie",
+                                     "oop-assoc-to-ldendriform",
+                                     "oop-prelie-to-dendriform"])
+def test_derive_missing_second_input_is_input_error(workdir, dual_numbers, capsys,
+                                                    functor):
+    docs.save_json("bim.json", docs.module_to_doc(adjoint_bimodule(dual_numbers)))
+    assert main(["derive", functor, "bim.json", "--out", "x.json"]) == 2
+    assert "needs" in capsys.readouterr().err
+
+
 def test_derive_ldend_pipeline(workdir):
     ld = catalog_algebra("hom-l-dendriform", "split-dual-ld")
     path = write_algebra("ld.json", ld)
@@ -212,6 +233,29 @@ def test_certify_corpus_zero_trials_vacuous(workdir, capsys):
                  "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "RESULT: PASS" in out
+
+
+def test_certify_corpus_max_dim_zero_is_input_error(workdir, capsys):
+    assert main(["certify-corpus", "--trials", "1", "--max-dim", "0"]) == 2
+    assert "max_dim" in capsys.readouterr().err
+
+
+def test_certify_corpus_negative_trials_is_input_error(workdir, capsys):
+    assert main(["certify-corpus", "--trials", "-1", "--max-dim", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err and "RESULT" not in captured.out
+
+
+@pytest.mark.parametrize("field", ["dim", "mdim"])
+def test_bool_dimension_is_input_error(workdir, field):
+    one = HomAlgebra(1, "hom-associative", {"mul": Tensor3.zeros(1)},
+                     Matrix.identity(1))
+    doc = docs.module_to_doc(adjoint_bimodule(one))
+    if field == "dim":
+        doc = doc["algebra"]
+    doc[field] = True
+    docs.save_json("doc.json", doc)
+    assert main(["check", "doc.json"]) == 2
 
 
 def test_no_color_respected(workdir, affine_lie, monkeypatch):

@@ -1,19 +1,25 @@
 """Structure-constant search, brute-force oracles, instance generators."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homcert.errors import BudgetError, PreconditionError, UnsupportedError
+from homcert.errors import (BudgetError, InputError, PreconditionError,
+                            UnsupportedError)
 from homcert.exactlin import Matrix, Tensor3, mat_mul, rank
-from homcert.homcore import HomAlgebra, check_axioms
+from homcert.harness import _build_epsilon
+from homcert.homcore import (EpsilonHomBialgebra, HomAlgebra, check_axioms,
+                             check_rota_baxter, epsilon_prerequisites, yau_twist)
 from homcert.hommod import HomModule, check_oop
 from homcert.functors import adjoint_bimodule
-from homcert.search import (RandomInstanceSpec, brute_force_oop_search,
-                            brute_force_rb_search, corpus,
-                            iter_postlie_candidates, postlie_candidate_space,
-                            postlie_linear_system, postlie_search,
-                            random_instance, sc_tensor)
+from homcert.search import (CATALOG, RandomInstanceSpec, _box_points_in_kernel,
+                            brute_force_epsilon_bialgebras,
+                            brute_force_oop_search, brute_force_rb_search,
+                            corpus, iter_postlie_candidates,
+                            postlie_candidate_space, postlie_linear_system,
+                            postlie_search, random_instance, sc_tensor)
 
 from conftest import catalog_algebra
 
@@ -146,6 +152,144 @@ def test_rb_search_contains_known_operators(dual_numbers):
     assert Matrix.identity(2) in found_minus
 
 
+# --- the searches against a naive walk of the whole box --------------------------
+# The walks certify every box point with the public certifiers, with no
+# linear step, in itertools.product order.
+
+def _box(cells, bound):
+    return itertools.product(range(-bound, bound + 1), repeat=cells)
+
+
+def naive_rb(a, weight, bound):
+    n = a.dim
+    mats = (Matrix([flat[i * n:(i + 1) * n] for i in range(n)])
+            for flat in _box(n * n, bound))
+    return [r for r in mats if check_rota_baxter(a, r, weight).passed]
+
+
+def naive_oop(a, m, bound):
+    mats = (Matrix([flat[i * m.mdim:(i + 1) * m.mdim] for i in range(a.dim)])
+            for flat in _box(a.dim * m.mdim, bound))
+    return [t for t in mats if check_oop(t, m).passed]
+
+
+def naive_epsilon(mul, alpha, bound):
+    n = mul.d1
+    cands = (EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha)
+             for flat in _box(n ** 3, bound))
+    return [b for b in cands if epsilon_prerequisites(b).passed]
+
+
+def typed(entries):
+    return [(v, type(v)) for v in entries]
+
+
+def same_matrices(found, expected):
+    assert [typed(v for row in m.data for v in row) for m in found] == \
+        [typed(v for row in m.data for v in row) for m in expected]
+
+
+ASSOC = {e.name: e.algebra for e in CATALOG["hom-associative"]}
+PRELIE = {e.name: e.algebra for e in CATALOG["hom-prelie"]}
+FRACTIONAL_TWIST = Matrix([[0, 1], [2, 0]])  # commutant [[p, q], [2q, p]]
+
+RB_INPUTS = {
+    "identity-twist": ASSOC["truncated-poly-2"],
+    "fractional-twist": HomAlgebra(2, "hom-associative", {"mul": Tensor3.zeros(2)},
+                                   FRACTIONAL_TWIST),
+    "twisted-dual": yau_twist(ASSOC["truncated-poly-2"],
+                              Matrix([[1, 0], [0, Fraction(1, 2)]])),
+    "twisted-null-square": yau_twist(ASSOC["null-square"], Matrix([[-1, 0], [0, 1]])),
+    "dim-1": ASSOC["truncated-poly-1"],
+}
+
+
+@pytest.mark.parametrize("weight", [0, -1, 1])
+@pytest.mark.parametrize("name", RB_INPUTS)
+def test_rb_search_equals_naive_walk(name, weight):
+    a = RB_INPUTS[name]
+    found = brute_force_rb_search(a, weight, 1)
+    same_matrices(found, naive_rb(a, weight, 1))
+    if name == "fractional-twist":
+        # r01 = r10 / 2 is a pivot: only the three diagonal matrices survive
+        assert [m.data for m in found] == [((p, 0), (0, p)) for p in (-1, 0, 1)]
+
+
+def test_rb_search_identity_twist_keeps_full_box():
+    # commuting with the identity is no constraint: all 81 points are certified
+    zero = HomAlgebra(2, "hom-associative", {"mul": Tensor3.zeros(2)}, Matrix.identity(2))
+    assert len(brute_force_rb_search(zero, 0, 1)) == 81
+
+
+OOP_INPUTS = {
+    "assoc": ASSOC["truncated-poly-2"],
+    "assoc-twisted": yau_twist(ASSOC["truncated-poly-2"], Matrix([[1, 0], [0, -1]])),
+    "prelie-left-shift": PRELIE["left-shift"],
+    "prelie-vector-fields": yau_twist(PRELIE["vector-fields"],
+                                      Matrix([[Fraction(1, 2), 0], [0, 1]])),
+    "lie-affine": catalog_algebra("hom-lie", "affine-line"),
+    "lie-abelian": HomAlgebra(2, "hom-lie", {"bracket": Tensor3.zeros(2)},
+                              FRACTIONAL_TWIST),
+}
+
+
+@pytest.mark.parametrize("name", OOP_INPUTS)
+def test_oop_search_equals_naive_walk(name):
+    a = OOP_INPUTS[name]
+    m = adjoint_bimodule(a)
+    same_matrices(brute_force_oop_search(a, m, 1), naive_oop(a, m, 1))
+
+
+@pytest.mark.parametrize("item", _build_epsilon(1, 2, 0), ids=lambda item: item[0])
+def test_epsilon_search_equals_naive_walk(item):
+    _, mul, alpha = item
+    found = brute_force_epsilon_bialgebras(mul, alpha, 1)
+    expected = naive_epsilon(mul, alpha, 1)
+    assert [typed(b.delta.data) for b in found] == [typed(b.delta.data) for b in expected]
+    assert all(b.mul == mul and b.alpha == alpha for b in found)
+
+
+_small_rational = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_small_rational, min_size=4, max_size=4),
+       st.sampled_from([0, -1, 1]))
+def test_rb_search_random_twists_equal_naive_walk(entries, weight):
+    alpha = Matrix([entries[:2], entries[2:]])
+    a = HomAlgebra(2, "hom-associative", {"mul": ASSOC["truncated-poly-2"].op("mul")}, alpha)
+    same_matrices(brute_force_rb_search(a, weight, 1), naive_rb(a, weight, 1))
+
+
+def test_kernel_points_skip_fractional_pivots():
+    # x0 = (x1 + x2) / 2 is the pivot; odd x1 + x2 gives no integer point
+    def residual(x):
+        return (2 * x[0] - x[1] - x[2],)
+    found = _box_points_in_kernel(residual, 3, 2)
+    assert found == [p for p in _box(3, 2) if residual(p) == (0,)]
+    assert (0, 1, -1) in found and all(type(v) is int for p in found for v in p)
+    # a pivot outside the bound is dropped too: x0 = 2 x1
+    assert _box_points_in_kernel(lambda x: (x[0] - 2 * x[1],), 2, 1) == [(0, 0)]
+    assert _box_points_in_kernel(lambda x: (), 0, 1) == [()]
+
+
+def test_rb_search_budget_needs_raw_box():
+    a = ASSOC["truncated-poly-4"]
+    with pytest.raises(BudgetError) as err:
+        brute_force_rb_search(a, 0, 1)
+    assert err.value.needed == 3 ** 16
+    with pytest.raises(BudgetError) as err:
+        brute_force_rb_search(a, 0, 0, max_candidates=0)
+    assert err.value.needed == 1
+
+
+def test_epsilon_search_budget_needs_raw_box():
+    with pytest.raises(BudgetError) as err:
+        brute_force_epsilon_bialgebras(ASSOC["truncated-poly-3"].op("mul"),
+                                       Matrix.identity(3), 1)
+    assert err.value.needed == 3 ** 27
+
+
 # --- generators ------------------------------------------------------------------
 
 def test_random_instance_deterministic():
@@ -207,3 +351,8 @@ def test_corpus_too_few_distinct_raises():
     message = str(info.value)
     for part in ("hom-associative", "30", "max_dim=1", "found 16"):
         assert part in message
+
+
+def test_corpus_rejects_max_dim_below_one():
+    with pytest.raises(InputError):
+        corpus("hom-associative", 1, 0, 0)
