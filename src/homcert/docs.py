@@ -137,8 +137,9 @@ def operator_from_doc(doc: dict) -> Matrix:
     _check_header(doc)
     if doc.get("kind") != "operator":
         raise InputError("not an operator document")
+    rows, cols = _count(doc.get("rows"), "rows"), _count(doc.get("cols"), "cols")
     m = _matrix_from_lists(doc.get("entries"), "entries")
-    if m.rows != doc.get("rows") or m.cols != doc.get("cols"):
+    if m.rows != rows or m.cols != cols:
         raise InputError("operator entries do not match the declared shape")
     return m
 

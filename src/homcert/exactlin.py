@@ -113,6 +113,17 @@ class Matrix:
         if any(len(row) != self.cols for row in data):
             raise InputError("ragged matrix rows")
 
+    @classmethod
+    def _exact(cls, rows_of_entries) -> "Matrix":
+        """A matrix of exact arithmetic results: ints pass through, and only
+        integral Fractions (products can give Fraction(k, 1)) are normalized."""
+        m = object.__new__(cls)
+        m.data = tuple(tuple(v if type(v) is int or v.denominator != 1 else v.numerator
+                             for v in row) for row in rows_of_entries)
+        m.rows = len(m.data)
+        m.cols = len(m.data[0]) if m.data else 0
+        return m
+
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix([[ZERO] * cols for _ in range(rows)])
@@ -152,18 +163,18 @@ class Matrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        return Matrix([vec_add(a, b) for a, b in zip(self.data, other.data)])
+        return Matrix._exact([vec_add(a, b) for a, b in zip(self.data, other.data)])
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Matrix([vec_sub(a, b) for a, b in zip(self.data, other.data)])
+        return Matrix._exact([vec_sub(a, b) for a, b in zip(self.data, other.data)])
 
     def __neg__(self):
-        return Matrix([vec_neg(row) for row in self.data])
+        return Matrix._exact([vec_neg(row) for row in self.data])
 
     def scale(self, k) -> "Matrix":
         k = rat(k)
-        return Matrix([vec_scale(k, row) for row in self.data])
+        return Matrix._exact([vec_scale(k, row) for row in self.data])
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -190,7 +201,7 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.cols)])
+        return Matrix._exact([self.column(j) for j in range(self.cols)])
 
     def power(self, e: int) -> "Matrix":
         if self.rows != self.cols:
@@ -211,13 +222,13 @@ class Matrix:
         for a_row in self.data:
             for b_row in other.data:
                 out.append(tuple(a * b for a in a_row for b in b_row))
-        return Matrix(out)
+        return Matrix._exact(out)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise InputError(f"mat_mul dimension mismatch: {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = [b.column(j) for j in range(b.cols)]
+    bt = list(zip(*b.data))  # the columns of b
     out = []
     for row in a.data:
         out_row = []
@@ -228,7 +239,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     s += x * y
             out_row.append(s)
         out.append(out_row)
-    return Matrix(out)
+    return Matrix._exact(out)
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:

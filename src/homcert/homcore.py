@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InputError, PreconditionError
-from .exactlin import (Matrix, Tensor3, basis_vec, bilinear_eval, mat_mul,
-                       nullspace, rat, rat_str, vec_add, vec_neg, vec_sub,
-                       vec_scale, zero_vec, is_zero_vec)
+from .exactlin import (ONE, ZERO, Matrix, Tensor3, basis_vec, bilinear_eval, mat_mul,
+                       nullspace, rat, rat_str, vec_sub)
 
 # Canonical product names per kind, in serialization order.
 KIND_OPS = {
@@ -88,10 +86,6 @@ class HomAlgebra:
         return _digest(canonical_algebra_key(self))
 
 
-def hom_algebra(dim, kind, ops, alpha) -> HomAlgebra:
-    return HomAlgebra(dim=dim, kind=kind, ops=dict(ops), alpha=alpha)
-
-
 def canonical_algebra_key(a: HomAlgebra):
     ops = tuple((name, a.ops[name].dims, tuple(map(rat_str, a.ops[name].data)))
                 for name in sorted(a.ops))
@@ -155,18 +149,276 @@ class AxiomSpec:
     evaluate: Callable[..., tuple]  # (*vectors) -> (lhs, rhs)
 
 
+# ---------------------------------------------------------------------------
+# identities as terms
+#
+# Each identity is declared once, as a Law between two terms; an Identity binds
+# its names to one structure's tensors, matrices and scalars.  Vectors are sparse
+# (coordinate, value) pairs under the arithmetic of the dense kernels
+# (bilinear_eval, Matrix.apply, vec_add, vec_scale): products and maps skip
+# falsy coordinates, sums keep every coordinate they touch, and a first term is
+# stored as is (0 + a has a's value and type), so both sides get the values and
+# entry types (int or Fraction) of dense evaluation.
+
+class Term:
+    """("var", index), ("op", name, u, v) for a bilinear product, ("map",
+    name, u) for a linear map, ("scaled", name, u) for a named scalar times u
+    (a zero scalar drops u), or ("sum", signs, *terms) for a sum of
+    sign * term with signs +-1 (nested sums are flattened)."""
+
+    __slots__ = ("kind", "name", "args")
+
+    def __init__(self, kind: str, name, *args):
+        if kind == "sum":
+            flat = [p for s, t in zip(name, args) for p in (
+                zip([s * s2 for s2 in t.name], t.args) if t.kind == "sum" else [(s, t)])]
+            name, args = tuple(s for s, _ in flat), tuple(t for _, t in flat)
+        self.kind, self.name, self.args = kind, name, args
+
+    __add__ = lambda self, other: Term("sum", (1, 1), self, other)  # noqa: E731
+    __sub__ = lambda self, other: Term("sum", (1, -1), self, other)  # noqa: E731
+    __neg__ = lambda self: Term("sum", (-1,), self)  # noqa: E731
+
+
+def _nodes(t: Term) -> list[Term]:
+    return [t] + [u for arg in t.args for u in _nodes(arg)]
+
+
+def _length(t: Term, env: Mapping, n: int):
+    """Length of the term's vector, variables of length n; None if unknown."""
+    if t.kind in ("op", "map"):
+        obj = env[t.name]
+        return obj.d3 if t.kind == "op" else obj.rows
+    return n if t.kind == "var" else _length(t.args[0], env, n) if t.args else None
+
+
+def _compile(t: Term, basis: bool):
+    """fn(variables, tables) -> the term's sparse vector.  With basis=True
+    the variables are basis indices, and a product or map of variables is a
+    table lookup; otherwise they are sparse vectors."""
+    name = t.name
+    if t.kind == "var":
+        return (lambda v, T: ((v[name], ONE),)) if basis else (lambda v, T: v[name])
+    if basis and t.kind in ("op", "map") and all(u.kind == "var" for u in t.args):
+        if t.kind == "map":
+            i, = (u.name for u in t.args)
+            return lambda v, T: T[name][v[i]]
+        i, j = (u.name for u in t.args)
+        return lambda v, T: T[name][v[i]][v[j]]
+    fns = [_compile(u, basis) for u in t.args]
+    if t.kind == "sum":
+        parts = tuple(zip(name, fns))
+
+        def total(v, T):
+            out = {}
+            for s, fn in parts:
+                for k, a in fn(v, T):
+                    if k in out:
+                        out[k] = out[k] + a if s > 0 else out[k] - a
+                    else:
+                        out[k] = a if s > 0 else -a
+            return out.items()
+
+        return total
+    fu = fns[0]
+    if t.kind == "scaled":
+        def scaled(v, T):
+            c, dim = T[name]
+            if not c:
+                return ()
+            if type(c) is int:
+                return [(k, c * a) for k, a in fu(v, T)]
+            d = dict(fu(v, T))  # c * 0 is a Fraction zero: every coordinate
+            return [(k, c * d.get(k, 0)) for k in range(dim)]
+
+        return scaled
+    if t.kind == "map":
+        def apply(v, T):
+            cols = T[name]
+            out = {}
+            for j, a in fu(v, T):
+                if a:
+                    for k, e in cols[j]:
+                        out[k] = out[k] + e * a if k in out else e * a
+            return out.items()
+
+        return apply
+    fw = fns[1]
+
+    def product(v, T):
+        table = T[name]
+        out = {}
+        right = fw(v, T)
+        for i, a in fu(v, T):
+            if a:
+                row = table[i]
+                for j, b in right:
+                    if b:
+                        c = a * b
+                        for k, e in row[j]:
+                            out[k] = out[k] + c * e if k in out else c * e
+        return out.items()
+
+    return product
+
+
+class Law:
+    """A declared identity lhs == rhs: its arity, one node per name a
+    structure must bind, and both sides compiled for basis tuples."""
+
+    def __init__(self, name: str, lhs: Term, rhs: Term):
+        self.name, self.lhs, self.rhs = name, lhs, rhs
+        nodes = [t for side in (lhs, rhs) for t in _nodes(side)]
+        self.arity = max((t.name + 1 for t in nodes if t.kind == "var"), default=0)
+        self.bound = tuple({t.name: t for t in nodes
+                            if t.kind in ("op", "map", "scaled")}.values())
+        self.on_basis = _compile(lhs, True), _compile(rhs, True)
+
+
+def _pairs(values) -> tuple:
+    return tuple((k, a) for k, a in enumerate(values) if a)
+
+
+def _dense(pairs, m: int) -> tuple:
+    out = [ZERO] * m
+    for k, a in pairs:
+        out[k] = a
+    return tuple(out)
+
+
+class Identity:
+    """A law bound to env.  Called on dense vectors it returns both sides as
+    dense tuples, so it serves as AxiomSpec.evaluate."""
+
+    def __init__(self, law: Law, env: Mapping, shared: dict):
+        self.law, self.env, self.shared = law, env, shared
+
+    def bind(self, n: int):
+        """(tables, m): lookup tables for the bound names with variables of
+        length n, and the length m of both sides.  A product or map table is
+        kept in ``shared`` while the same object stays bound to its name, so
+        identities bound with one shared dict build it once."""
+        tables = {}
+        for t in self.law.bound:
+            obj, held = self.env[t.name], self.shared.get(t.name)
+            if t.kind == "scaled":
+                held = (obj, (obj, _length(t.args[0], self.env, n)))
+            elif held is None or held[0] is not obj:
+                held = self.shared[t.name] = (obj, (
+                    [[_pairs(obj.product_vec(i, j)) for j in range(obj.d2)] for i in range(obj.d1)]
+                    if t.kind == "op" else [_pairs(col) for col in zip(*obj.data)]))
+            tables[t.name] = held[1]
+        m = _length(self.law.lhs, self.env, n)
+        return tables, (_length(self.law.rhs, self.env, n) if m is None else m)
+
+    def __call__(self, *vectors):
+        tables, m = self.bind(len(vectors[0]))
+        v = [tuple(enumerate(x)) for x in vectors]
+        return tuple(_dense(_compile(side, False)(v, tables), m)
+                     for side in (self.law.lhs, self.law.rhs))
+
+
+def _specs(group: str, env: Mapping, suffix: str = "", shared: Optional[dict] = None
+           ) -> list[AxiomSpec]:
+    """The group's declared laws bound to env, as specs sharing their tables."""
+    shared = {} if shared is None else shared
+    return [AxiomSpec(law.name + suffix, law.arity, Identity(law, env, shared))
+            for law in IDENTITIES[group]]
+
+
+def basis_sides(spec: AxiomSpec, dim: int):
+    """(indices, lhs, rhs) of the identity at every basis tuple, 0-based
+    indices in lexicographic order.  A declared Identity runs on basis
+    indices and the lookup tables of its bind; any other evaluate gets dense
+    basis vectors."""
+    ident = spec.evaluate
+    tuples = itertools.product(range(dim), repeat=spec.arity)
+    if isinstance(ident, Identity):
+        tables, m = ident.bind(dim)
+        fl, fr = ident.law.on_basis
+        for idx in tuples:
+            yield idx, _dense(fl(idx, tables), m), _dense(fr(idx, tables), m)
+    else:
+        basis = [basis_vec(dim, i) for i in range(dim)]
+        for idx in tuples:
+            yield (idx, *ident(*[basis[i] for i in idx]))
+
+
 def check_identity(spec: AxiomSpec, dim: int) -> AxiomResult:
     """Evaluate an identity on all basis tuples, lexicographic order.
 
     The first failing tuple (minimal in lex order) becomes the witness.
     """
-    basis = [basis_vec(dim, i) for i in range(dim)]
-    for idx in itertools.product(range(dim), repeat=spec.arity):
-        lhs, rhs = spec.evaluate(*[basis[i] for i in idx])
+    for idx, lhs, rhs in basis_sides(spec, dim):
         if lhs != rhs:
             w = Witness(tuple(i + 1 for i in idx), lhs, rhs)
             return AxiomResult(spec.name, False, w)
     return AxiomResult(spec.name, True, None)
+
+
+def _declare_identities():
+    """Every algebra identity, each declared once, by group: a kind's axiom
+    system, a predicate, a morphism or operator identity, or the product side
+    of an epsilon-bialgebra.  Names to bind: "alpha" the twist and the kind's
+    products; "op" one product (multiplicative); "source", "target" and "f"
+    (preserves); "mul" the single product; "r" and "weight" (rota-baxter)."""
+    x, y, z = (Term("var", i) for i in range(3))
+    al, r, f = (lambda u, name=name: Term("map", name, u) for name in ("alpha", "r", "f"))
+    mul, br, op, source, target, lt, rt, tl, tr = (
+        lambda u, v, name=name: Term("op", name, u, v) for name in (
+            "mul", "bracket", "op", "source", "target", "left", "right", "tleft", "tright"))
+
+    def assoc(u, v, w):  # (u.v).alpha(w) = alpha(u).(v.w)
+        return mul(mul(u, v), al(w)), mul(al(u), mul(v, w))
+
+    (l1, r1), (l2, r2) = assoc(x, y, z), assoc(y, x, z)
+    left_symmetry = ("hom-left-symmetry", l1 - r1, l2 - r2)
+    jacobi = br(al(x), br(y, z)) + br(al(y), br(z, x)) + br(al(z), br(x, y)), Term("sum", ())
+    lie = (("skew-symmetry", br(x, y), -br(y, x)), ("hom-jacobi",) + jacobi)
+    groups = {
+        "generic": (),
+        "hom-associative": (("hom-associativity",) + assoc(x, y, z),),
+        "hom-lie": lie,
+        "hom-prelie": (left_symmetry,),
+        "hom-novikov": (("novikov-right-commutativity",
+                         mul(mul(x, y), al(z)), mul(mul(x, z), al(y))),
+                        left_symmetry),
+        "hom-dendriform": (
+            ("dendriform-left", lt(lt(x, y), al(z)), lt(al(x), lt(y, z) + rt(y, z))),
+            ("dendriform-middle", lt(rt(x, y), al(z)), rt(al(x), lt(y, z))),
+            ("dendriform-right", rt(al(x), rt(y, z)), rt(lt(x, y) + rt(x, y), al(z)))),
+        "hom-postlie": lie + (
+            # alpha(z).[x,y] = [z.x, alpha(y)] + [alpha(x), z.y]
+            ("postlie-bracket-compatibility", mul(al(z), br(x, y)),
+             br(mul(z, x), al(y)) + br(al(x), mul(z, y))),
+            # alpha(z).(y.x) + (y.z).alpha(x) + [y,z].alpha(x)
+            #   = alpha(y).(z.x) + (z.y).alpha(x)
+            ("postlie-twisted-left-symmetry",
+             mul(al(z), mul(y, x)) + mul(mul(y, z), al(x)) + mul(br(y, z), al(x)),
+             mul(al(y), mul(z, x)) + mul(mul(z, y), al(x)))),
+        "hom-l-dendriform": (
+            ("l-dendriform-right", tr(al(x), tr(y, z)),
+             tr(tr(x, y), al(z)) + tr(tl(x, y), al(z)) + tr(al(y), tr(x, z))
+             - tr(tl(y, x), al(z)) - tr(tr(y, x), al(z))),
+            ("l-dendriform-left", tr(al(x), tl(y, z)),
+             tl(tr(x, y), al(z)) + tl(al(y), tr(x, z)) + tl(al(y), tl(x, z))
+             - tl(tl(y, x), al(z)))),
+        "multiplicative": (("multiplicative", al(op(x, y)), op(al(x), al(y))),),
+        "left-commutative": (("left-commutativity",
+                              mul(mul(x, y), al(z)), mul(mul(y, x), al(z))),),
+        "lie-admissible": (("lie-admissibility",) + jacobi,),
+        "preserves": (("preserves", f(source(x, y)), target(f(x), f(y))),),
+        # r(x).r(y) = r(r(x).y + x.r(y) + weight x.y)
+        "rota-baxter": (("rota-baxter", mul(r(x), r(y)),
+                         r(mul(r(x), y) + mul(x, r(y)) + Term("scaled", "weight", mul(x, y)))),),
+        "epsilon-product": (("hom-associativity",) + assoc(x, y, z),
+                            ("centroid-left", mul(al(x), y), al(mul(x, y))),
+                            ("centroid-right", mul(x, al(y)), al(mul(x, y)))),
+    }
+    return {group: tuple(Law(*decl) for decl in decls) for group, decls in groups.items()}
+
+
+IDENTITIES = _declare_identities()
 
 
 # ---------------------------------------------------------------------------
@@ -174,156 +426,13 @@ def check_identity(spec: AxiomSpec, dim: int) -> AxiomResult:
 
 def hom_associator(a: HomAlgebra, x, y, z) -> tuple:
     """(x.y).alpha(z) - alpha(x).(y.z) for the algebra's "mul" product."""
-    mul = a.op("mul")
-    al = a.alpha
-    left = bilinear_eval(mul, bilinear_eval(mul, x, y), al.apply(z))
-    right = bilinear_eval(mul, al.apply(x), bilinear_eval(mul, y, z))
-    return vec_sub(left, right)
-
-
-def _associator_parts(mul: Tensor3, al: Matrix):
-    def parts(x, y, z):
-        left = bilinear_eval(mul, bilinear_eval(mul, x, y), al.apply(z))
-        right = bilinear_eval(mul, al.apply(x), bilinear_eval(mul, y, z))
-        return left, right
-    return parts
+    spec, = _specs("hom-associative", {"mul": a.op("mul"), "alpha": a.alpha})
+    return vec_sub(*spec.evaluate(x, y, z))
 
 
 def kind_axioms(a: HomAlgebra) -> list[AxiomSpec]:
     """The defining identities of the algebra's declared kind."""
-    al = a.alpha
-    kind = a.kind
-
-    if kind == "generic":
-        return []
-
-    if kind == "hom-associative":
-        parts = _associator_parts(a.op("mul"), al)
-        return [AxiomSpec("hom-associativity", 3, parts)]
-
-    if kind == "hom-lie":
-        br = a.op("bracket")
-        return [_skew_spec(br), _jacobi_spec(br, al)]
-
-    if kind == "hom-prelie":
-        return [_left_symmetry_spec(a.op("mul"), al)]
-
-    if kind == "hom-novikov":
-        mul = a.op("mul")
-
-        def right_comm(x, y, z):
-            lhs = bilinear_eval(mul, bilinear_eval(mul, x, y), al.apply(z))
-            rhs = bilinear_eval(mul, bilinear_eval(mul, x, z), al.apply(y))
-            return lhs, rhs
-
-        return [AxiomSpec("novikov-right-commutativity", 3, right_comm),
-                _left_symmetry_spec(mul, al)]
-
-    if kind == "hom-dendriform":
-        lt, rt = a.op("left"), a.op("right")
-
-        def dend1(x, y, z):
-            lhs = bilinear_eval(lt, bilinear_eval(lt, x, y), al.apply(z))
-            inner = vec_add(bilinear_eval(lt, y, z), bilinear_eval(rt, y, z))
-            rhs = bilinear_eval(lt, al.apply(x), inner)
-            return lhs, rhs
-
-        def dend2(x, y, z):
-            lhs = bilinear_eval(lt, bilinear_eval(rt, x, y), al.apply(z))
-            rhs = bilinear_eval(rt, al.apply(x), bilinear_eval(lt, y, z))
-            return lhs, rhs
-
-        def dend3(x, y, z):
-            lhs = bilinear_eval(rt, al.apply(x), bilinear_eval(rt, y, z))
-            outer = vec_add(bilinear_eval(lt, x, y), bilinear_eval(rt, x, y))
-            rhs = bilinear_eval(rt, outer, al.apply(z))
-            return lhs, rhs
-
-        return [AxiomSpec("dendriform-left", 3, dend1),
-                AxiomSpec("dendriform-middle", 3, dend2),
-                AxiomSpec("dendriform-right", 3, dend3)]
-
-    if kind == "hom-postlie":
-        br, mul = a.op("bracket"), a.op("mul")
-
-        def compat(x, y, z):
-            # alpha(z).[x,y] = [z.x, alpha(y)] + [alpha(x), z.y]
-            lhs = bilinear_eval(mul, al.apply(z), bilinear_eval(br, x, y))
-            rhs = vec_add(
-                bilinear_eval(br, bilinear_eval(mul, z, x), al.apply(y)),
-                bilinear_eval(br, al.apply(x), bilinear_eval(mul, z, y)))
-            return lhs, rhs
-
-        def twisted_ls(x, y, z):
-            # alpha(z).(y.x) + (y.z).alpha(x) + [y,z].alpha(x)
-            #   = alpha(y).(z.x) + (z.y).alpha(x)
-            ax = al.apply(x)
-            lhs = vec_add(
-                bilinear_eval(mul, al.apply(z), bilinear_eval(mul, y, x)),
-                vec_add(bilinear_eval(mul, bilinear_eval(mul, y, z), ax),
-                        bilinear_eval(mul, bilinear_eval(br, y, z), ax)))
-            rhs = vec_add(
-                bilinear_eval(mul, al.apply(y), bilinear_eval(mul, z, x)),
-                bilinear_eval(mul, bilinear_eval(mul, z, y), ax))
-            return lhs, rhs
-
-        return [_skew_spec(br), _jacobi_spec(br, al),
-                AxiomSpec("postlie-bracket-compatibility", 3, compat),
-                AxiomSpec("postlie-twisted-left-symmetry", 3, twisted_ls)]
-
-    if kind == "hom-l-dendriform":
-        tl, tr = a.op("tleft"), a.op("tright")
-
-        def ldend1(x, y, z):
-            lhs = bilinear_eval(tr, al.apply(x), bilinear_eval(tr, y, z))
-            az = al.apply(z)
-            rhs = bilinear_eval(tr, bilinear_eval(tr, x, y), az)
-            rhs = vec_add(rhs, bilinear_eval(tr, bilinear_eval(tl, x, y), az))
-            rhs = vec_add(rhs, bilinear_eval(tr, al.apply(y), bilinear_eval(tr, x, z)))
-            rhs = vec_sub(rhs, bilinear_eval(tr, bilinear_eval(tl, y, x), az))
-            rhs = vec_sub(rhs, bilinear_eval(tr, bilinear_eval(tr, y, x), az))
-            return lhs, rhs
-
-        def ldend2(x, y, z):
-            lhs = bilinear_eval(tr, al.apply(x), bilinear_eval(tl, y, z))
-            az = al.apply(z)
-            ay = al.apply(y)
-            rhs = bilinear_eval(tl, bilinear_eval(tr, x, y), az)
-            rhs = vec_add(rhs, bilinear_eval(tl, ay, bilinear_eval(tr, x, z)))
-            rhs = vec_add(rhs, bilinear_eval(tl, ay, bilinear_eval(tl, x, z)))
-            rhs = vec_sub(rhs, bilinear_eval(tl, bilinear_eval(tl, y, x), az))
-            return lhs, rhs
-
-        return [AxiomSpec("l-dendriform-right", 3, ldend1),
-                AxiomSpec("l-dendriform-left", 3, ldend2)]
-
-    raise InputError(f"no axiom system for kind {kind!r}")
-
-
-def _skew_spec(br: Tensor3) -> AxiomSpec:
-    def skew(x, y):
-        return bilinear_eval(br, x, y), vec_neg(bilinear_eval(br, y, x))
-    return AxiomSpec("skew-symmetry", 2, skew)
-
-
-def _jacobi_spec(br: Tensor3, al: Matrix) -> AxiomSpec:
-    def jacobi(x, y, z):
-        s = bilinear_eval(br, al.apply(x), bilinear_eval(br, y, z))
-        s = vec_add(s, bilinear_eval(br, al.apply(y), bilinear_eval(br, z, x)))
-        s = vec_add(s, bilinear_eval(br, al.apply(z), bilinear_eval(br, x, y)))
-        return s, zero_vec(len(s))
-    return AxiomSpec("hom-jacobi", 3, jacobi)
-
-
-def _left_symmetry_spec(mul: Tensor3, al: Matrix) -> AxiomSpec:
-    parts = _associator_parts(mul, al)
-
-    def left_sym(x, y, z):
-        l1, r1 = parts(x, y, z)
-        l2, r2 = parts(y, x, z)
-        return vec_sub(l1, r1), vec_sub(l2, r2)
-
-    return AxiomSpec("hom-left-symmetry", 3, left_sym)
+    return _specs(a.kind, {**a.ops, "alpha": a.alpha})
 
 
 # ---------------------------------------------------------------------------
@@ -335,49 +444,24 @@ PREDICATES = ("multiplicative", "left-commutative", "lie-admissible")
 def predicate_axioms(a: HomAlgebra, name: str) -> list[AxiomSpec]:
     al = a.alpha
     if name == "multiplicative":
-        specs = []
-        for op_name in a.op_names():
-            t = a.ops[op_name]
-
-            def mult(x, y, t=t):
-                return al.apply(bilinear_eval(t, x, y)), bilinear_eval(t, al.apply(x), al.apply(y))
-
-            specs.append(AxiomSpec(f"multiplicative:{op_name}", 2, mult))
-        return specs
-
+        return [spec for op_name in a.op_names()
+                for spec in _specs(name, {"op": a.ops[op_name], "alpha": al}, f":{op_name}")]
     if name == "left-commutative":
-        mul = a.single_op()
-
-        def left_comm(x, y, z):
-            lhs = bilinear_eval(mul, bilinear_eval(mul, x, y), al.apply(z))
-            rhs = bilinear_eval(mul, bilinear_eval(mul, y, x), al.apply(z))
-            return lhs, rhs
-
-        return [AxiomSpec("left-commutativity", 3, left_comm)]
-
+        return _specs(name, {"mul": a.single_op(), "alpha": al})
     if name == "lie-admissible":
         mul = a.single_op()
-        commutator = mul - mul.swap_arguments()
-        return [AxiomSpec("lie-admissibility", 3, _jacobi_spec(commutator, al).evaluate)]
-
+        return _specs(name, {"bracket": mul - mul.swap_arguments(), "alpha": al})
     raise InputError(f"unknown predicate {name!r}; available: {PREDICATES}")
 
 
 def check_axioms(a: HomAlgebra, predicates: Sequence[str] = ()) -> CertReport:
     """Certify the algebra against its kind's axioms plus optional predicates."""
-    specs = kind_axioms(a)
-    for p in predicates:
-        specs.extend(predicate_axioms(a, p))
+    specs = kind_axioms(a) + [s for p in predicates for s in predicate_axioms(a, p)]
     return CertReport.from_results([check_identity(s, a.dim) for s in specs])
 
 
 def check_predicate(a: HomAlgebra, name: str) -> CertReport:
-    specs = predicate_axioms(a, name)
-    return CertReport.from_results([check_identity(s, a.dim) for s in specs])
-
-
-def is_multiplicative(a: HomAlgebra) -> bool:
-    return check_predicate(a, "multiplicative").passed
+    return CertReport.from_results([check_identity(s, a.dim) for s in predicate_axioms(a, name)])
 
 
 def require_certified(a: HomAlgebra, what: str = "input algebra") -> CertReport:
@@ -397,17 +481,10 @@ def check_morphism(f: Matrix, a: HomAlgebra, b: HomAlgebra) -> CertReport:
         raise InputError(f"morphism kind mismatch: {a.kind} vs {b.kind}")
     if f.rows != b.dim or f.cols != a.dim:
         raise InputError(f"morphism must be {b.dim}x{a.dim}, got {f.rows}x{f.cols}")
-    rows = []
-    lhs_m = mat_mul(f, a.alpha)
-    rhs_m = mat_mul(b.alpha, f)
-    rows.append(_matrix_equation_result("intertwines-twists", lhs_m, rhs_m))
+    rows = [_matrix_equation_result("intertwines-twists", mat_mul(f, a.alpha), mat_mul(b.alpha, f))]
     for name in a.op_names():
-        ta, tb = a.ops[name], b.ops[name]
-
-        def preserves(x, y, ta=ta, tb=tb):
-            return f.apply(bilinear_eval(ta, x, y)), bilinear_eval(tb, f.apply(x), f.apply(y))
-
-        rows.append(check_identity(AxiomSpec(f"preserves:{name}", 2, preserves), a.dim))
+        env = {"source": a.ops[name], "target": b.ops[name], "f": f}
+        rows += [check_identity(s, a.dim) for s in _specs("preserves", env, f":{name}")]
     return CertReport.from_results(rows)
 
 
@@ -431,19 +508,9 @@ def check_rota_baxter(a: HomAlgebra, r: Matrix, weight) -> CertReport:
     weight = rat(weight)
     if r.rows != a.dim or r.cols != a.dim:
         raise InputError(f"operator must be {a.dim}x{a.dim}")
-    mul = a.single_op()
-
-    def rb(x, y):
-        rx, ry = r.apply(x), r.apply(y)
-        lhs = bilinear_eval(mul, rx, ry)
-        inner = vec_add(bilinear_eval(mul, rx, y), bilinear_eval(mul, x, ry))
-        if weight:
-            inner = vec_add(inner, vec_scale(weight, bilinear_eval(mul, x, y)))
-        return lhs, r.apply(inner)
-
-    rows = [check_identity(AxiomSpec("rota-baxter", 2, rb), a.dim),
-            _matrix_equation_result("commutes-with-twist",
-                                    *rb_twist_sides(a.alpha, r))]
+    spec, = _specs("rota-baxter", {"mul": a.single_op(), "r": r, "weight": weight})
+    rows = [check_identity(spec, a.dim),
+            _matrix_equation_result("commutes-with-twist", *rb_twist_sides(a.alpha, r))]
     return CertReport.from_results(rows)
 
 
@@ -512,21 +579,8 @@ def _comul_of_vector(b: EpsilonHomBialgebra, x) -> tuple:
 
 def _epsilon_mul_rows(b: EpsilonHomBialgebra) -> list[AxiomResult]:
     """Prerequisites touching only the product and the twist."""
-    n = b.dim
-    al = b.alpha
-    rows = [check_identity(
-        AxiomSpec("hom-associativity", 3, _associator_parts(b.mul, al)), n)]
-
-    def centroid_left(x, y):
-        return (bilinear_eval(b.mul, al.apply(x), y),
-                al.apply(bilinear_eval(b.mul, x, y)))
-
-    def centroid_right(x, y):
-        return (bilinear_eval(b.mul, x, al.apply(y)),
-                al.apply(bilinear_eval(b.mul, x, y)))
-
-    rows.append(check_identity(AxiomSpec("centroid-left", 2, centroid_left), n))
-    rows.append(check_identity(AxiomSpec("centroid-right", 2, centroid_right), n))
+    n, al = b.dim, b.alpha
+    rows = [check_identity(s, n) for s in _specs("epsilon-product", {"mul": b.mul, "alpha": al})]
     rows.append(_matrix_equation_result("involutive-twist",
                                         mat_mul(al, al), Matrix.identity(n)))
     return rows

@@ -19,18 +19,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import (BudgetError, CertificationError, InputError,
-                     PreconditionError, UnsupportedError)
-from .exactlin import (ONE, ZERO, Matrix, Tensor3, basis_vec, bilinear_eval,
-                       nullspace, rank, rat, rref)
-from .homcore import (CertReport, EpsilonHomBialgebra, HomAlgebra,
-                      _epsilon_delta_rows, _epsilon_linear_residual,
-                      _epsilon_mul_rows, check_axioms, check_rota_baxter,
-                      kind_axioms, rb_twist_sides, require_certified, yau_twist)
+from .errors import BudgetError, CertificationError, InputError, UnsupportedError
+from .exactlin import (ONE, ZERO, Matrix, Tensor3, basis_vec, nullspace, rat, rref,
+                       vec_sub)
+from .homcore import (AxiomSpec, EpsilonHomBialgebra, HomAlgebra, _epsilon_delta_rows,
+                      _epsilon_linear_residual, _epsilon_mul_rows, _specs, basis_sides,
+                      check_axioms, check_identity, check_rota_baxter,
+                      rb_twist_sides, require_certified, yau_twist)
 from .functors import FunctorResult
 from .hommod import HomModule, check_oop, oop_twist_sides
 
 DEFAULT_CANDIDATE_BUDGET = 200_000
+TWISTED_LEFT_SYMMETRY = "postlie-twisted-left-symmetry"  # the quadratic filter
 
 
 # ---------------------------------------------------------------------------
@@ -41,53 +41,26 @@ def postlie_linear_system(l: HomAlgebra) -> Matrix:
 
     Unknowns are the n^3 structure constants m[p,l,q] of the product, column
     index (p*n + l)*n + q; rows are indexed lexicographically by
-    (k, i, j, output coordinate) for the identity evaluated at
-    x = e_i, y = e_j, z = e_k.  Assembled by expanding the identity
+    (k, i, j, output coordinate) for lhs - rhs of the declared
+    ``postlie-bracket-compatibility`` identity
 
-        alpha(z).[x, y] - [z.x, alpha(y)] - [alpha(x), z.y] = 0
+        alpha(z).[x, y] = [z.x, alpha(y)] + [alpha(x), z.y]
 
-    on basis triples (not from any pre-digested index formula): writing
-    alpha(e_k) = sum_p A[p,k] e_p and [e_i,e_j] = sum_l c[i,j,l] e_l, the
-    three terms contribute A[p,k] c[i,j,l] at column (p,l,q), minus
-    sum_p A[p,j] c[l,p,q] at column (k,i,l), minus sum_p A[p,i] c[p,l,q]
-    at column (k,j,l).
+    at x = e_i, y = e_j, z = e_k.  The identity is linear in the product, so
+    column c is that residual for the product with a single 1 at position c.
     """
     if l.kind != "hom-lie":
         raise InputError("postlie_linear_system expects a hom-lie algebra")
     require_certified(l)
     n = l.dim
-    c = l.op("bracket")
-    A = l.alpha
-    rows = []
-    for k, i, j in itertools.product(range(n), repeat=3):
-        block = [[ZERO] * (n ** 3) for _ in range(n)]
-        for p in range(n):
-            apk = A[p, k]
-            if apk:
-                for lx in range(n):
-                    coeff = c[i, j, lx]
-                    if coeff:
-                        base = (p * n + lx) * n
-                        w = apk * coeff
-                        for q in range(n):
-                            block[q][base + q] += w
-        for lx in range(n):
-            col_ki = (k * n + i) * n + lx
-            col_kj = (k * n + j) * n + lx
-            for q in range(n):
-                s1 = ZERO
-                s2 = ZERO
-                for p in range(n):
-                    if A[p, j]:
-                        s1 += A[p, j] * c[lx, p, q]
-                    if A[p, i]:
-                        s2 += A[p, i] * c[p, lx, q]
-                if s1:
-                    block[q][col_ki] -= s1
-                if s2:
-                    block[q][col_kj] -= s2
-        rows.extend(block)
-    return Matrix(rows) if rows else Matrix.zeros(0, 0)
+    columns, shared = [], {}
+    for c in range(n ** 3):
+        spec = _postlie_spec(l, Tensor3(n, n, n, basis_vec(n ** 3, c)),
+                             "postlie-bracket-compatibility", shared)
+        residual = {idx: vec_sub(lhs, rhs) for idx, lhs, rhs in basis_sides(spec, n)}
+        columns.append([d for k, i, j in itertools.product(range(n), repeat=3)
+                        for d in residual[i, j, k]])
+    return Matrix.from_columns(columns)
 
 
 @dataclass(frozen=True)
@@ -101,16 +74,13 @@ class PostLieCandidateSpace:
     rank: int
 
 
-def _compat_defect_zero(l: HomAlgebra, product: Tensor3) -> bool:
-    """Second, independent evaluation path for the linear constraints: run the
-    bracket-compatibility axiom of the certification layer on all triples."""
-    candidate = HomAlgebra(l.dim, "hom-postlie",
-                           {"bracket": l.op("bracket"), "mul": product}, l.alpha)
-    for spec in kind_axioms(candidate):
-        if spec.name == "postlie-bracket-compatibility":
-            from .homcore import check_identity
-            return check_identity(spec, l.dim).passed
-    raise AssertionError("compatibility axiom missing from post-Lie system")
+def _postlie_spec(l: HomAlgebra, product: Tensor3, name: str,
+                  shared: Optional[dict] = None) -> AxiomSpec:
+    """The declared post-Lie axiom ``name`` for l's bracket and twist and a
+    candidate product; specs made with one ``shared`` dict build those tables once."""
+    env = {"bracket": l.op("bracket"), "mul": product, "alpha": l.alpha}
+    spec, = (s for s in _specs("hom-postlie", env, shared=shared) if s.name == name)
+    return spec
 
 
 def postlie_candidate_space(l: HomAlgebra) -> PostLieCandidateSpace:
@@ -119,26 +89,12 @@ def postlie_candidate_space(l: HomAlgebra) -> PostLieCandidateSpace:
     basis = []
     for v in nullspace(system):
         t = Tensor3(n, n, n, v.column(0))
-        if not _compat_defect_zero(l, t):
+        if not check_identity(_postlie_spec(l, t, "postlie-bracket-compatibility"), n).passed:
             raise AssertionError(
-                "nullspace tensor fails independent re-evaluation of the linear identity")
+                "nullspace tensor fails re-evaluation of the linear identity")
         basis.append(t)
     ambient = n ** 3
     return PostLieCandidateSpace(l, tuple(basis), ambient, ambient - len(basis))
-
-
-def _twisted_left_symmetry_holds(mul: Tensor3, br: Tensor3, acols, n: int) -> bool:
-    """Early-exit evaluation of the quadratic identity on all basis triples."""
-    for i, j, k in itertools.product(range(n), repeat=3):
-        t1 = bilinear_eval(mul, acols[k], mul.product_vec(j, i))
-        t2 = bilinear_eval(mul, acols[j], mul.product_vec(k, i))
-        t3 = bilinear_eval(mul, mul.product_vec(j, k), acols[i])
-        t4 = bilinear_eval(mul, mul.product_vec(k, j), acols[i])
-        t5 = bilinear_eval(mul, br.product_vec(j, k), acols[i])
-        for a, b, c, d, e in zip(t1, t2, t3, t4, t5):
-            if a - b + c - d + e:
-                return False
-    return True
 
 
 def iter_postlie_candidates(l: HomAlgebra, combo_bound: int,
@@ -155,29 +111,29 @@ def iter_postlie_candidates(l: HomAlgebra, combo_bound: int,
         raise BudgetError(
             f"candidate box has {total} points over {d} kernel directions, "
             f"budget is {max_candidates}", needed=total, budget=max_candidates)
-    n = l.dim
-    flats = [t.data for t in space.basis]
     for coeffs in itertools.product(range(-combo_bound, combo_bound + 1), repeat=d):
-        flat = [ZERO] * (n ** 3)
-        for coeff, base in zip(coeffs, flats):
-            if coeff:
-                for pos, v in enumerate(base):
-                    if v:
-                        flat[pos] += coeff * v
-        yield coeffs, Tensor3(n, n, n, flat)
+        yield coeffs, _combination(l.dim, space.basis, coeffs)
+
+
+def _combination(n: int, basis: Sequence[Tensor3], coeffs) -> Tensor3:
+    flat = [ZERO] * (n ** 3)
+    for coeff, t in zip(coeffs, basis):
+        if coeff:
+            for pos, v in enumerate(t.data):
+                if v:
+                    flat[pos] += coeff * v
+    return Tensor3(n, n, n, flat)
 
 
 def postlie_search(l: HomAlgebra, combo_bound: int,
                    max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> list[FunctorResult]:
     """Every bounded-box candidate product satisfying both defining identities,
     each returned as a fully certified Hom-post-Lie algebra."""
-    br = l.op("bracket")
-    acols = [l.alpha.column(i) for i in range(l.dim)]
-    survivors = []
+    survivors, shared = [], {}
     for coeffs, mul in iter_postlie_candidates(l, combo_bound, max_candidates):
-        if _twisted_left_symmetry_holds(mul, br, acols, l.dim):
+        if check_identity(_postlie_spec(l, mul, TWISTED_LEFT_SYMMETRY, shared), l.dim).passed:
             out = HomAlgebra(l.dim, "hom-postlie",
-                             {"bracket": br, "mul": mul}, l.alpha)
+                             {"bracket": l.op("bracket"), "mul": mul}, l.alpha)
             cert = check_axioms(out)
             if not cert.passed:
                 raise AssertionError(
@@ -288,6 +244,8 @@ def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int
 
     Only the box points solving the linear compatibility and cocentroid rows
     are certified; the list equals a certified walk of the whole box."""
+    if entry_bound < 0:
+        raise InputError("entry_bound must be non-negative")
     n = mul.d1
     probe = EpsilonHomBialgebra(n, mul, Tensor3.zeros(n), alpha)
     if not all(r.passed for r in _epsilon_mul_rows(probe)):
@@ -521,20 +479,14 @@ def _generate(spec: RandomInstanceSpec) -> HomAlgebra:
                         for _ in range(spec.dim)])
         out = HomAlgebra(spec.dim, spec.kind, _zero_ops(spec.kind, spec.dim), alpha)
 
-    elif gen == "hand-catalog":
-        entries = _catalog_entries(spec.kind, spec.dim)
-        if not entries:
-            raise UnsupportedError(
-                f"no catalog entry for {spec.kind} at dim {spec.dim}")
-        out = entries[rng.randrange(len(entries))].algebra
-
-    elif gen == "yau-twist-catalog":
+    elif gen in ("hand-catalog", "yau-twist-catalog"):
         entries = _catalog_entries(spec.kind, spec.dim)
         if not entries:
             raise UnsupportedError(
                 f"no catalog entry for {spec.kind} at dim {spec.dim}")
         entry = entries[rng.randrange(len(entries))]
-        out = yau_twist(entry.algebra, entry.endo(rng))
+        out = (entry.algebra if gen == "hand-catalog"
+               else yau_twist(entry.algebra, entry.endo(rng)))
 
     elif gen == "nullspace-sample":
         if spec.kind != "hom-postlie":
@@ -545,23 +497,16 @@ def _generate(spec: RandomInstanceSpec) -> HomAlgebra:
             raise UnsupportedError(f"no hom-lie seed at dim {spec.dim}")
         lie = lie_entries[rng.randrange(len(lie_entries))].algebra
         space = postlie_candidate_space(lie)
-        br = lie.op("bracket")
-        acols = [lie.alpha.column(i) for i in range(lie.dim)]
-        product = Tensor3.zeros(spec.dim)
+        product, shared = Tensor3.zeros(spec.dim), {}
         for _ in range(40):
-            flat = [ZERO] * (spec.dim ** 3)
-            for t in space.basis:
-                coeff = rng.randint(-1, 1)
-                if coeff:
-                    for pos, v in enumerate(t.data):
-                        if v:
-                            flat[pos] += coeff * v
-            cand = Tensor3(spec.dim, spec.dim, spec.dim, flat)
-            if _twisted_left_symmetry_holds(cand, br, acols, spec.dim):
+            cand = _combination(spec.dim, space.basis,
+                                [rng.randint(-1, 1) for _ in space.basis])
+            if check_identity(_postlie_spec(lie, cand, TWISTED_LEFT_SYMMETRY, shared),
+                              spec.dim).passed:
                 product = cand
                 break
         out = HomAlgebra(spec.dim, "hom-postlie",
-                         {"bracket": br, "mul": product}, lie.alpha)
+                         {"bracket": lie.op("bracket"), "mul": product}, lie.alpha)
 
     else:
         raise UnsupportedError(f"unknown generator {spec.generator!r}")

@@ -1,0 +1,301 @@
+"""Test-only oracle: the hand-written closure evaluators that certified the
+algebra identities before they were declared as terms.
+
+Each function mirrors the certifier of the same name in ``homcert.homcore``
+and returns a ``CertReport`` built the same way, so tests can compare the
+two reports for equality and for identical reprs (witness entry types
+included).  Rows that are not algebra identities (the matrix equations and
+the coproduct rows) come from ``homcore`` itself.
+"""
+
+import itertools
+
+from homcert.exactlin import (Matrix, basis_vec, bilinear_eval, mat_mul, rat,
+                              vec_add, vec_neg, vec_scale, vec_sub, zero_vec)
+from homcert.homcore import (AxiomResult, AxiomSpec, CertReport, Witness,
+                             _epsilon_delta_rows, _matrix_equation_result,
+                             rb_twist_sides)
+
+
+def check_identity(spec, dim):
+    basis = [basis_vec(dim, i) for i in range(dim)]
+    for idx in itertools.product(range(dim), repeat=spec.arity):
+        lhs, rhs = spec.evaluate(*[basis[i] for i in idx])
+        if lhs != rhs:
+            return AxiomResult(spec.name, False,
+                               Witness(tuple(i + 1 for i in idx), lhs, rhs))
+    return AxiomResult(spec.name, True, None)
+
+
+def _associator_parts(mul, al):
+    def parts(x, y, z):
+        left = bilinear_eval(mul, bilinear_eval(mul, x, y), al.apply(z))
+        right = bilinear_eval(mul, al.apply(x), bilinear_eval(mul, y, z))
+        return left, right
+    return parts
+
+
+def _skew_spec(br):
+    def skew(x, y):
+        return bilinear_eval(br, x, y), vec_neg(bilinear_eval(br, y, x))
+    return AxiomSpec("skew-symmetry", 2, skew)
+
+
+def _jacobi_spec(br, al):
+    def jacobi(x, y, z):
+        s = bilinear_eval(br, al.apply(x), bilinear_eval(br, y, z))
+        s = vec_add(s, bilinear_eval(br, al.apply(y), bilinear_eval(br, z, x)))
+        s = vec_add(s, bilinear_eval(br, al.apply(z), bilinear_eval(br, x, y)))
+        return s, zero_vec(len(s))
+    return AxiomSpec("hom-jacobi", 3, jacobi)
+
+
+def _left_symmetry_spec(mul, al):
+    parts = _associator_parts(mul, al)
+
+    def left_sym(x, y, z):
+        l1, r1 = parts(x, y, z)
+        l2, r2 = parts(y, x, z)
+        return vec_sub(l1, r1), vec_sub(l2, r2)
+
+    return AxiomSpec("hom-left-symmetry", 3, left_sym)
+
+
+def kind_axioms(a):
+    al = a.alpha
+    kind = a.kind
+    if kind == "generic":
+        return []
+    if kind == "hom-associative":
+        return [AxiomSpec("hom-associativity", 3, _associator_parts(a.op("mul"), al))]
+    if kind == "hom-lie":
+        br = a.op("bracket")
+        return [_skew_spec(br), _jacobi_spec(br, al)]
+    if kind == "hom-prelie":
+        return [_left_symmetry_spec(a.op("mul"), al)]
+    if kind == "hom-novikov":
+        mul = a.op("mul")
+
+        def right_comm(x, y, z):
+            lhs = bilinear_eval(mul, bilinear_eval(mul, x, y), al.apply(z))
+            rhs = bilinear_eval(mul, bilinear_eval(mul, x, z), al.apply(y))
+            return lhs, rhs
+
+        return [AxiomSpec("novikov-right-commutativity", 3, right_comm),
+                _left_symmetry_spec(mul, al)]
+    if kind == "hom-dendriform":
+        lt, rt = a.op("left"), a.op("right")
+
+        def dend1(x, y, z):
+            lhs = bilinear_eval(lt, bilinear_eval(lt, x, y), al.apply(z))
+            inner = vec_add(bilinear_eval(lt, y, z), bilinear_eval(rt, y, z))
+            return lhs, bilinear_eval(lt, al.apply(x), inner)
+
+        def dend2(x, y, z):
+            lhs = bilinear_eval(lt, bilinear_eval(rt, x, y), al.apply(z))
+            return lhs, bilinear_eval(rt, al.apply(x), bilinear_eval(lt, y, z))
+
+        def dend3(x, y, z):
+            lhs = bilinear_eval(rt, al.apply(x), bilinear_eval(rt, y, z))
+            outer = vec_add(bilinear_eval(lt, x, y), bilinear_eval(rt, x, y))
+            return lhs, bilinear_eval(rt, outer, al.apply(z))
+
+        return [AxiomSpec("dendriform-left", 3, dend1),
+                AxiomSpec("dendriform-middle", 3, dend2),
+                AxiomSpec("dendriform-right", 3, dend3)]
+    if kind == "hom-postlie":
+        br, mul = a.op("bracket"), a.op("mul")
+
+        def compat(x, y, z):
+            lhs = bilinear_eval(mul, al.apply(z), bilinear_eval(br, x, y))
+            rhs = vec_add(
+                bilinear_eval(br, bilinear_eval(mul, z, x), al.apply(y)),
+                bilinear_eval(br, al.apply(x), bilinear_eval(mul, z, y)))
+            return lhs, rhs
+
+        def twisted_ls(x, y, z):
+            ax = al.apply(x)
+            lhs = vec_add(
+                bilinear_eval(mul, al.apply(z), bilinear_eval(mul, y, x)),
+                vec_add(bilinear_eval(mul, bilinear_eval(mul, y, z), ax),
+                        bilinear_eval(mul, bilinear_eval(br, y, z), ax)))
+            rhs = vec_add(
+                bilinear_eval(mul, al.apply(y), bilinear_eval(mul, z, x)),
+                bilinear_eval(mul, bilinear_eval(mul, z, y), ax))
+            return lhs, rhs
+
+        return [_skew_spec(br), _jacobi_spec(br, al),
+                AxiomSpec("postlie-bracket-compatibility", 3, compat),
+                AxiomSpec("postlie-twisted-left-symmetry", 3, twisted_ls)]
+    if kind == "hom-l-dendriform":
+        tl, tr = a.op("tleft"), a.op("tright")
+
+        def ldend1(x, y, z):
+            lhs = bilinear_eval(tr, al.apply(x), bilinear_eval(tr, y, z))
+            az = al.apply(z)
+            rhs = bilinear_eval(tr, bilinear_eval(tr, x, y), az)
+            rhs = vec_add(rhs, bilinear_eval(tr, bilinear_eval(tl, x, y), az))
+            rhs = vec_add(rhs, bilinear_eval(tr, al.apply(y), bilinear_eval(tr, x, z)))
+            rhs = vec_sub(rhs, bilinear_eval(tr, bilinear_eval(tl, y, x), az))
+            rhs = vec_sub(rhs, bilinear_eval(tr, bilinear_eval(tr, y, x), az))
+            return lhs, rhs
+
+        def ldend2(x, y, z):
+            lhs = bilinear_eval(tr, al.apply(x), bilinear_eval(tl, y, z))
+            az = al.apply(z)
+            ay = al.apply(y)
+            rhs = bilinear_eval(tl, bilinear_eval(tr, x, y), az)
+            rhs = vec_add(rhs, bilinear_eval(tl, ay, bilinear_eval(tr, x, z)))
+            rhs = vec_add(rhs, bilinear_eval(tl, ay, bilinear_eval(tl, x, z)))
+            rhs = vec_sub(rhs, bilinear_eval(tl, bilinear_eval(tl, y, x), az))
+            return lhs, rhs
+
+        return [AxiomSpec("l-dendriform-right", 3, ldend1),
+                AxiomSpec("l-dendriform-left", 3, ldend2)]
+    raise ValueError(kind)
+
+
+def predicate_axioms(a, name):
+    al = a.alpha
+    if name == "multiplicative":
+        specs = []
+        for op_name in a.op_names():
+            t = a.ops[op_name]
+
+            def mult(x, y, t=t):
+                return (al.apply(bilinear_eval(t, x, y)),
+                        bilinear_eval(t, al.apply(x), al.apply(y)))
+
+            specs.append(AxiomSpec(f"multiplicative:{op_name}", 2, mult))
+        return specs
+    if name == "left-commutative":
+        mul = a.single_op()
+
+        def left_comm(x, y, z):
+            lhs = bilinear_eval(mul, bilinear_eval(mul, x, y), al.apply(z))
+            rhs = bilinear_eval(mul, bilinear_eval(mul, y, x), al.apply(z))
+            return lhs, rhs
+
+        return [AxiomSpec("left-commutativity", 3, left_comm)]
+    if name == "lie-admissible":
+        mul = a.single_op()
+        commutator = mul - mul.swap_arguments()
+        return [AxiomSpec("lie-admissibility", 3, _jacobi_spec(commutator, al).evaluate)]
+    raise ValueError(name)
+
+
+def check_axioms(a, predicates=()):
+    specs = kind_axioms(a)
+    for p in predicates:
+        specs.extend(predicate_axioms(a, p))
+    return CertReport.from_results([check_identity(s, a.dim) for s in specs])
+
+
+def check_predicate(a, name):
+    return CertReport.from_results(
+        [check_identity(s, a.dim) for s in predicate_axioms(a, name)])
+
+
+def check_morphism(f, a, b):
+    rows = [_matrix_equation_result("intertwines-twists",
+                                    mat_mul(f, a.alpha), mat_mul(b.alpha, f))]
+    for name in a.op_names():
+        ta, tb = a.ops[name], b.ops[name]
+
+        def preserves(x, y, ta=ta, tb=tb):
+            return f.apply(bilinear_eval(ta, x, y)), bilinear_eval(tb, f.apply(x), f.apply(y))
+
+        rows.append(check_identity(AxiomSpec(f"preserves:{name}", 2, preserves), a.dim))
+    return CertReport.from_results(rows)
+
+
+def check_rota_baxter(a, r, weight):
+    weight = rat(weight)
+    mul = a.single_op()
+
+    def rb(x, y):
+        rx, ry = r.apply(x), r.apply(y)
+        lhs = bilinear_eval(mul, rx, ry)
+        inner = vec_add(bilinear_eval(mul, rx, y), bilinear_eval(mul, x, ry))
+        if weight:
+            inner = vec_add(inner, vec_scale(weight, bilinear_eval(mul, x, y)))
+        return lhs, r.apply(inner)
+
+    rows = [check_identity(AxiomSpec("rota-baxter", 2, rb), a.dim),
+            _matrix_equation_result("commutes-with-twist", *rb_twist_sides(a.alpha, r))]
+    return CertReport.from_results(rows)
+
+
+def epsilon_mul_rows(b):
+    n = b.dim
+    al = b.alpha
+    rows = [check_identity(
+        AxiomSpec("hom-associativity", 3, _associator_parts(b.mul, al)), n)]
+
+    def centroid_left(x, y):
+        return (bilinear_eval(b.mul, al.apply(x), y),
+                al.apply(bilinear_eval(b.mul, x, y)))
+
+    def centroid_right(x, y):
+        return (bilinear_eval(b.mul, x, al.apply(y)),
+                al.apply(bilinear_eval(b.mul, x, y)))
+
+    rows.append(check_identity(AxiomSpec("centroid-left", 2, centroid_left), n))
+    rows.append(check_identity(AxiomSpec("centroid-right", 2, centroid_right), n))
+    rows.append(_matrix_equation_result("involutive-twist",
+                                        mat_mul(al, al), Matrix.identity(n)))
+    return rows
+
+
+def epsilon_prerequisites(b):
+    return CertReport.from_results(epsilon_mul_rows(b) + _epsilon_delta_rows(b))
+
+
+def twisted_left_symmetry_holds(mul, br, alpha, n):
+    """The post-Lie search filter as it was hand-copied into ``search``."""
+    acols = [alpha.column(i) for i in range(n)]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        t1 = bilinear_eval(mul, acols[k], mul.product_vec(j, i))
+        t2 = bilinear_eval(mul, acols[j], mul.product_vec(k, i))
+        t3 = bilinear_eval(mul, mul.product_vec(j, k), acols[i])
+        t4 = bilinear_eval(mul, mul.product_vec(k, j), acols[i])
+        t5 = bilinear_eval(mul, br.product_vec(j, k), acols[i])
+        for a, b, c, d, e in zip(t1, t2, t3, t4, t5):
+            if a - b + c - d + e:
+                return False
+    return True
+
+
+def postlie_linear_system(l):
+    """The bracket-compatibility constraints, expanded by hand on basis
+    triples as ``search.postlie_linear_system`` assembled them before it
+    evaluated the declared identity."""
+    n = l.dim
+    c = l.op("bracket")
+    A = l.alpha
+    rows = []
+    for k, i, j in itertools.product(range(n), repeat=3):
+        block = [[0] * (n ** 3) for _ in range(n)]
+        for p in range(n):
+            apk = A[p, k]
+            if apk:
+                for lx in range(n):
+                    coeff = c[i, j, lx]
+                    if coeff:
+                        base = (p * n + lx) * n
+                        for q in range(n):
+                            block[q][base + q] += apk * coeff
+        for lx in range(n):
+            col_ki = (k * n + i) * n + lx
+            col_kj = (k * n + j) * n + lx
+            for q in range(n):
+                s1 = s2 = 0
+                for p in range(n):
+                    if A[p, j]:
+                        s1 += A[p, j] * c[lx, p, q]
+                    if A[p, i]:
+                        s2 += A[p, i] * c[p, lx, q]
+                block[q][col_ki] -= s1
+                block[q][col_kj] -= s2
+        rows.extend(block)
+    return Matrix(rows)

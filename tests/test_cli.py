@@ -258,6 +258,20 @@ def test_bool_dimension_is_input_error(workdir, field):
     assert main(["check", "doc.json"]) == 2
 
 
+@pytest.mark.parametrize("field", ["rows", "cols"])
+def test_bool_operator_shape_is_input_error(workdir, field):
+    one = HomAlgebra(1, "hom-associative", {"mul": Tensor3.zeros(1)},
+                     Matrix.identity(1))
+    path = write_algebra("one.json", one)
+    doc = docs.operator_to_doc(Matrix.identity(1))
+    docs.save_json("op.json", doc)
+    assert main(["check", path, "op.json", "--predicate", "rota-baxter"]) == 0
+    doc[field] = True
+    docs.save_json("op.json", doc)
+    assert main(["check", path, "op.json", "--predicate", "rota-baxter"]) == 2
+    assert main(["derive", "yau-twist", path, "op.json", "--out", "x.json"]) == 2
+
+
 def test_no_color_respected(workdir, affine_lie, monkeypatch):
     path = write_algebra("lie.json", affine_lie)
     monkeypatch.setenv("NO_COLOR", "1")

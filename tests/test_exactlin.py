@@ -192,3 +192,37 @@ def test_matrix_kron_ordering():
     # (i1,i2),(j1,j2) entry is a[i1,j1] * b[i2,j2] with lexicographic pairs
     assert k[(0 * 2 + 0, 1 * 2 + 1)] == a[0, 1] * b[0, 1]
     assert k[(1 * 2 + 1, 0 * 2 + 0)] == a[1, 0] * b[1, 0]
+
+
+def test_arithmetic_results_match_the_parsing_constructor():
+    """Matrix arithmetic builds its results without re-parsing every entry;
+    they equal Matrix(...) on the same raw entries, entry types included
+    (Fraction(1, 2) * 2 must come back as the int 1)."""
+    rng = random.Random(17)
+
+    def rand_matrix(rows, cols):
+        return Matrix([[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 4)))
+                        for _ in range(cols)] for _ in range(rows)])
+
+    def typed(m):
+        return [[(type(v), v) for v in row] for row in m.data]
+
+    for _ in range(200):
+        r, c, k = (rng.randint(1, 3) for _ in range(3))
+        a, b, d = rand_matrix(r, c), rand_matrix(r, c), rand_matrix(c, k)
+        w = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+        raw = {
+            "add": (a + b, [[x + y for x, y in zip(p, q)] for p, q in zip(a.data, b.data)]),
+            "sub": (a - b, [[x - y for x, y in zip(p, q)] for p, q in zip(a.data, b.data)]),
+            "neg": (-a, [[-x for x in p] for p in a.data]),
+            "scale": (a.scale(w), [[w * x for x in p] for p in a.data]),
+            "transpose": (a.transpose(), [list(col) for col in zip(*a.data)]),
+            "mat_mul": (mat_mul(a, d), [[sum((x * y for x, y in zip(p, q)), Fraction(0))
+                                         for q in zip(*d.data)] for p in a.data]),
+            "kron": (a.kron(d), [[x * y for x in p for y in q] for p in a.data for q in d.data]),
+        }
+        for name, (result, entries) in raw.items():
+            expected = Matrix(entries)
+            assert (result.rows, result.cols) == (expected.rows, expected.cols), name
+            assert typed(result) == typed(expected), name
+            assert result == expected and hash(result) == hash(expected), name

@@ -290,6 +290,17 @@ def test_epsilon_search_budget_needs_raw_box():
     assert err.value.needed == 3 ** 27
 
 
+def test_negative_entry_bound_is_input_error(dual_numbers):
+    failing_mul = sc_tensor(2, {(0, 0): {1: 1}, (0, 1): {0: 1}})  # not Hom-associative
+    searches = [lambda: brute_force_rb_search(dual_numbers, 0, -1),
+                lambda: brute_force_oop_search(dual_numbers, adjoint_bimodule(dual_numbers), -1),
+                lambda: brute_force_epsilon_bialgebras(dual_numbers.op("mul"), I2, -1),
+                lambda: brute_force_epsilon_bialgebras(failing_mul, I2, -1)]
+    for search in searches:
+        with pytest.raises(InputError, match="entry_bound must be non-negative"):
+            search()
+
+
 # --- generators ------------------------------------------------------------------
 
 def test_random_instance_deterministic():
