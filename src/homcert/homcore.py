@@ -301,9 +301,10 @@ class Identity:
         tables = {}
         for t in self.law.bound:
             obj, held = self.env[t.name], self.shared.get(t.name)
-            if t.kind == "scaled":
-                held = (obj, (obj, _length(t.args[0], self.env, n)))
-            elif held is None or held[0] is not obj:
+            if t.kind == "scaled":  # the scalar and the length of its term
+                tables[t.name] = (obj, _length(t.args[0], self.env, n))
+                continue
+            if held is None or held[0] is not obj:
                 held = self.shared[t.name] = (obj, (
                     [[_pairs(obj.product_vec(i, j)) for j in range(obj.d2)] for i in range(obj.d1)]
                     if t.kind == "op" else [_pairs(col) for col in zip(*obj.data)]))
