@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import docs
-from .errors import BudgetError, CertificationError, PreconditionError
+from .errors import BudgetError, CertificationError, InputError, PreconditionError
 from .exactlin import Matrix, Tensor3
 from .homcore import (EpsilonHomBialgebra, HomAlgebra, check_axioms,
                       check_predicate)
@@ -346,7 +346,11 @@ def _eval_indexed(arg):
 def run_corpus_certification(trials: int, max_dim: int, seed: int,
                              out_dir: Optional[str] = None,
                              jobs: int = 1) -> tuple[str, bool]:
-    """Run the whole suite; returns (summary text, all must-pass passed)."""
+    """Run the whole suite; returns (summary text, all must-pass passed).
+    At most ``jobs`` worker processes run, and never more than there are
+    work items."""
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
     items = []
     spans = []
     for idx, prop in enumerate(PROPERTIES):
@@ -355,8 +359,9 @@ def run_corpus_certification(trials: int, max_dim: int, seed: int,
         items.extend((idx, p) for p in payloads)
         spans.append((start, len(items)))
 
-    if jobs > 1 and items:
-        with multiprocessing.Pool(jobs) as pool:
+    workers = min(jobs, len(items))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_eval_indexed, items, chunksize=1)
     else:
         results = [_eval_indexed(item) for item in items]

@@ -9,6 +9,7 @@ witness on failure.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -264,25 +265,38 @@ def _compile(t: Term, basis: bool):
 
 class Law:
     """A declared identity lhs == rhs: its arity, one node per name a
-    structure must bind, and both sides compiled for basis tuples."""
+    structure must bind, and both sides compiled for basis tuples on first
+    use (a process that never evaluates a law holds no closures for it).
+
+    A module law has a carrier variable, ("var", -1): always the last
+    variable, it runs over the basis of the carrier the sides live in, and
+    both sides are normalized as matrix arithmetic leaves them (integral
+    Fractions become ints)."""
 
     def __init__(self, name: str, lhs: Term, rhs: Term):
         self.name, self.lhs, self.rhs = name, lhs, rhs
         nodes = [t for side in (lhs, rhs) for t in _nodes(side)]
-        self.arity = max((t.name + 1 for t in nodes if t.kind == "var"), default=0)
+        variables = {t.name for t in nodes if t.kind == "var"}
+        self.carrier = -1 in variables
+        self.arity = max((i + 1 for i in variables), default=0) + self.carrier
         self.bound = tuple({t.name: t for t in nodes
                             if t.kind in ("op", "map", "scaled")}.values())
-        self.on_basis = _compile(lhs, True), _compile(rhs, True)
+
+    @functools.cached_property
+    def on_basis(self):
+        return _compile(self.lhs, True), _compile(self.rhs, True)
 
 
 def _pairs(values) -> tuple:
     return tuple((k, a) for k, a in enumerate(values) if a)
 
 
-def _dense(pairs, m: int) -> tuple:
+def _dense(pairs, m: int, normalized: bool = False) -> tuple:
     out = [ZERO] * m
     for k, a in pairs:
         out[k] = a
+    if normalized:
+        return tuple(a if type(a) is int or a.denominator != 1 else a.numerator for a in out)
     return tuple(out)
 
 
@@ -315,7 +329,7 @@ class Identity:
     def __call__(self, *vectors):
         tables, m = self.bind(len(vectors[0]))
         v = [tuple(enumerate(x)) for x in vectors]
-        return tuple(_dense(_compile(side, False)(v, tables), m)
+        return tuple(_dense(_compile(side, False)(v, tables), m, self.law.carrier)
                      for side in (self.law.lhs, self.law.rhs))
 
 
@@ -324,21 +338,25 @@ def _specs(group: str, env: Mapping, suffix: str = "", shared: Optional[dict] = 
     """The group's declared laws bound to env, as specs sharing their tables."""
     shared = {} if shared is None else shared
     return [AxiomSpec(law.name + suffix, law.arity, Identity(law, env, shared))
-            for law in IDENTITIES[group]]
+            for law in _declare_identities()[group]]
 
 
 def basis_sides(spec: AxiomSpec, dim: int):
     """(indices, lhs, rhs) of the identity at every basis tuple, 0-based
     indices in lexicographic order.  A declared Identity runs on basis
-    indices and the lookup tables of its bind; any other evaluate gets dense
-    basis vectors."""
+    indices and the lookup tables of its bind (a module law's carrier index
+    last, over the sides' length); any other evaluate gets dense basis
+    vectors."""
     ident = spec.evaluate
     tuples = itertools.product(range(dim), repeat=spec.arity)
     if isinstance(ident, Identity):
         tables, m = ident.bind(dim)
         fl, fr = ident.law.on_basis
+        norm = ident.law.carrier
+        if norm:
+            tuples = itertools.product(*[range(dim)] * (spec.arity - 1), range(m))
         for idx in tuples:
-            yield idx, _dense(fl(idx, tables), m), _dense(fr(idx, tables), m)
+            yield idx, _dense(fl(idx, tables), m, norm), _dense(fr(idx, tables), m, norm)
     else:
         basis = [basis_vec(dim, i) for i in range(dim)]
         for idx in tuples:
@@ -357,12 +375,16 @@ def check_identity(spec: AxiomSpec, dim: int) -> AxiomResult:
     return AxiomResult(spec.name, True, None)
 
 
+@functools.cache  # on first use: a fresh process imports without building any law
 def _declare_identities():
-    """Every algebra identity, each declared once, by group: a kind's axiom
-    system, a predicate, a morphism or operator identity, or the product side
-    of an epsilon-bialgebra.  Names to bind: "alpha" the twist and the kind's
-    products; "op" one product (multiplicative); "source", "target" and "f"
-    (preserves); "mul" the single product; "r" and "weight" (rota-baxter)."""
+    """Every algebra and module identity, each declared once, by group: a
+    kind's axiom system, a predicate, a morphism or operator identity, the
+    product side of an epsilon-bialgebra, or a module kind's axiom system.
+    Names to bind: "alpha" the twist and the kind's products; "op" one
+    product (multiplicative); "source", "target" and "f" (preserves); "mul"
+    the single product; "r" and "weight" (rota-baxter); for a module also
+    "beta" the carrier twist and each action family as a product algebra x
+    carrier -> carrier."""
     x, y, z = (Term("var", i) for i in range(3))
     al, r, f = (lambda u, name=name: Term("map", name, u) for name in ("alpha", "r", "f"))
     mul, br, op, source, target, lt, rt, tl, tr = (
@@ -416,10 +438,65 @@ def _declare_identities():
                             ("centroid-left", mul(al(x), y), al(mul(x, y))),
                             ("centroid-right", mul(x, al(y)), al(mul(x, y)))),
     }
+
+    # module laws: v is the carrier basis vector; an action family acts as
+    # act(algebra element, carrier vector), so the matrix identity
+    # act_a(x).act_b(y) = ... reads act_a(x, act_b(y, v)) = ... column by column
+    v = Term("var", -1)
+    be = lambda u: Term("map", "beta", u)  # noqa: E731
+    L, R, rho, D, U, LT, RT, LR, RR = (lambda u, w, name=name: Term("op", name, u, w) for name in (
+        "l", "r", "rho", "diamond", "bullet", "lt", "rt", "lr", "rr"))
+
+    def twist(act):  # beta(x.v) = alpha(x).beta(v)
+        return be(act(x, v)), act(al(x), be(v))
+
+    def literal(act):  # the printed variant: beta(x.v) = x.beta(v)
+        return be(act(x, v)), act(x, be(v))
+
+    def lie_action(act, bracket):  # [x,y].beta(v) = alpha(x).(y.v) - alpha(y).(x.v)
+        return act(bracket(x, y), be(v)), act(al(x), act(y, v)) - act(al(y), act(x, v))
+
+    def hor(u, w):  # the horizontal product tleft + tright
+        return tl(u, w) + tr(u, w)
+
+    postlie_twists = (("module-twist-diamond",) + twist(D), ("module-twist-bullet",) + twist(U))
+    postlie_actions = (
+        ("postlie-module-bracket-diamond",) + lie_action(D, br),
+        ("postlie-module-product", D(mul(x, y), be(v)), U(al(x), D(y, v)) - D(al(y), U(x, v))),
+        ("postlie-module-bracket-bullet", U(br(x, y), be(v)),
+         U(al(x), U(y, v)) - U(al(y), U(x, v)) - U(mul(x, y), be(v)) + U(mul(y, x), be(v))))
+    groups.update({
+        "assoc-bimodule": (
+            ("bimodule-left", L(mul(x, y), be(v)), L(al(x), L(y, v))),
+            ("bimodule-mixed", R(al(y), L(x, v)), L(al(x), R(y, v))),
+            ("bimodule-right", R(al(y), R(x, v)), R(mul(x, y), be(v)))),
+        "lie-module": (("module-twist-compat",) + twist(rho),
+                       ("lie-action",) + lie_action(rho, br)),
+        "lie-representation": (("lie-representation",) + lie_action(rho, br),),
+        "prelie-bimodule": (
+            ("prelie-bimodule-left", L(mul(x, y), be(v)) - L(al(x), L(y, v)),
+             L(mul(y, x), be(v)) - L(al(y), L(x, v))),
+            ("prelie-bimodule-right", L(al(x), R(y, v)) - R(al(y), L(x, v)),
+             R(mul(x, y), be(v)) - R(al(y), R(x, v)))),
+        "postlie-module": postlie_twists + postlie_actions,
+        "postlie-module-literal": postlie_twists + (
+            ("literal-twist-commute-diamond",) + literal(D),
+            ("literal-twist-commute-bullet",) + literal(U)) + postlie_actions,
+        "ldend-bimodule": (
+            ("ldend-bimodule-1",) + lie_action(LR, lambda u, w: hor(u, w) - hor(w, u)),
+            ("ldend-bimodule-2", LT(tr(x, y) - tl(y, x), be(v)),
+             LR(al(x), LT(y, v)) - LT(al(y), LR(x, v)) - LT(al(y), LT(x, v))),
+            ("ldend-bimodule-3", RR(tr(x, y), be(v)),
+             RR(al(y), RR(x, v)) + RR(al(y), RT(x, v)) + LR(al(x), RR(y, v))
+             - RR(al(y), LR(x, v)) - RR(al(y), LT(x, v))),
+            ("ldend-bimodule-4", RR(tl(x, y), be(v)),
+             RT(al(y), RR(x, v)) + LT(al(x), RR(y, v)) + LT(al(x), RT(y, v))
+             - RT(al(y), LT(x, v))),
+            ("ldend-bimodule-5", RT(hor(x, y), be(v)),
+             LR(al(x), RT(y, v)) - RT(al(y), LR(x, v)) + RT(al(y), RT(x, v)))),
+    })
     return {group: tuple(Law(*decl) for decl in decls) for group, decls in groups.items()}
 
-
-IDENTITIES = _declare_identities()
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +707,29 @@ def _coassociativity_sides(b: EpsilonHomBialgebra):
     return coassoc
 
 
+def _basis_products(t: Tensor3, x, left: bool) -> list[tuple]:
+    """[x.e_u for each u] when left, else [e_u.x]: bilinear_eval of x and a
+    basis vector by product lookups, with its arithmetic and entry types."""
+    out = []
+    for u in range(t.d2 if left else t.d1):
+        acc = [ZERO] * t.d3
+        for p, xp in enumerate(x):
+            if xp:
+                for k, e in enumerate(t.product_vec(p, u) if left else t.product_vec(u, p)):
+                    if e:
+                        acc[k] += xp * e
+        out.append(tuple(acc))
+    return out
+
+
 def _epsilon_linear_equations(b: EpsilonHomBialgebra) -> list[tuple]:
     """The coproduct prerequisites that are linear in the coproduct, as
     (name, arity, sides) with sides(index) -> (lhs, rhs).  The certifier
     checks them as rows; the coproduct search solves them before certifying."""
     n = b.dim
-    al = b.alpha
+    acols = [b.alpha.column(i) for i in range(n)]
+    alpha_times = [_basis_products(b.mul, a, True) for a in acols]  # [i][u]: alpha(e_i).e_u
+    times_alpha = [_basis_products(b.mul, a, False) for a in acols]  # [j][v]: e_v.alpha(e_j)
 
     def compat(ij):
         i, j = ij
@@ -646,25 +740,23 @@ def _epsilon_linear_equations(b: EpsilonHomBialgebra) -> list[tuple]:
                     if v:
                         lhs[pos] += mk * v
         rhs = [0] * (n * n)
-        ai = al.column(i)
         for u in range(n):
+            prod = alpha_times[i][u]
             for v in range(n):
                 d = b.delta[j, u, v]
                 if d:
-                    prod = bilinear_eval(b.mul, ai, basis_vec(n, u))
-                    av = al.column(v)
+                    av = acols[v]
                     for p in range(n):
                         if prod[p]:
                             for q in range(n):
                                 if av[q]:
                                     rhs[p * n + q] += d * prod[p] * av[q]
-        aj = al.column(j)
         for u in range(n):
+            au = acols[u]
             for v in range(n):
                 d = b.delta[i, u, v]
                 if d:
-                    au = al.column(u)
-                    prod = bilinear_eval(b.mul, basis_vec(n, v), aj)
+                    prod = times_alpha[j][v]
                     for p in range(n):
                         if au[p]:
                             for q in range(n):
@@ -679,7 +771,7 @@ def _epsilon_linear_equations(b: EpsilonHomBialgebra) -> list[tuple]:
                 d = b.delta[i, j, k]
                 if not d:
                     continue
-                col = al.column(j) if side == 0 else al.column(k)
+                col = acols[j] if side == 0 else acols[k]
                 for p in range(n):
                     if col[p]:
                         pos = p * n + k if side == 0 else j * n + p
@@ -687,10 +779,10 @@ def _epsilon_linear_equations(b: EpsilonHomBialgebra) -> list[tuple]:
         return tuple(out)
 
     def cocent_left(i):
-        return cocentroid(i, 0), _comul_of_vector(b, al.column(i))
+        return cocentroid(i, 0), _comul_of_vector(b, acols[i])
 
     def cocent_right(i):
-        return cocentroid(i, 1), _comul_of_vector(b, al.column(i))
+        return cocentroid(i, 1), _comul_of_vector(b, acols[i])
 
     return [("bialgebra-compatibility", 2, compat),
             ("cocentroid-left", 1, cocent_left),
@@ -749,6 +841,8 @@ def commuting_endomorphism_basis(alpha: Matrix) -> list[Matrix]:
 def convolution_operator(b: EpsilonHomBialgebra, f: Matrix) -> Matrix:
     """R(f) = mul o (alpha (x) f) o delta, as a matrix."""
     n = b.dim
+    acols = [b.alpha.column(j) for j in range(n)]
+    fcols = [f.column(k) for k in range(n)]
     cols = []
     for i in range(n):
         acc = [0] * n
@@ -756,7 +850,7 @@ def convolution_operator(b: EpsilonHomBialgebra, f: Matrix) -> Matrix:
             for k in range(n):
                 d = b.delta[i, j, k]
                 if d:
-                    term = bilinear_eval(b.mul, b.alpha.column(j), f.column(k))
+                    term = bilinear_eval(b.mul, acols[j], fcols[k])
                     for p, t in enumerate(term):
                         if t:
                             acc[p] += d * t

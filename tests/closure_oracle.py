@@ -1,11 +1,12 @@
-"""Test-only oracle: the hand-written closure evaluators that certified the
-algebra identities before they were declared as terms.
+"""Test-only oracle: the hand-written evaluators that certified the algebra
+and module identities before they were declared as terms, and the coproduct
+rows and convolution operator before they used product lookups.
 
 Each function mirrors the certifier of the same name in ``homcert.homcore``
-and returns a ``CertReport`` built the same way, so tests can compare the
-two reports for equality and for identical reprs (witness entry types
-included).  Rows that are not algebra identities (the matrix equations and
-the coproduct rows) come from ``homcore`` itself.
+or ``homcert.hommod`` and returns a ``CertReport`` built the same way, so
+tests can compare the two reports for equality and for identical reprs
+(witness entry types included).  The remaining matrix equations and
+Hom-coassociativity come from ``homcore`` itself.
 """
 
 import itertools
@@ -13,8 +14,9 @@ import itertools
 from homcert.exactlin import (Matrix, basis_vec, bilinear_eval, mat_mul, rat,
                               vec_add, vec_neg, vec_scale, vec_sub, zero_vec)
 from homcert.homcore import (AxiomResult, AxiomSpec, CertReport, Witness,
-                             _epsilon_delta_rows, _matrix_equation_result,
-                             rb_twist_sides)
+                             _comul_of_vector, _coassociativity_sides,
+                             _indexed_equation, _matrix_equation_result,
+                             commuting_endomorphism_basis, rb_twist_sides)
 
 
 def check_identity(spec, dim):
@@ -247,8 +249,303 @@ def epsilon_mul_rows(b):
     return rows
 
 
+def epsilon_linear_equations(b):
+    n = b.dim
+    al = b.alpha
+
+    def compat(ij):
+        i, j = ij
+        lhs = [0] * (n * n)
+        for k, mk in enumerate(b.mul.product_vec(i, j)):
+            if mk:
+                for pos, v in enumerate(b.comul_vec(k)):
+                    if v:
+                        lhs[pos] += mk * v
+        rhs = [0] * (n * n)
+        ai = al.column(i)
+        for u in range(n):
+            for v in range(n):
+                d = b.delta[j, u, v]
+                if d:
+                    prod = bilinear_eval(b.mul, ai, basis_vec(n, u))
+                    av = al.column(v)
+                    for p in range(n):
+                        if prod[p]:
+                            for q in range(n):
+                                if av[q]:
+                                    rhs[p * n + q] += d * prod[p] * av[q]
+        aj = al.column(j)
+        for u in range(n):
+            for v in range(n):
+                d = b.delta[i, u, v]
+                if d:
+                    au = al.column(u)
+                    prod = bilinear_eval(b.mul, basis_vec(n, v), aj)
+                    for p in range(n):
+                        if au[p]:
+                            for q in range(n):
+                                if prod[q]:
+                                    rhs[p * n + q] += d * au[p] * prod[q]
+        return tuple(lhs), tuple(rhs)
+
+    def cocentroid(i, side):
+        out = [0] * (n * n)
+        for j in range(n):
+            for k in range(n):
+                d = b.delta[i, j, k]
+                if not d:
+                    continue
+                col = al.column(j) if side == 0 else al.column(k)
+                for p in range(n):
+                    if col[p]:
+                        pos = p * n + k if side == 0 else j * n + p
+                        out[pos] += d * col[p]
+        return tuple(out)
+
+    def cocent_left(i):
+        return cocentroid(i, 0), _comul_of_vector(b, al.column(i))
+
+    def cocent_right(i):
+        return cocentroid(i, 1), _comul_of_vector(b, al.column(i))
+
+    return [("bialgebra-compatibility", 2, compat),
+            ("cocentroid-left", 1, cocent_left),
+            ("cocentroid-right", 1, cocent_right)]
+
+
+def epsilon_delta_rows(b):
+    n = b.dim
+    rows = [_indexed_equation("hom-coassociativity", n, _coassociativity_sides(b))]
+    rows += [_indexed_equation(name, n, sides, arity)
+             for name, arity, sides in epsilon_linear_equations(b)]
+    return rows
+
+
 def epsilon_prerequisites(b):
-    return CertReport.from_results(epsilon_mul_rows(b) + _epsilon_delta_rows(b))
+    return CertReport.from_results(epsilon_mul_rows(b) + epsilon_delta_rows(b))
+
+
+def convolution_operator(b, f):
+    n = b.dim
+    cols = []
+    for i in range(n):
+        acc = [0] * n
+        for j in range(n):
+            for k in range(n):
+                d = b.delta[i, j, k]
+                if d:
+                    term = bilinear_eval(b.mul, b.alpha.column(j), f.column(k))
+                    for p, t in enumerate(term):
+                        if t:
+                            acc[p] += d * t
+        cols.append(tuple(acc))
+    return Matrix.from_columns(cols) if cols else Matrix.zeros(0, 0)
+
+
+def convolution_rb(b):
+    prereq = epsilon_prerequisites(b)
+    if not prereq.passed:
+        return prereq
+    basis = commuting_endomorphism_basis(b.alpha)
+    rows = list(prereq.axioms)
+
+    def gamma(f):
+        return mat_mul(b.alpha, f)
+
+    def flat(m):
+        return tuple(v for row in m.data for v in row)
+
+    ok = AxiomResult("endalg-hom-associative", True, None)
+    for idx in itertools.product(range(len(basis)), repeat=3):
+        f, g, h = (basis[i] for i in idx)
+        lhs = mat_mul(mat_mul(f, g), gamma(h))
+        rhs = mat_mul(gamma(f), mat_mul(g, h))
+        if lhs != rhs:
+            ok = AxiomResult("endalg-hom-associative", False,
+                             Witness(tuple(i + 1 for i in idx), flat(lhs), flat(rhs)))
+            break
+    rows.append(ok)
+    images = [convolution_operator(b, f) for f in basis]
+    ok = AxiomResult("convolution-closed", True, None)
+    for i, rf in enumerate(images):
+        if mat_mul(rf, b.alpha) != mat_mul(b.alpha, rf):
+            ok = AxiomResult("convolution-closed", False,
+                             Witness((i + 1,), flat(mat_mul(rf, b.alpha)),
+                                     flat(mat_mul(b.alpha, rf))))
+            break
+    rows.append(ok)
+    ok = AxiomResult("convolution-rota-baxter", True, None)
+    for gi, fi in itertools.product(range(len(basis)), repeat=2):
+        g, f = basis[gi], basis[fi]
+        rg, rf = images[gi], images[fi]
+        lhs = mat_mul(rg, rf)
+        rhs = (convolution_operator(b, mat_mul(rg, f))
+               + convolution_operator(b, mat_mul(g, rf)))
+        if lhs != rhs:
+            ok = AxiomResult("convolution-rota-baxter", False,
+                             Witness((gi + 1, fi + 1), flat(lhs), flat(rhs)))
+            break
+    rows.append(ok)
+    return CertReport.from_results(rows)
+
+
+# -- module axioms: one matrix identity per algebra basis tuple --------------
+
+def _first_column_witness(indices, lhs, rhs):
+    for v in range(lhs.cols):
+        cl, cr = lhs.column(v), rhs.column(v)
+        if cl != cr:
+            return Witness(tuple(i + 1 for i in indices) + (v + 1,), cl, cr)
+    raise AssertionError("witness requested for equal matrices")
+
+
+def _matrix_axiom(name, n, arity, lhs_fn, rhs_fn):
+    for idx in itertools.product(range(n), repeat=arity):
+        lhs, rhs = lhs_fn(*idx), rhs_fn(*idx)
+        if lhs != rhs:
+            return AxiomResult(name, False, _first_column_witness(idx, lhs, rhs))
+    return AxiomResult(name, True, None)
+
+
+def check_module_axioms(m, strict_twist_commute=False):
+    a = m.algebra
+    n = a.dim
+    al = a.alpha
+    B = m.beta
+    rows = []
+
+    def at_alpha(name, i):
+        return m.act(name, al.column(i))
+
+    if m.kind == "assoc-bimodule":
+        mul = a.op("mul")
+        L, R = m.action("l"), m.action("r")
+        rows.append(_matrix_axiom(
+            "bimodule-left", n, 2,
+            lambda i, j: mat_mul(m.act("l", mul.product_vec(i, j)), B),
+            lambda i, j: mat_mul(at_alpha("l", i), L[j])))
+        rows.append(_matrix_axiom(
+            "bimodule-mixed", n, 2,
+            lambda i, j: mat_mul(at_alpha("r", j), L[i]),
+            lambda i, j: mat_mul(at_alpha("l", i), R[j])))
+        rows.append(_matrix_axiom(
+            "bimodule-right", n, 2,
+            lambda i, j: mat_mul(at_alpha("r", j), R[i]),
+            lambda i, j: mat_mul(m.act("r", mul.product_vec(i, j)), B)))
+    elif m.kind in ("lie-module", "lie-representation"):
+        br = a.op("bracket")
+        Rho = m.action("rho")
+        if m.kind == "lie-module":
+            rows.append(_matrix_axiom(
+                "module-twist-compat", n, 1,
+                lambda i: mat_mul(B, Rho[i]),
+                lambda i: mat_mul(at_alpha("rho", i), B)))
+        rows.append(_matrix_axiom(
+            "lie-action" if m.kind == "lie-module" else "lie-representation", n, 2,
+            lambda i, j: mat_mul(m.act("rho", br.product_vec(i, j)), B),
+            lambda i, j: (mat_mul(at_alpha("rho", i), Rho[j])
+                          - mat_mul(at_alpha("rho", j), Rho[i]))))
+    elif m.kind == "prelie-bimodule":
+        mul = a.op("mul")
+        L, R = m.action("l"), m.action("r")
+        rows.append(_matrix_axiom(
+            "prelie-bimodule-left", n, 2,
+            lambda i, j: (mat_mul(m.act("l", mul.product_vec(i, j)), B)
+                          - mat_mul(at_alpha("l", i), L[j])),
+            lambda i, j: (mat_mul(m.act("l", mul.product_vec(j, i)), B)
+                          - mat_mul(at_alpha("l", j), L[i]))))
+        rows.append(_matrix_axiom(
+            "prelie-bimodule-right", n, 2,
+            lambda i, j: (mat_mul(at_alpha("l", i), R[j])
+                          - mat_mul(at_alpha("r", j), L[i])),
+            lambda i, j: (mat_mul(m.act("r", mul.product_vec(i, j)), B)
+                          - mat_mul(at_alpha("r", j), R[i]))))
+    elif m.kind == "postlie-module":
+        br, mul = a.op("bracket"), a.op("mul")
+        D, U = m.action("diamond"), m.action("bullet")
+        rows.append(_matrix_axiom(
+            "module-twist-diamond", n, 1,
+            lambda i: mat_mul(B, D[i]),
+            lambda i: mat_mul(at_alpha("diamond", i), B)))
+        rows.append(_matrix_axiom(
+            "module-twist-bullet", n, 1,
+            lambda i: mat_mul(B, U[i]),
+            lambda i: mat_mul(at_alpha("bullet", i), B)))
+        if strict_twist_commute:
+            rows.append(_matrix_axiom(
+                "literal-twist-commute-diamond", n, 1,
+                lambda i: mat_mul(B, D[i]), lambda i: mat_mul(D[i], B)))
+            rows.append(_matrix_axiom(
+                "literal-twist-commute-bullet", n, 1,
+                lambda i: mat_mul(B, U[i]), lambda i: mat_mul(U[i], B)))
+        rows.append(_matrix_axiom(
+            "postlie-module-bracket-diamond", n, 2,
+            lambda i, j: mat_mul(m.act("diamond", br.product_vec(i, j)), B),
+            lambda i, j: (mat_mul(at_alpha("diamond", i), D[j])
+                          - mat_mul(at_alpha("diamond", j), D[i]))))
+        rows.append(_matrix_axiom(
+            "postlie-module-product", n, 2,
+            lambda i, j: mat_mul(m.act("diamond", mul.product_vec(i, j)), B),
+            lambda i, j: (mat_mul(at_alpha("bullet", i), D[j])
+                          - mat_mul(at_alpha("diamond", j), U[i]))))
+        rows.append(_matrix_axiom(
+            "postlie-module-bracket-bullet", n, 2,
+            lambda i, j: mat_mul(m.act("bullet", br.product_vec(i, j)), B),
+            lambda i, j: (mat_mul(at_alpha("bullet", i), U[j])
+                          - mat_mul(at_alpha("bullet", j), U[i])
+                          - mat_mul(m.act("bullet", mul.product_vec(i, j)), B)
+                          + mat_mul(m.act("bullet", mul.product_vec(j, i)), B))))
+    elif m.kind == "ldend-bimodule":
+        q, p = a.op("tleft"), a.op("tright")
+        hor = p + q
+        LT, RT = m.action("lt"), m.action("rt")
+        LR, RR = m.action("lr"), m.action("rr")
+
+        def bracket_vec(i, j):
+            hij = hor.product_vec(i, j)
+            hji = hor.product_vec(j, i)
+            return tuple(x - y for x, y in zip(hij, hji))
+
+        def vert_vec(i, j):
+            pij = p.product_vec(i, j)
+            qji = q.product_vec(j, i)
+            return tuple(x - y for x, y in zip(pij, qji))
+
+        rows.append(_matrix_axiom(
+            "ldend-bimodule-1", n, 2,
+            lambda i, j: mat_mul(m.act("lr", bracket_vec(i, j)), B),
+            lambda i, j: (mat_mul(at_alpha("lr", i), LR[j])
+                          - mat_mul(at_alpha("lr", j), LR[i]))))
+        rows.append(_matrix_axiom(
+            "ldend-bimodule-2", n, 2,
+            lambda i, j: mat_mul(m.act("lt", vert_vec(i, j)), B),
+            lambda i, j: (mat_mul(at_alpha("lr", i), LT[j])
+                          - mat_mul(at_alpha("lt", j), LR[i])
+                          - mat_mul(at_alpha("lt", j), LT[i]))))
+        rows.append(_matrix_axiom(
+            "ldend-bimodule-3", n, 2,
+            lambda i, j: mat_mul(m.act("rr", p.product_vec(i, j)), B),
+            lambda i, j: (mat_mul(at_alpha("rr", j), RR[i])
+                          + mat_mul(at_alpha("rr", j), RT[i])
+                          + mat_mul(at_alpha("lr", i), RR[j])
+                          - mat_mul(at_alpha("rr", j), LR[i])
+                          - mat_mul(at_alpha("rr", j), LT[i]))))
+        rows.append(_matrix_axiom(
+            "ldend-bimodule-4", n, 2,
+            lambda i, j: mat_mul(m.act("rr", q.product_vec(i, j)), B),
+            lambda i, j: (mat_mul(at_alpha("rt", j), RR[i])
+                          + mat_mul(at_alpha("lt", i), RR[j])
+                          + mat_mul(at_alpha("lt", i), RT[j])
+                          - mat_mul(at_alpha("rt", j), LT[i]))))
+        rows.append(_matrix_axiom(
+            "ldend-bimodule-5", n, 2,
+            lambda i, j: mat_mul(m.act("rt", hor.product_vec(i, j)), B),
+            lambda i, j: (mat_mul(at_alpha("lr", i), RT[j])
+                          - mat_mul(at_alpha("rt", j), LR[i])
+                          + mat_mul(at_alpha("rt", j), RT[i]))))
+    else:
+        raise ValueError(m.kind)
+    return CertReport.from_results(rows)
 
 
 def twisted_left_symmetry_holds(mul, br, alpha, n):

@@ -246,6 +246,13 @@ def test_certify_corpus_negative_trials_is_input_error(workdir, capsys):
     assert "--trials" in captured.err and "RESULT" not in captured.out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1", "-4"])
+def test_certify_corpus_nonpositive_jobs_is_input_error(workdir, capsys, jobs):
+    assert main(["certify-corpus", "--trials", "1", "--max-dim", "1", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert "jobs" in captured.err and "RESULT" not in captured.out
+
+
 @pytest.mark.parametrize("field", ["dim", "mdim"])
 def test_bool_dimension_is_input_error(workdir, field):
     one = HomAlgebra(1, "hom-associative", {"mul": Tensor3.zeros(1)},

@@ -1,4 +1,7 @@
-"""The certify-corpus harness: reported counts against what lands on disk."""
+"""The certify-corpus harness: reported counts against what lands on disk,
+and the worker pool it asks for."""
+
+import pytest
 
 from homcert import harness
 
@@ -22,3 +25,41 @@ def test_reported_documents_match_files_with_duplicate_items(tmp_path, monkeypat
     assert on_disk > 0
     assert emitted > on_disk  # the duplicates really collided
     assert reported == on_disk
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the size asked for and
+    maps in this process, so no worker is started."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        RecordingPool.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("jobs, expected", [(1, []), (2, [2]), (10 ** 6, None)])
+def test_pool_is_capped_at_the_work_items(monkeypatch, jobs, expected):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(harness.multiprocessing, "Pool", RecordingPool)
+    # the properties whose items are quick at this size
+    monkeypatch.setattr(harness, "PROPERTIES", harness.PROPERTIES[:4])
+    summary, _ = harness.run_corpus_certification(1, 1, 0, jobs=jobs)
+    items = sum(len(p.build(1, 1, idx * 1009)) for idx, p in enumerate(harness.PROPERTIES))
+    assert 2 < items < 10 ** 6
+    assert RecordingPool.sizes == ([items] if expected is None else expected)
+    assert summary == harness.run_corpus_certification(1, 1, 0)[0]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_nonpositive_jobs_rejected(jobs):
+    with pytest.raises(harness.InputError, match="jobs"):
+        harness.run_corpus_certification(1, 1, 0, jobs=jobs)
