@@ -74,6 +74,13 @@ def report_to_doc(report: CertReport) -> dict:
 # check
 
 def cmd_check(args) -> int:
+    rota_baxter = args.predicate == "rota-baxter"
+    if len(args.paths) > 1 + rota_baxter:
+        raise InputError("check takes one document"
+                         + (" and one operator document" if rota_baxter else
+                            "; an operator document needs --predicate rota-baxter"))
+    if args.weight is not None and not rota_baxter:
+        raise InputError("--weight is only used with --predicate rota-baxter")
     doc = docs.load_json(args.paths[0])
     dtype = docs.document_type(doc)
     base_dir = os.path.dirname(os.path.abspath(args.paths[0]))
@@ -89,7 +96,7 @@ def cmd_check(args) -> int:
                 raise InputError("--predicate rota-baxter needs an operator document")
             a = docs.algebra_from_doc(doc)
             r = docs.operator_from_doc(docs.load_json(args.paths[1]))
-            report = check_rota_baxter(a, r, rat(args.weight))
+            report = check_rota_baxter(a, r, rat("0" if args.weight is None else args.weight))
         else:
             a = docs.algebra_from_doc(doc)
             report = check_predicate(a, name)
@@ -356,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicate", help="auxiliary predicate: multiplicative, "
                    "left-commutative, lie-admissible, rota-baxter, "
                    "epsilon-prerequisites, convolution-rb")
-    p.add_argument("--weight", default="0", help="Rota-Baxter weight (rational)")
+    p.add_argument("--weight", help="Rota-Baxter weight (rational, default 0)")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("derive", help="run a construction and certify its output")

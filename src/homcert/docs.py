@@ -13,7 +13,7 @@ import os
 from typing import Optional
 
 from .errors import InputError
-from .exactlin import Matrix, Tensor3, rat, rat_str
+from .exactlin import Matrix, Tensor3, rat_str
 from .homcore import KIND_OPS, EpsilonHomBialgebra, HomAlgebra
 from .hommod import MODULE_KINDS, HomModule
 

@@ -14,7 +14,7 @@ of the ``j``-th basis vector.  Vectors are plain tuples of scalars.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import InputError
 
@@ -55,10 +55,6 @@ def exact_div(a, b):
 # ---------------------------------------------------------------------------
 # vectors
 
-def vec(values) -> tuple:
-    return tuple(rat(v) for v in values)
-
-
 def zero_vec(n: int) -> tuple:
     return (ZERO,) * n
 
@@ -94,10 +90,6 @@ def basis_index(v):
     for i, b in enumerate(v):
         if b:
             return i if type(b) is int and b == 1 else None
-
-
-def is_zero_vec(x) -> bool:
-    return all(not a for a in x)
 
 
 class Matrix:
@@ -212,9 +204,6 @@ class Matrix:
         for _ in range(e):
             result = mat_mul(result, self)
         return result
-
-    def commutes_with(self, other: "Matrix") -> bool:
-        return mat_mul(self, other) == mat_mul(other, self)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; tensor basis ordered lexicographically (i,j)."""
@@ -463,7 +452,3 @@ def bilinear_eval(t: Tensor3, x: Sequence, y: Sequence) -> tuple:
                 if v:
                     out[k] += c * v
     return tuple(out)
-
-
-def tensors_from_flat(flat: Sequence, d1: int, d2: int, d3: int) -> Tensor3:
-    return Tensor3(d1, d2, d3, flat)

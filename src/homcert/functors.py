@@ -9,10 +9,10 @@ contrast, are hard errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InputError, PreconditionError
-from .exactlin import ZERO, Matrix, Tensor3, mat_mul, rat
+from .exactlin import ZERO, Matrix, Tensor3, rat
 from .homcore import (CertReport, HomAlgebra, check_axioms, check_predicate,
                       check_rota_baxter, require_certified)
 from .hommod import (HomModule, check_module_axioms, check_oop,

@@ -15,17 +15,16 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from . import docs
-from .errors import BudgetError, CertificationError, InputError, PreconditionError
+from .errors import CertificationError, InputError, PreconditionError
 from .exactlin import Matrix, Tensor3
 from .homcore import (EpsilonHomBialgebra, HomAlgebra, check_axioms,
                       check_predicate)
-from .hommod import (adjoint_postlie_module, check_module_axioms, check_oop,
-                     direct_sum, tensor_product, twist_0k, twist_beta,
-                     twist_beta_data, twist_n0)
+from .hommod import (adjoint_postlie_module, direct_sum, tensor_product, twist_0k,
+                     twist_beta, twist_beta_data, twist_n0)
 from .functors import (adjoint_bimodule, commutator_lie, ldend_brackets,
                        ldend_semidirect, ldend_to_prelie, ldend_transpose,
                        novikov_to_postlie, oop_assoc_to_dendriform,

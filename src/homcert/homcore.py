@@ -159,13 +159,16 @@ class AxiomSpec:
 # (bilinear_eval, Matrix.apply, vec_add, vec_scale): products and maps skip
 # falsy coordinates, sums keep every coordinate they touch, and a first term is
 # stored as is (0 + a has a's value and type), so both sides get the values and
-# entry types (int or Fraction) of dense evaluation.
+# entry types (int or Fraction) of dense evaluation.  A normalized term is what
+# matrix arithmetic (Matrix._exact) leaves: integral Fractions become ints.
 
 class Term:
-    """("var", index), ("op", name, u, v) for a bilinear product, ("map",
-    name, u) for a linear map, ("scaled", name, u) for a named scalar times u
-    (a zero scalar drops u), or ("sum", signs, *terms) for a sum of
-    sign * term with signs +-1 (nested sums are flattened)."""
+    """("var", index) for a variable (index -1 is the law's last variable),
+    ("op", name, u, v) for a bilinear product, ("map", name, u) for a linear
+    map, ("scaled", name, u) for a named scalar times u (a zero scalar drops
+    u), ("sum", signs, *terms) for a sum of sign * term with signs +-1
+    (nested sums are flattened), or ("normalized", None, u) for u normalized
+    as matrix arithmetic normalizes."""
 
     __slots__ = ("kind", "name", "args")
 
@@ -185,12 +188,17 @@ def _nodes(t: Term) -> list[Term]:
     return [t] + [u for arg in t.args for u in _nodes(arg)]
 
 
-def _length(t: Term, env: Mapping, n: int):
-    """Length of the term's vector, variables of length n; None if unknown."""
+def _length(t: Term, env: Mapping, dims: Sequence[int]):
+    """Length of the term's vector, variable i of length dims[i]; None if
+    unknown (an empty sum)."""
     if t.kind in ("op", "map"):
         obj = env[t.name]
         return obj.d3 if t.kind == "op" else obj.rows
-    return n if t.kind == "var" else _length(t.args[0], env, n) if t.args else None
+    return dims[t.name] if t.kind == "var" else _length(t.args[0], env, dims) if t.args else None
+
+
+def _exact(a):
+    return a if type(a) is int or a.denominator != 1 else a.numerator
 
 
 def _compile(t: Term, basis: bool):
@@ -222,6 +230,8 @@ def _compile(t: Term, basis: bool):
 
         return total
     fu = fns[0]
+    if t.kind == "normalized":
+        return lambda v, T: [(k, _exact(a)) for k, a in fu(v, T)]
     if t.kind == "scaled":
         def scaled(v, T):
             c, dim = T[name]
@@ -264,21 +274,31 @@ def _compile(t: Term, basis: bool):
 
 
 class Law:
-    """A declared identity lhs == rhs: its arity, one node per name a
-    structure must bind, and both sides compiled for basis tuples on first
-    use (a process that never evaluates a law holds no closures for it).
+    """A declared identity lhs == rhs: its arity, the space each variable
+    ranges over, one node per name a structure must bind, and both sides
+    compiled for basis tuples on first use (a process that never evaluates
+    a law holds no closures for it).
 
-    A module law has a carrier variable, ("var", -1): always the last
-    variable, it runs over the basis of the carrier the sides live in, and
-    both sides are normalized as matrix arithmetic leaves them (integral
-    Fractions become ints)."""
+    Variables are typed by use: each ranges over the domain of the first
+    product slot or map it is an argument of, so algebra and carrier
+    variables mix freely.  A side declared as a normalized term is compiled
+    bare and normalized as it is made dense."""
 
     def __init__(self, name: str, lhs: Term, rhs: Term):
-        self.name, self.lhs, self.rhs = name, lhs, rhs
+        self.name = name
+        self.normalized = (lhs.kind == "normalized", rhs.kind == "normalized")
+        self.lhs, self.rhs = (s.args[0] if s.kind == "normalized" else s for s in (lhs, rhs))
         nodes = [t for side in (lhs, rhs) for t in _nodes(side)]
         variables = {t.name for t in nodes if t.kind == "var"}
-        self.carrier = -1 in variables
-        self.arity = max((i + 1 for i in variables), default=0) + self.carrier
+        self.arity = max((i + 1 for i in variables), default=0) + (-1 in variables)
+        domains = {}  # variable position -> (bound name, attribute giving its length)
+        for t in nodes:
+            if t.kind in ("op", "map"):
+                for slot, u in enumerate(t.args):
+                    if u.kind == "var":
+                        domains.setdefault(u.name % self.arity,
+                                           (t.name, "cols" if t.kind == "map" else ("d1", "d2")[slot]))
+        self.domains = tuple(domains[i] for i in range(self.arity))
         self.bound = tuple({t.name: t for t in nodes
                             if t.kind in ("op", "map", "scaled")}.values())
 
@@ -295,9 +315,7 @@ def _dense(pairs, m: int, normalized: bool = False) -> tuple:
     out = [ZERO] * m
     for k, a in pairs:
         out[k] = a
-    if normalized:
-        return tuple(a if type(a) is int or a.denominator != 1 else a.numerator for a in out)
-    return tuple(out)
+    return tuple(map(_exact, out)) if normalized else tuple(out)
 
 
 class Identity:
@@ -307,30 +325,40 @@ class Identity:
     def __init__(self, law: Law, env: Mapping, shared: dict):
         self.law, self.env, self.shared = law, env, shared
 
-    def bind(self, n: int):
-        """(tables, m): lookup tables for the bound names with variables of
-        length n, and the length m of both sides.  A product or map table is
-        kept in ``shared`` while the same object stays bound to its name, so
-        identities bound with one shared dict build it once."""
+    def bind(self):
+        """(tables, dims, m): lookup tables for the bound names, the length
+        of each variable, and the length m of both sides.  A product or map
+        table is kept in ``shared`` while the same object stays bound to its
+        name, so identities bound with one shared dict build it once."""
+        law, env = self.law, self.env
+        dims = [getattr(env[name], attr) for name, attr in law.domains]
         tables = {}
-        for t in self.law.bound:
-            obj, held = self.env[t.name], self.shared.get(t.name)
+        for t in law.bound:
+            obj, held = env[t.name], self.shared.get(t.name)
             if t.kind == "scaled":  # the scalar and the length of its term
-                tables[t.name] = (obj, _length(t.args[0], self.env, n))
+                tables[t.name] = (obj, _length(t.args[0], env, dims))
                 continue
             if held is None or held[0] is not obj:
                 held = self.shared[t.name] = (obj, (
                     [[_pairs(obj.product_vec(i, j)) for j in range(obj.d2)] for i in range(obj.d1)]
                     if t.kind == "op" else [_pairs(col) for col in zip(*obj.data)]))
             tables[t.name] = held[1]
-        m = _length(self.law.lhs, self.env, n)
-        return tables, (_length(self.law.rhs, self.env, n) if m is None else m)
+        m = _length(law.lhs, env, dims)
+        return tables, dims, (_length(law.rhs, env, dims) if m is None else m)
 
     def __call__(self, *vectors):
-        tables, m = self.bind(len(vectors[0]))
+        tables, _, m = self.bind()
         v = [tuple(enumerate(x)) for x in vectors]
-        return tuple(_dense(_compile(side, False)(v, tables), m, self.law.carrier)
-                     for side in (self.law.lhs, self.law.rhs))
+        return tuple(_dense(_compile(side, False)(v, tables), m, norm)
+                     for side, norm in zip((self.law.lhs, self.law.rhs), self.law.normalized))
+
+    def basis_sides(self):
+        """(indices, lhs, rhs) at every basis tuple, 0-based indices in
+        lexicographic order, each variable over the basis of its own space."""
+        tables, dims, m = self.bind()
+        (fl, fr), (nl, nr) = self.law.on_basis, self.law.normalized
+        for idx in itertools.product(*map(range, dims)):
+            yield idx, _dense(fl(idx, tables), m, nl), _dense(fr(idx, tables), m, nr)
 
 
 def _specs(group: str, env: Mapping, suffix: str = "", shared: Optional[dict] = None
@@ -341,34 +369,43 @@ def _specs(group: str, env: Mapping, suffix: str = "", shared: Optional[dict] = 
             for law in _declare_identities()[group]]
 
 
-def basis_sides(spec: AxiomSpec, dim: int):
-    """(indices, lhs, rhs) of the identity at every basis tuple, 0-based
-    indices in lexicographic order.  A declared Identity runs on basis
-    indices and the lookup tables of its bind (a module law's carrier index
-    last, over the sides' length); any other evaluate gets dense basis
-    vectors."""
-    ident = spec.evaluate
-    tuples = itertools.product(range(dim), repeat=spec.arity)
-    if isinstance(ident, Identity):
-        tables, m = ident.bind(dim)
-        fl, fr = ident.law.on_basis
-        norm = ident.law.carrier
-        if norm:
-            tuples = itertools.product(*[range(dim)] * (spec.arity - 1), range(m))
-        for idx in tuples:
-            yield idx, _dense(fl(idx, tables), m, norm), _dense(fr(idx, tables), m, norm)
+def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str) -> Matrix:
+    """The constraint matrix of laws that are linear in the matrix or tensor
+    bound to ``unknown`` (env gives its shape): column c holds lhs - rhs of
+    every law at every basis tuple, in law, lexicographic tuple and
+    coordinate order, with the unit at flat position c (row-major) bound in
+    its place.  Its kernel is the set of unknowns on which the laws hold."""
+    shape = env[unknown]
+    if isinstance(shape, Matrix):
+        rows, cols = shape.rows, shape.cols
+        units = (Matrix._exact([[int(r * cols + q == c) for q in range(cols)] for r in range(rows)])
+                 for c in range(rows * cols))
     else:
-        basis = [basis_vec(dim, i) for i in range(dim)]
-        for idx in tuples:
-            yield (idx, *ident(*[basis[i] for i in idx]))
+        cells = len(shape.data)
+        units = (Tensor3(*shape.dims, basis_vec(cells, c)) for c in range(cells))
+    columns, shared = [], {}
+    for unit in units:
+        bound = {**env, unknown: unit}
+        columns.append([d for law in laws
+                        for _, lhs, rhs in Identity(law, bound, shared).basis_sides()
+                        for d in vec_sub(lhs, rhs)])
+    return Matrix.from_columns(columns)
 
 
 def check_identity(spec: AxiomSpec, dim: int) -> AxiomResult:
     """Evaluate an identity on all basis tuples, lexicographic order.
 
-    The first failing tuple (minimal in lex order) becomes the witness.
+    A declared Identity runs on basis indices, each variable over its own
+    space; any other evaluate gets dense basis vectors of length dim.  The
+    first failing tuple (minimal in lex order) becomes the witness.
     """
-    for idx, lhs, rhs in basis_sides(spec, dim):
+    if isinstance(spec.evaluate, Identity):
+        sides = spec.evaluate.basis_sides()
+    else:
+        basis = [basis_vec(dim, i) for i in range(dim)]
+        sides = ((idx, *spec.evaluate(*[basis[i] for i in idx]))
+                 for idx in itertools.product(range(dim), repeat=spec.arity))
+    for idx, lhs, rhs in sides:
         if lhs != rhs:
             w = Witness(tuple(i + 1 for i in idx), lhs, rhs)
             return AxiomResult(spec.name, False, w)
@@ -379,17 +416,30 @@ def check_identity(spec: AxiomSpec, dim: int) -> AxiomResult:
 def _declare_identities():
     """Every algebra and module identity, each declared once, by group: a
     kind's axiom system, a predicate, a morphism or operator identity, the
-    product side of an epsilon-bialgebra, or a module kind's axiom system.
-    Names to bind: "alpha" the twist and the kind's products; "op" one
-    product (multiplicative); "source", "target" and "f" (preserves); "mul"
-    the single product; "r" and "weight" (rota-baxter); for a module also
-    "beta" the carrier twist and each action family as a product algebra x
-    carrier -> carrier."""
+    product side of an epsilon-bialgebra, a module kind's axiom system, or
+    an O-operator identity.  Names to bind: "alpha" the twist and the kind's
+    products; "op" one product (multiplicative); "f", "target-alpha",
+    "source" and "target" (morphisms); "mul" the single product; "r" and
+    "weight" (rota-baxter); for a module also "beta" the carrier twist and
+    each action family as a product algebra x carrier -> carrier; "T" an
+    O-operator carrier -> algebra; "b", "bM" and "act" (intertwines-action).
+
+    A matrix equation A = B is declared column by column, as an arity-1 law
+    A(x) = B(x) with both sides normalized as matrix arithmetic leaves
+    them, so its first failing basis index and sides are the first
+    differing column of the two matrices."""
     x, y, z = (Term("var", i) for i in range(3))
-    al, r, f = (lambda u, name=name: Term("map", name, u) for name in ("alpha", "r", "f"))
+    al, r, f, tal = (lambda u, name=name: Term("map", name, u)
+                     for name in ("alpha", "r", "f", "target-alpha"))
     mul, br, op, source, target, lt, rt, tl, tr = (
         lambda u, v, name=name: Term("op", name, u, v) for name in (
             "mul", "bracket", "op", "source", "target", "left", "right", "tleft", "tright"))
+
+    def normalized(u):  # as matrix arithmetic leaves it: integral Fractions become ints
+        return Term("normalized", None, u)
+
+    def matrix_laws(*decls):  # matrix identities, read column by column
+        return tuple((name, normalized(u), normalized(w)) for name, u, w in decls)
 
     def assoc(u, v, w):  # (u.v).alpha(w) = alpha(u).(v.w)
         return mul(mul(u, v), al(w)), mul(al(u), mul(v, w))
@@ -430,22 +480,26 @@ def _declare_identities():
         "left-commutative": (("left-commutativity",
                               mul(mul(x, y), al(z)), mul(mul(y, x), al(z))),),
         "lie-admissible": (("lie-admissibility",) + jacobi,),
+        "intertwines-twists": matrix_laws(("intertwines-twists", f(al(x)), tal(f(x)))),
         "preserves": (("preserves", f(source(x, y)), target(f(x), f(y))),),
         # r(x).r(y) = r(r(x).y + x.r(y) + weight x.y)
         "rota-baxter": (("rota-baxter", mul(r(x), r(y)),
                          r(mul(r(x), y) + mul(x, r(y)) + Term("scaled", "weight", mul(x, y)))),),
+        "commutes-with-twist": matrix_laws(("commutes-with-twist", r(al(x)), al(r(x)))),
         "epsilon-product": (("hom-associativity",) + assoc(x, y, z),
                             ("centroid-left", mul(al(x), y), al(mul(x, y))),
-                            ("centroid-right", mul(x, al(y)), al(mul(x, y)))),
+                            ("centroid-right", mul(x, al(y)), al(mul(x, y))))
+                           + matrix_laws(("involutive-twist", al(al(x)), x)),
     }
 
     # module laws: v is the carrier basis vector; an action family acts as
     # act(algebra element, carrier vector), so the matrix identity
     # act_a(x).act_b(y) = ... reads act_a(x, act_b(y, v)) = ... column by column
     v = Term("var", -1)
-    be = lambda u: Term("map", "beta", u)  # noqa: E731
-    L, R, rho, D, U, LT, RT, LR, RR = (lambda u, w, name=name: Term("op", name, u, w) for name in (
-        "l", "r", "rho", "diamond", "bullet", "lt", "rt", "lr", "rr"))
+    be, T, b, bM = (lambda u, name=name: Term("map", name, u) for name in ("beta", "T", "b", "bM"))
+    L, R, rho, D, U, LT, RT, LR, RR, Act = (
+        lambda u, w, name=name: Term("op", name, u, w) for name in (
+            "l", "r", "rho", "diamond", "bullet", "lt", "rt", "lr", "rr", "act"))
 
     def twist(act):  # beta(x.v) = alpha(x).beta(v)
         return be(act(x, v)), act(al(x), be(v))
@@ -465,7 +519,7 @@ def _declare_identities():
         ("postlie-module-product", D(mul(x, y), be(v)), U(al(x), D(y, v)) - D(al(y), U(x, v))),
         ("postlie-module-bracket-bullet", U(br(x, y), be(v)),
          U(al(x), U(y, v)) - U(al(y), U(x, v)) - U(mul(x, y), be(v)) + U(mul(y, x), be(v))))
-    groups.update({
+    groups.update({name: matrix_laws(*decls) for name, decls in {
         "assoc-bimodule": (
             ("bimodule-left", L(mul(x, y), be(v)), L(al(x), L(y, v))),
             ("bimodule-mixed", R(al(y), L(x, v)), L(al(x), R(y, v))),
@@ -494,9 +548,21 @@ def _declare_identities():
              - RT(al(y), LT(x, v))),
             ("ldend-bimodule-5", RT(hor(x, y), be(v)),
              LR(al(x), RT(y, v)) - RT(al(y), LR(x, v)) + RT(al(y), RT(x, v)))),
+        # bM.act(e_i) = act(b(e_i)).bM, a precondition of the beta twist
+        "intertwines-action": (("intertwines-action", bM(Act(x, v)), Act(b(x), bM(v))),),
+        "oop-twist-compat": (("oop-twist-compat", al(T(x)), T(be(x))),),
+    }.items()})
+
+    # O-operators T: carrier -> algebra, over two carrier variables x, y; the
+    # action of T(x) is a matrix, so its columns are normalized
+    assoc_oop = T(normalized(L(T(x), y)) + normalized(R(T(y), x)))
+    groups.update({
+        "o-operator-associative": (("o-operator-associative", mul(T(x), T(y)), assoc_oop),),
+        "o-operator-prelie": (("o-operator-prelie", mul(T(x), T(y)), assoc_oop),),
+        "o-operator-lie": (("o-operator-lie", br(T(x), T(y)),
+                            T(normalized(rho(T(x), y)) - normalized(rho(T(y), x)))),),
     })
     return {group: tuple(Law(*decl) for decl in decls) for group, decls in groups.items()}
-
 
 
 # ---------------------------------------------------------------------------
@@ -559,21 +625,12 @@ def check_morphism(f: Matrix, a: HomAlgebra, b: HomAlgebra) -> CertReport:
         raise InputError(f"morphism kind mismatch: {a.kind} vs {b.kind}")
     if f.rows != b.dim or f.cols != a.dim:
         raise InputError(f"morphism must be {b.dim}x{a.dim}, got {f.rows}x{f.cols}")
-    rows = [_matrix_equation_result("intertwines-twists", mat_mul(f, a.alpha), mat_mul(b.alpha, f))]
+    rows = [check_identity(s, a.dim) for s in _specs(
+        "intertwines-twists", {"f": f, "alpha": a.alpha, "target-alpha": b.alpha})]
     for name in a.op_names():
         env = {"source": a.ops[name], "target": b.ops[name], "f": f}
         rows += [check_identity(s, a.dim) for s in _specs("preserves", env, f":{name}")]
     return CertReport.from_results(rows)
-
-
-def _matrix_equation_result(name: str, lhs: Matrix, rhs: Matrix) -> AxiomResult:
-    if lhs == rhs:
-        return AxiomResult(name, True, None)
-    for j in range(lhs.cols):
-        cl, cr = lhs.column(j), rhs.column(j)
-        if cl != cr:
-            return AxiomResult(name, False, Witness((j + 1,), cl, cr))
-    return AxiomResult(name, False, Witness((), (), ()))
 
 
 def check_rota_baxter(a: HomAlgebra, r: Matrix, weight) -> CertReport:
@@ -586,16 +643,9 @@ def check_rota_baxter(a: HomAlgebra, r: Matrix, weight) -> CertReport:
     weight = rat(weight)
     if r.rows != a.dim or r.cols != a.dim:
         raise InputError(f"operator must be {a.dim}x{a.dim}")
-    spec, = _specs("rota-baxter", {"mul": a.single_op(), "r": r, "weight": weight})
-    rows = [check_identity(spec, a.dim),
-            _matrix_equation_result("commutes-with-twist", *rb_twist_sides(a.alpha, r))]
-    return CertReport.from_results(rows)
-
-
-def rb_twist_sides(alpha: Matrix, r: Matrix) -> tuple[Matrix, Matrix]:
-    """Both sides of the ``commutes-with-twist`` row, r.alpha = alpha.r;
-    linear in r, so the Rota-Baxter search solves it before certifying."""
-    return mat_mul(r, alpha), mat_mul(alpha, r)
+    env = {"mul": a.single_op(), "r": r, "weight": weight, "alpha": a.alpha}
+    return CertReport.from_results([check_identity(s, a.dim) for s in (
+        _specs("rota-baxter", env) + _specs("commutes-with-twist", env))])
 
 
 def yau_twist(a: HomAlgebra, g: Matrix) -> HomAlgebra:
@@ -657,11 +707,8 @@ def _comul_of_vector(b: EpsilonHomBialgebra, x) -> tuple:
 
 def _epsilon_mul_rows(b: EpsilonHomBialgebra) -> list[AxiomResult]:
     """Prerequisites touching only the product and the twist."""
-    n, al = b.dim, b.alpha
-    rows = [check_identity(s, n) for s in _specs("epsilon-product", {"mul": b.mul, "alpha": al})]
-    rows.append(_matrix_equation_result("involutive-twist",
-                                        mat_mul(al, al), Matrix.identity(n)))
-    return rows
+    return [check_identity(s, b.dim)
+            for s in _specs("epsilon-product", {"mul": b.mul, "alpha": b.alpha})]
 
 
 def _epsilon_delta_rows(b: EpsilonHomBialgebra) -> list[AxiomResult]:
@@ -819,23 +866,12 @@ def _indexed_equation(name, n, fn, arity=1) -> AxiomResult:
 
 
 def commuting_endomorphism_basis(alpha: Matrix) -> list[Matrix]:
-    """Basis of {f : f.alpha = alpha.f} inside n x n matrices, deterministic."""
+    """Basis of {f : f.alpha = alpha.f} inside n x n matrices, deterministic:
+    the kernel of the declared ``commutes-with-twist`` row, linear in f."""
     n = alpha.rows
-    rows = []
-    # unknown f flattened row-major: f[p][q] at p*n+q
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            # (f A - A f)[i][j] = sum_k f[i][k] A[k][j] - A[i][k] f[k][j]
-            for k in range(n):
-                row[i * n + k] += alpha[k, j]
-                row[k * n + j] -= alpha[i, k]
-            rows.append(row)
-    basis = []
-    for v in nullspace(Matrix(rows)):
-        flat = v.column(0)
-        basis.append(Matrix([flat[p * n:(p + 1) * n] for p in range(n)]))
-    return basis
+    system = linear_rows(_declare_identities()["commutes-with-twist"],
+                         {"alpha": alpha, "r": Matrix.zeros(n, n)}, "r")
+    return [Matrix([v.column(0)[p * n:(p + 1) * n] for p in range(n)]) for v in nullspace(system)]
 
 
 def convolution_operator(b: EpsilonHomBialgebra, f: Matrix) -> Matrix:

@@ -1,10 +1,13 @@
 """Module structures over Hom-algebras and their constructions.
 
 Actions are stored as one carrier-sized matrix per algebra basis element;
-the action of a general element is the linear extension.  The axiom systems
-are declared with the algebra identities in ``homcore`` and checked exactly
-on every algebra basis tuple and carrier basis vector; witnesses end with
-the first differing column.
+the action of a general element is the linear extension.  The axiom systems,
+the O-operator identities and the carrier-map preconditions of
+``twist_beta`` are declared with the algebra identities in ``homcore``: an
+action family binds as a product algebra x carrier -> carrier, an O-operator
+as a map carrier -> algebra.  They are checked exactly on every basis tuple,
+each variable over its own space; module witnesses end with the first
+differing column.
 
 The post-Lie module axioms follow the element/operator form (the one every
 proof in the source theory actually uses); the literal printed variant of
@@ -16,16 +19,14 @@ bimodule axiom for the analogous printed-typo correction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .errors import CertificationError, InputError, PreconditionError
-from .exactlin import (Matrix, Tensor3, basis_index, block_diag, mat_mul,
-                       rat_str)
-from .homcore import (AxiomResult, AxiomSpec, CertReport, HomAlgebra, Witness,
-                      canonical_algebra_key, check_axioms, check_identity,
-                      check_morphism, check_predicate, _digest, _specs)
+from .exactlin import Matrix, Tensor3, basis_index, block_diag, mat_mul, rat_str
+from .homcore import (AxiomSpec, CertReport, HomAlgebra, canonical_algebra_key,
+                      check_axioms, check_identity, check_morphism, check_predicate,
+                      _digest, _specs)
 
 MODULE_KINDS = {
     "assoc-bimodule": ("hom-associative", ("l", "r")),
@@ -99,11 +100,6 @@ class HomModule:
                         canonical_algebra_key(self.algebra), beta, actions))
 
 
-def hom_module(algebra, mdim, beta, actions, kind) -> HomModule:
-    return HomModule(algebra=algebra, mdim=mdim, beta=beta,
-                     actions={k: tuple(v) for k, v in actions.items()}, kind=kind)
-
-
 # ---------------------------------------------------------------------------
 # axiom checking
 
@@ -121,14 +117,20 @@ class _Action:
         return self.columns[i][v]
 
 
+def _module_env(m: HomModule) -> dict:
+    """The names a module law binds: the algebra's products and twist, the
+    carrier twist and each action family."""
+    a = m.algebra
+    return {**a.ops, "alpha": a.alpha, "beta": m.beta,
+            **{name: _Action(fam, m.mdim) for name, fam in m.actions.items()}}
+
+
 def module_axioms(m: HomModule, strict_twist_commute: bool = False) -> list[AxiomSpec]:
     """The axiom system of the module's kind, declared in ``homcore``; a
     post-Lie module with ``strict_twist_commute`` also gets the literal
     twist rows."""
-    a = m.algebra
     group = m.kind + ("-literal" if strict_twist_commute and m.kind == "postlie-module" else "")
-    return _specs(group, {**a.ops, "alpha": a.alpha, "beta": m.beta,
-                          **{name: _Action(fam, m.mdim) for name, fam in m.actions.items()}})
+    return _specs(group, _module_env(m))
 
 
 def check_module_axioms(m: HomModule, strict_twist_commute: bool = False) -> CertReport:
@@ -334,15 +336,18 @@ def twist_beta(m: HomModule, b: Matrix, bm: Matrix) -> tuple[HomAlgebra, HomModu
     if not morphism.passed:
         failing = ", ".join(r.name for r in morphism.failing())
         raise PreconditionError(f"b is not an algebra endomorphism: {failing}", morphism)
-    if mat_mul(m.beta, bm) != mat_mul(bm, m.beta):
+    if bm.rows != m.mdim or bm.cols != m.mdim:
+        raise InputError(f"bM must be {m.mdim}x{m.mdim}, got {bm.rows}x{bm.cols}")
+    commutes, = _specs("commutes-with-twist", {"r": bm, "alpha": m.beta})
+    if not check_identity(commutes, m.mdim).passed:
         raise PreconditionError("bM does not commute with the module twist")
     for name in ("diamond", "bullet"):
-        for i in range(a.dim):
-            lhs = mat_mul(bm, m.action(name)[i])
-            rhs = mat_mul(m.act(name, b.column(i)), bm)
-            if lhs != rhs:
-                raise PreconditionError(
-                    f"bM does not intertwine the {name} action with b (basis index {i + 1})")
+        spec, = _specs("intertwines-action",
+                       {"act": _Action(m.action(name), m.mdim), "b": b, "bM": bm})
+        row = check_identity(spec, a.dim)
+        if not row.passed:
+            raise PreconditionError(f"bM does not intertwine the {name} action with b "
+                                    f"(basis index {row.witness.indices[0]})")
     algebra, module = twist_beta_data(m, b, bm)
     alg_report = check_axioms(algebra)
     if not alg_report.passed:
@@ -353,10 +358,9 @@ def twist_beta(m: HomModule, b: Matrix, bm: Matrix) -> tuple[HomAlgebra, HomModu
 # ---------------------------------------------------------------------------
 # O-operators
 
-def oop_twist_sides(t: Matrix, m: HomModule) -> tuple[Matrix, Matrix]:
-    """Both sides of the ``oop-twist-compat`` row, alpha.T = T.beta; linear
-    in T, so the O-operator search solves it before certifying."""
-    return mat_mul(m.algebra.alpha, t), mat_mul(t, m.beta)
+# the O-operator identity of each module kind, declared in ``homcore``
+OOP_LAWS = {"assoc-bimodule": "o-operator-associative", "prelie-bimodule": "o-operator-prelie",
+            "lie-module": "o-operator-lie", "lie-representation": "o-operator-lie"}
 
 
 def check_oop(t: Matrix, m: HomModule) -> CertReport:
@@ -365,54 +369,15 @@ def check_oop(t: Matrix, m: HomModule) -> CertReport:
     The associative and preLie variants include the twist-compatibility
     alpha.T = T.beta from their definitions; the Lie variant requires it as
     well, since the functor proofs rewrite rho(T(beta(u))) as rho(alpha(T(u))).
-    The module itself is assumed certified (callers enforce it).
+    The module itself is assumed certified (callers enforce it).  Witness
+    indices of the O-operator row are two carrier basis indices.
     """
     a = m.algebra
     if t.rows != a.dim or t.cols != m.mdim:
         raise InputError(f"operator must be {a.dim}x{m.mdim}, got {t.rows}x{t.cols}")
-    rows = []
-    from .homcore import _matrix_equation_result
-    rows.append(_matrix_equation_result("oop-twist-compat", *oop_twist_sides(t, m)))
-
-    from .exactlin import bilinear_eval, vec_add, vec_sub
-
-    if m.kind in ("lie-representation", "lie-module"):
-        br = a.op("bracket")
-
-        def rho_at(col):
-            return m.act("rho", col)
-
-        name = "o-operator-lie"
-
-        def lhs(i, j):
-            return bilinear_eval(br, t.column(i), t.column(j))
-
-        def rhs(i, j):
-            u = rho_at(t.column(i)).column(j)
-            v = rho_at(t.column(j)).column(i)
-            return t.apply(vec_sub(u, v))
-
-    elif m.kind in ("assoc-bimodule", "prelie-bimodule"):
-        mul = a.op("mul")
-        name = ("o-operator-associative" if m.kind == "assoc-bimodule"
-                else "o-operator-prelie")
-
-        def lhs(i, j):
-            return bilinear_eval(mul, t.column(i), t.column(j))
-
-        def rhs(i, j):
-            u = m.act("l", t.column(i)).column(j)
-            v = m.act("r", t.column(j)).column(i)
-            return t.apply(vec_add(u, v))
-
-    else:
+    if m.kind not in OOP_LAWS:
         raise InputError(f"O-operators are not defined for module kind {m.kind!r}")
-
-    result = AxiomResult(name, True, None)
-    for i, j in itertools.product(range(m.mdim), repeat=2):
-        left, right = lhs(i, j), rhs(i, j)
-        if left != right:
-            result = AxiomResult(name, False, Witness((i + 1, j + 1), left, right))
-            break
-    rows.append(result)
-    return CertReport.from_results(rows)
+    env, shared = {**_module_env(m), "T": t}, {}
+    specs = [s for group in ("oop-twist-compat", OOP_LAWS[m.kind])
+             for s in _specs(group, env, shared=shared)]
+    return CertReport.from_results([check_identity(s, m.mdim) for s in specs])

@@ -20,14 +20,13 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BudgetError, CertificationError, InputError, UnsupportedError
-from .exactlin import (ONE, ZERO, Matrix, Tensor3, basis_vec, nullspace, rat, rref,
-                       vec_sub)
-from .homcore import (AxiomSpec, EpsilonHomBialgebra, HomAlgebra, _epsilon_delta_rows,
-                      _epsilon_linear_residual, _epsilon_mul_rows, _specs, basis_sides,
-                      check_axioms, check_identity, check_rota_baxter,
-                      rb_twist_sides, require_certified, yau_twist)
+from .exactlin import ONE, ZERO, Matrix, Tensor3, basis_vec, nullspace, rat, rref
+from .homcore import (AxiomSpec, EpsilonHomBialgebra, HomAlgebra, _declare_identities,
+                      _epsilon_delta_rows, _epsilon_linear_residual, _epsilon_mul_rows,
+                      _specs, check_axioms, check_identity, check_rota_baxter,
+                      linear_rows, require_certified, yau_twist)
 from .functors import FunctorResult
-from .hommod import HomModule, check_oop, oop_twist_sides
+from .hommod import HomModule, check_oop
 
 DEFAULT_CANDIDATE_BUDGET = 200_000
 TWISTED_LEFT_SYMMETRY = "postlie-twisted-left-symmetry"  # the quadratic filter
@@ -46,21 +45,19 @@ def postlie_linear_system(l: HomAlgebra) -> Matrix:
 
         alpha(z).[x, y] = [z.x, alpha(y)] + [alpha(x), z.y]
 
-    at x = e_i, y = e_j, z = e_k.  The identity is linear in the product, so
-    column c is that residual for the product with a single 1 at position c.
+    at x = e_i, y = e_j, z = e_k: the rows of ``linear_rows``, which come in
+    (i, j, k, output coordinate) order, with z's index moved first.
     """
     if l.kind != "hom-lie":
         raise InputError("postlie_linear_system expects a hom-lie algebra")
     require_certified(l)
     n = l.dim
-    columns, shared = [], {}
-    for c in range(n ** 3):
-        spec = _postlie_spec(l, Tensor3(n, n, n, basis_vec(n ** 3, c)),
-                             "postlie-bracket-compatibility", shared)
-        residual = {idx: vec_sub(lhs, rhs) for idx, lhs, rhs in basis_sides(spec, n)}
-        columns.append([d for k, i, j in itertools.product(range(n), repeat=3)
-                        for d in residual[i, j, k]])
-    return Matrix.from_columns(columns)
+    laws = [law for law in _declare_identities()["hom-postlie"]
+            if law.name == "postlie-bracket-compatibility"]
+    env = {"bracket": l.op("bracket"), "alpha": l.alpha, "mul": Tensor3.zeros(n)}
+    rows = linear_rows(laws, env, "mul").data
+    return Matrix([rows[((i * n + j) * n + k) * n + q]
+                   for k, i, j, q in itertools.product(range(n), repeat=4)])
 
 
 @dataclass(frozen=True)
@@ -153,18 +150,17 @@ def postlie_search(l: HomAlgebra, combo_bound: int,
 # the same list, in the same row-major lexicographic order, as a walk of the
 # whole box would certify.
 
-def _box_points_in_kernel(residual: Callable[[tuple], Sequence], cells: int,
-                          bound: int) -> list[tuple[int, ...]]:
-    """The integer points of [-bound, bound]^cells on which the linear map
-    ``residual`` vanishes, sorted as ``itertools.product`` would visit them.
+def _box_points_in_kernel(system: Matrix, cells: int, bound: int) -> list[tuple[int, ...]]:
+    """The integer points of [-bound, bound]^cells in the kernel of the
+    constraint matrix ``system`` (``cells`` columns; it may have no rows),
+    sorted as ``itertools.product`` would visit them.
 
-    The constraint matrix has residual(e_c) as column c.  Its reduced echelon
-    form writes each pivot coordinate in terms of the free ones, so the free
-    coordinates run over the box and a point is kept when every pivot value
-    is an integer inside the bound.
+    The reduced echelon form writes each pivot coordinate in terms of the
+    free ones, so the free coordinates run over the box and a point is kept
+    when every pivot value is an integer inside the bound.  That form is
+    unique for the row space, so the points do not depend on row order.
     """
-    columns = [tuple(residual(basis_vec(cells, c))) for c in range(cells)]
-    reduced, pivots = rref(Matrix([list(row) for row in zip(*columns)]))
+    reduced, pivots = rref(system)
     free = [c for c in range(cells) if c not in pivots]
     solve = [(p, [(f, -reduced[r, f]) for f in free if reduced[r, f]])
              for r, p in enumerate(pivots)]
@@ -191,16 +187,13 @@ def _require_box(what: str, cells: int, bound: int, max_candidates: int) -> None
                           needed=total, budget=max_candidates)
 
 
-def _operator_box(rows: int, cols: int, twist_sides, bound: int) -> list[Matrix]:
-    """rows x cols integer matrices in the box whose two twist sides agree."""
-    def as_matrix(flat):
-        return Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)])
-
-    def residual(flat):
-        lhs, rhs = twist_sides(as_matrix(flat))
-        return [v for row in (lhs - rhs).data for v in row]
-
-    return [as_matrix(flat) for flat in _box_points_in_kernel(residual, rows * cols, bound)]
+def _operator_box(group: str, env: dict, unknown: str, bound: int) -> list[Matrix]:
+    """The integer matrices in the box, shaped like env[unknown], on which
+    the group's declared laws (linear in the unknown) hold."""
+    rows, cols = env[unknown].rows, env[unknown].cols
+    system = linear_rows(_declare_identities()[group], env, unknown)
+    return [Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)])
+            for flat in _box_points_in_kernel(system, rows * cols, bound)]
 
 
 def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
@@ -213,8 +206,10 @@ def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
     if entry_bound < 0:
         raise InputError("entry_bound must be non-negative")
     _require_box("operator", a.dim * m.mdim, entry_bound, max_candidates)
-    return [t for t in _operator_box(a.dim, m.mdim, lambda t: oop_twist_sides(t, m),
-                                     entry_bound)
+    if a.dim != m.algebra.dim:
+        raise InputError(f"module is over a dim-{m.algebra.dim} algebra, not dim {a.dim}")
+    env = {"alpha": m.algebra.alpha, "beta": m.beta, "T": Matrix.zeros(a.dim, m.mdim)}
+    return [t for t in _operator_box("oop-twist-compat", env, "T", entry_bound)
             if check_oop(t, m).passed]
 
 
@@ -229,8 +224,8 @@ def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
     if entry_bound < 0:
         raise InputError("entry_bound must be non-negative")
     _require_box("operator", a.dim * a.dim, entry_bound, max_candidates)
-    return [r for r in _operator_box(a.dim, a.dim, lambda r: rb_twist_sides(a.alpha, r),
-                                     entry_bound)
+    env = {"alpha": a.alpha, "r": Matrix.zeros(a.dim, a.dim)}
+    return [r for r in _operator_box("commutes-with-twist", env, "r", entry_bound)
             if check_rota_baxter(a, r, weight).passed]
 
 
@@ -255,8 +250,9 @@ def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int
     def bialgebra(flat):
         return EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha)
 
-    kernel = _box_points_in_kernel(
-        lambda flat: _epsilon_linear_residual(bialgebra(flat)), n ** 3, entry_bound)
+    system = Matrix.from_columns([_epsilon_linear_residual(bialgebra(basis_vec(n ** 3, c)))
+                                  for c in range(n ** 3)])
+    kernel = _box_points_in_kernel(system, n ** 3, entry_bound)
     return [b for b in map(bialgebra, kernel)
             if all(r.passed for r in _epsilon_delta_rows(b))]
 

@@ -1,22 +1,126 @@
 """Test-only oracle: the hand-written evaluators that certified the algebra
-and module identities before they were declared as terms, and the coproduct
-rows and convolution operator before they used product lookups.
+and module identities, the O-operator identity and the matrix equations
+before they were declared as terms, the hand-built linear systems the
+searches solved, and the coproduct rows and convolution operator before
+they used product lookups.
 
 Each function mirrors the certifier of the same name in ``homcert.homcore``
 or ``homcert.hommod`` and returns a ``CertReport`` built the same way, so
 tests can compare the two reports for equality and for identical reprs
-(witness entry types included).  The remaining matrix equations and
-Hom-coassociativity come from ``homcore`` itself.
+(witness entry types included).  Hom-coassociativity comes from ``homcore``
+itself.
 """
 
 import itertools
 
-from homcert.exactlin import (Matrix, basis_vec, bilinear_eval, mat_mul, rat,
+from homcert.errors import InputError, PreconditionError
+from homcert.exactlin import (Matrix, basis_vec, bilinear_eval, mat_mul, nullspace, rat,
                               vec_add, vec_neg, vec_scale, vec_sub, zero_vec)
 from homcert.homcore import (AxiomResult, AxiomSpec, CertReport, Witness,
                              _comul_of_vector, _coassociativity_sides,
-                             _indexed_equation, _matrix_equation_result,
-                             commuting_endomorphism_basis, rb_twist_sides)
+                             _indexed_equation)
+
+
+def _matrix_equation_result(name, lhs, rhs):
+    if lhs == rhs:
+        return AxiomResult(name, True, None)
+    for j in range(lhs.cols):
+        cl, cr = lhs.column(j), rhs.column(j)
+        if cl != cr:
+            return AxiomResult(name, False, Witness((j + 1,), cl, cr))
+    return AxiomResult(name, False, Witness((), (), ()))
+
+
+def rb_twist_sides(alpha, r):
+    """Both sides of ``commutes-with-twist``, r.alpha = alpha.r."""
+    return mat_mul(r, alpha), mat_mul(alpha, r)
+
+
+def oop_twist_sides(t, m):
+    """Both sides of ``oop-twist-compat``, alpha.T = T.beta."""
+    return mat_mul(m.algebra.alpha, t), mat_mul(t, m.beta)
+
+
+def commuting_endomorphism_basis(alpha):
+    n = alpha.rows
+    rows = []
+    # unknown f flattened row-major: f[p][q] at p*n+q
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            # (f A - A f)[i][j] = sum_k f[i][k] A[k][j] - A[i][k] f[k][j]
+            for k in range(n):
+                row[i * n + k] += alpha[k, j]
+                row[k * n + j] -= alpha[i, k]
+            rows.append(row)
+    basis = []
+    for v in nullspace(Matrix(rows)):
+        flat = v.column(0)
+        basis.append(Matrix([flat[p * n:(p + 1) * n] for p in range(n)]))
+    return basis
+
+
+def twist_beta_preconditions(m, b, bm):
+    """The carrier-map checks of ``twist_beta``, after its morphism check."""
+    a = m.algebra
+    if mat_mul(m.beta, bm) != mat_mul(bm, m.beta):
+        raise PreconditionError("bM does not commute with the module twist")
+    for name in ("diamond", "bullet"):
+        for i in range(a.dim):
+            lhs = mat_mul(bm, m.action(name)[i])
+            rhs = mat_mul(m.act(name, b.column(i)), bm)
+            if lhs != rhs:
+                raise PreconditionError(
+                    f"bM does not intertwine the {name} action with b (basis index {i + 1})")
+
+
+def check_oop(t, m):
+    a = m.algebra
+    if t.rows != a.dim or t.cols != m.mdim:
+        raise InputError(f"operator must be {a.dim}x{m.mdim}, got {t.rows}x{t.cols}")
+    rows = [_matrix_equation_result("oop-twist-compat", *oop_twist_sides(t, m))]
+    if m.kind in ("lie-representation", "lie-module"):
+        br = a.op("bracket")
+        name = "o-operator-lie"
+
+        def lhs(i, j):
+            return bilinear_eval(br, t.column(i), t.column(j))
+
+        def rhs(i, j):
+            u = m.act("rho", t.column(i)).column(j)
+            v = m.act("rho", t.column(j)).column(i)
+            return t.apply(vec_sub(u, v))
+
+    elif m.kind in ("assoc-bimodule", "prelie-bimodule"):
+        mul = a.op("mul")
+        name = ("o-operator-associative" if m.kind == "assoc-bimodule"
+                else "o-operator-prelie")
+
+        def lhs(i, j):
+            return bilinear_eval(mul, t.column(i), t.column(j))
+
+        def rhs(i, j):
+            u = m.act("l", t.column(i)).column(j)
+            v = m.act("r", t.column(j)).column(i)
+            return t.apply(vec_add(u, v))
+
+    else:
+        raise InputError(f"O-operators are not defined for module kind {m.kind!r}")
+    result = AxiomResult(name, True, None)
+    for i, j in itertools.product(range(m.mdim), repeat=2):
+        left, right = lhs(i, j), rhs(i, j)
+        if left != right:
+            result = AxiomResult(name, False, Witness((i + 1, j + 1), left, right))
+            break
+    rows.append(result)
+    return CertReport.from_results(rows)
+
+
+def residual_system(residual, cells):
+    """The constraint matrix of a linear residual map, column c its value on
+    the unit vector e_c, as the box searches assembled it by hand."""
+    columns = [tuple(residual(basis_vec(cells, c))) for c in range(cells)]
+    return Matrix([list(row) for row in zip(*columns)])
 
 
 def check_identity(spec, dim):

@@ -97,6 +97,23 @@ def test_check_predicates(workdir, dual_numbers):
                  "--weight", "1"]) == 1
 
 
+def test_check_rejects_inputs_it_would_ignore(workdir, dual_numbers, capsys):
+    """An operator document or a weight is only read by --predicate
+    rota-baxter; anywhere else it exits 2 instead of a PASS that ignored it."""
+    path = write_algebra("dual.json", dual_numbers)
+    docs.save_json("r.json", docs.operator_to_doc(Matrix([[0, 0], [1, 0]])))
+    capsys.readouterr()
+    assert main(["check", path, "r.json"]) == 2
+    assert main(["check", path, "r.json", "--predicate", "multiplicative"]) == 2
+    assert main(["check", path, "--weight", "x"]) == 2
+    assert main(["check", path, "--weight", "1", "--predicate", "multiplicative"]) == 2
+    assert main(["check", path, "r.json", "r.json", "--predicate", "rota-baxter"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("input error: ") == 5 and "Traceback" not in captured.err
+    assert main(["check", path, "r.json", "--predicate", "rota-baxter"]) == 0
+
+
 def test_check_module_document(workdir, dual_numbers):
     m = adjoint_bimodule(dual_numbers)
     docs.save_json("mod.json", docs.module_to_doc(m))

@@ -14,15 +14,19 @@ from hypothesis import given, settings, strategies as st
 
 import closure_oracle as oracle
 from homcert import functors, harness, hommod
-from homcert.errors import InputError
-from homcert.exactlin import Matrix, Tensor3, basis_vec
+from homcert.errors import CertificationError, InputError, PreconditionError
+from homcert.exactlin import Matrix, Tensor3, basis_vec, nullspace, rref
+from homcert.functors import adjoint_bimodule
 from homcert.harness import _build_epsilon, _search_inputs
 from homcert.homcore import (KIND_OPS, PREDICATES, CertReport, EpsilonHomBialgebra,
-                             HomAlgebra, _epsilon_delta_rows, check_axioms,
-                             check_morphism, check_predicate, check_rota_baxter,
-                             convolution_rb, epsilon_prerequisites, kind_axioms)
+                             HomAlgebra, _declare_identities, _epsilon_delta_rows,
+                             _epsilon_mul_rows, check_axioms, check_morphism,
+                             check_predicate, check_rota_baxter,
+                             commuting_endomorphism_basis, convolution_rb,
+                             epsilon_prerequisites, kind_axioms, linear_rows, yau_twist)
 from homcert.homcore import check_identity
-from homcert.hommod import MODULE_KINDS, HomModule, check_module_axioms, module_axioms
+from homcert.hommod import (MODULE_KINDS, HomModule, adjoint_postlie_module, check_module_axioms,
+                            check_oop, module_axioms, twist_beta)
 from homcert.search import (CATALOG, TWISTED_LEFT_SYMMETRY, _postlie_spec,
                             brute_force_epsilon_bialgebras, iter_postlie_candidates,
                             postlie_linear_system)
@@ -266,3 +270,208 @@ def test_epsilon_box_matches_oracle(box):
     for b in [first] + brute_force_epsilon_bialgebras(mul, alpha, 1):
         same(epsilon_prerequisites(b), oracle.epsilon_prerequisites(b))
         same(convolution_rb(b), oracle.convolution_rb(b))
+
+
+# -- O-operators, matrix rows and the linear systems ------------------------------
+
+def oop_modules():
+    """Adjoint modules of every dim-2 associative, preLie and Lie catalog
+    algebra and of a Yau twist of each (a twist other than the identity)."""
+    rng = random.Random(7)
+    out = []
+    for kind in ("hom-associative", "hom-prelie", "hom-lie"):
+        for entry in CATALOG[kind]:
+            if entry.algebra.dim == 2:
+                out.append(adjoint_bimodule(entry.algebra))
+                out.append(adjoint_bimodule(yau_twist(entry.algebra, entry.endo(rng))))
+    return out
+
+
+def test_oop_boxes_match_oracle():
+    """Every point of each bound-1 O-operator box, failing points included."""
+    modules = oop_modules()
+    assert {m.kind for m in modules} == {"assoc-bimodule", "prelie-bimodule",
+                                         "lie-representation"}
+    verdicts = set()
+    for m in modules:
+        for flat in itertools.product((-1, 0, 1), repeat=4):
+            t = Matrix([flat[:2], flat[2:]])
+            report = check_oop(t, m)
+            same(report, oracle.check_oop(t, m))
+            verdicts.add(tuple(row.passed for row in report.axioms))
+    # passing operators, and failures of each row alone
+    assert {(True, True), (True, False), (False, True)} <= verdicts
+
+
+@st.composite
+def oop_inputs(draw):
+    kind = draw(st.sampled_from(sorted(MODULE_KINDS)))
+    alg_kind, names = MODULE_KINDS[kind]
+    n, mdim = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+
+    def matrix(rows, cols):
+        return Matrix([draw(st.lists(entries, min_size=cols, max_size=cols))
+                       for _ in range(rows)])
+
+    ops = {op: Tensor3(n, n, n, draw(st.lists(entries, min_size=n ** 3, max_size=n ** 3)))
+           for op in KIND_OPS[alg_kind]}
+    a = HomAlgebra(n, alg_kind, ops, matrix(n, n))
+    actions = {name: tuple(matrix(mdim, mdim) for _ in range(n)) for name in names}
+    m = HomModule(a, mdim, matrix(mdim, mdim), actions, kind)
+    rows, cols = draw(st.sampled_from([(n, mdim)] * 4 + [(mdim, n), (n, mdim + 1)]))
+    return matrix(rows, cols), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(oop_inputs())
+def test_random_oop_match_oracle(data):
+    """Fraction entries and carrier dimension apart from the algebra's: a
+    variable typed with the wrong space, or an action column left raw, shows
+    up as a different report or an error."""
+    t, m = data
+    same(outcome(check_oop, t, m), outcome(oracle.check_oop, t, m))
+
+
+def involution_like(rng, n):
+    """A random twist, half of the time an involution: +-1 on the diagonal
+    and blocks [[0, q], [1/q, 0]]."""
+    if rng.random() < 0.5:
+        return Matrix([[rng.choice(ENTRIES) for _ in range(n)] for _ in range(n)])
+    rows = [[0] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        if i + 1 < n and rng.random() < 0.5:
+            q = Fraction(rng.choice((1, 2, -1, Fraction(1, 2))))
+            rows[i][i + 1], rows[i + 1][i] = q, 1 / q
+            i += 2
+        else:
+            rows[i][i] = rng.choice((1, -1))
+            i += 1
+    return Matrix(rows)
+
+
+def test_matrix_rows_on_random_twists_match_oracle():
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.choice((1, 2, 3))
+        alpha = involution_like(rng, n)
+        mul = Tensor3(n, n, n, [rng.choice(ENTRIES) for _ in range(n ** 3)])
+        b = EpsilonHomBialgebra(n, mul, Tensor3.zeros(n), alpha)
+        rows = CertReport.from_results(_epsilon_mul_rows(b))
+        same(rows, CertReport.from_results(oracle.epsilon_mul_rows(b)))
+        a = HomAlgebra(n, "hom-associative", {"mul": mul}, alpha)
+        # r a polynomial in alpha commutes with it; a random r mostly does not
+        r = (Matrix([[rng.choice(ENTRIES) for _ in range(n)] for _ in range(n)])
+             if rng.random() < 0.5 else alpha.power(2).scale(rng.choice(ENTRIES)) + alpha)
+        for weight in (0, Fraction(1, 2)):
+            same(check_rota_baxter(a, r, weight), oracle.check_rota_baxter(a, r, weight))
+        morphism = check_morphism(r, a, a)
+        same(morphism, oracle.check_morphism(r, a, a))
+        for row in (rows.axiom("involutive-twist"), morphism.axiom("intertwines-twists"),
+                    check_rota_baxter(a, r, 0).axiom("commutes-with-twist")):
+            verdicts.add((row.name, row.passed, row.witness and row.witness.indices))
+    for name in ("involutive-twist", "intertwines-twists", "commutes-with-twist"):
+        assert {(name, True, None), (name, False, (1,)), (name, False, (2,))} <= verdicts
+
+
+def twist_outcome(m, b, bm, oracle_checks):
+    """The PreconditionError message of twist_beta's carrier-map checks, or
+    "ok" when they pass."""
+    try:
+        if oracle_checks:
+            oracle.twist_beta_preconditions(m, b, bm)
+        else:
+            twist_beta(m, b, bm)
+    except PreconditionError as exc:
+        return str(exc)
+    except CertificationError:
+        pass
+    return "ok"
+
+
+def test_twist_beta_preconditions_match_oracle():
+    rng = random.Random(5)
+    modules = [adjoint_postlie_module(e.algebra) for e in CATALOG["hom-postlie"]]
+    messages = set()
+    for trial in range(120):
+        m = modules[trial % len(modules)]
+        n = m.mdim
+        if trial % 3 == 0:  # a module twist other than the identity
+            beta = Matrix([[rng.choice((1, 2)) if i == j else 0 for j in range(n)]
+                           for i in range(n)])
+            m = HomModule(m.algebra, n, beta, m.actions, m.kind)
+        bm = Matrix([[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)])
+        if trial % 2:
+            bm = Matrix([[bm[i, j] if i == j else 0 for j in range(n)] for i in range(n)])
+        b = m.algebra.alpha
+        assert twist_outcome(m, b, bm, False) == twist_outcome(m, b, bm, True)
+        messages.add(twist_outcome(m, b, bm, False))
+    assert "bM does not commute with the module twist" in messages
+    assert any("(basis index 2)" in msg or "(basis index 3)" in msg for msg in messages)
+
+
+def test_twist_beta_names_the_first_unintertwined_index():
+    """bM commutes with beta (the identity) but moves e1 to e2, which the
+    diamond action of e3 tells apart: the first failing index is reported."""
+    m = adjoint_postlie_module(next(e.algebra for e in CATALOG["hom-postlie"]
+                                    if e.name == "skew-pair-postlie"))
+    bm = Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    with pytest.raises(PreconditionError) as err:
+        twist_beta(m, m.algebra.alpha, bm)
+    expected = twist_outcome(m, m.algebra.alpha, bm, True)
+    assert str(err.value) == expected and "(basis index" in expected
+
+
+def test_twist_beta_rejects_a_carrier_map_of_the_wrong_shape():
+    m = adjoint_postlie_module(next(e.algebra for e in CATALOG["hom-postlie"]
+                                    if e.name == "skew-pair-postlie"))
+    for bm in (Matrix.identity(2), Matrix([[1, 0], [0, 1], [0, 0]])):
+        with pytest.raises(InputError):
+            twist_beta(m, m.algebra.alpha, bm)
+
+
+def flat_difference(sides):
+    lhs, rhs = sides
+    return [v for row in (lhs - rhs).data for v in row]
+
+
+def assert_same_kernel(system, hand):
+    """Equal nullspace bases and equal nonzero rows of the reduced echelon
+    form: the same row space, whatever order the rows come in."""
+    assert nullspace(system) == nullspace(hand)
+    (reduced, pivots), (hand_reduced, hand_pivots) = rref(system), rref(hand)
+    assert pivots == hand_pivots
+    assert reduced.data[:len(pivots)] == hand_reduced.data[:len(pivots)]
+
+
+def test_linear_rows_match_hand_systems():
+    rng = random.Random(13)
+    laws = _declare_identities()
+    for trial in range(60):
+        n = rng.choice((1, 2, 3))
+        alpha = Matrix([[rng.choice(ENTRIES) for _ in range(n)] for _ in range(n)])
+        if trial % 2:
+            alpha = involution_like(rng, n)
+
+        def as_matrix(flat, rows, cols):
+            return Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)])
+
+        # the Rota-Baxter twist row, and commuting_endomorphism_basis
+        system = linear_rows(laws["commutes-with-twist"],
+                             {"alpha": alpha, "r": Matrix.zeros(n, n)}, "r")
+        hand = oracle.residual_system(lambda flat: flat_difference(
+            oracle.rb_twist_sides(alpha, as_matrix(flat, n, n))), n * n)
+        assert_same_kernel(system, hand)
+        same(commuting_endomorphism_basis(alpha), oracle.commuting_endomorphism_basis(alpha))
+        # the O-operator twist row, carrier dimension apart from the algebra's
+        mdim = rng.choice((1, 2, 3))
+        beta = Matrix([[rng.choice(ENTRIES) for _ in range(mdim)] for _ in range(mdim)])
+        a = HomAlgebra(n, "hom-lie", {"bracket": Tensor3.zeros(n)}, alpha)
+        m = HomModule(a, mdim, beta, {"rho": (Matrix.zeros(mdim, mdim),) * n},
+                      "lie-representation")
+        system = linear_rows(laws["oop-twist-compat"],
+                             {"alpha": alpha, "beta": beta, "T": Matrix.zeros(n, mdim)}, "T")
+        hand = oracle.residual_system(lambda flat: flat_difference(
+            oracle.oop_twist_sides(as_matrix(flat, n, mdim), m)), n * mdim)
+        assert_same_kernel(system, hand)

@@ -144,6 +144,12 @@ def test_oop_search_budget():
         brute_force_oop_search(a, m, 1)
 
 
+def test_oop_search_rejects_a_module_over_another_dimension(dual_numbers):
+    m = adjoint_bimodule(catalog_algebra("hom-associative", "truncated-poly-3"))
+    with pytest.raises(InputError):
+        brute_force_oop_search(dual_numbers, m, 1)
+
+
 def test_rb_search_contains_known_operators(dual_numbers):
     found0 = brute_force_rb_search(dual_numbers, 0, 1)
     assert Matrix([[0, 0], [1, 0]]) in found0
@@ -263,14 +269,14 @@ def test_rb_search_random_twists_equal_naive_walk(entries, weight):
 
 def test_kernel_points_skip_fractional_pivots():
     # x0 = (x1 + x2) / 2 is the pivot; odd x1 + x2 gives no integer point
-    def residual(x):
-        return (2 * x[0] - x[1] - x[2],)
-    found = _box_points_in_kernel(residual, 3, 2)
-    assert found == [p for p in _box(3, 2) if residual(p) == (0,)]
+    found = _box_points_in_kernel(Matrix([[2, -1, -1]]), 3, 2)
+    assert found == [p for p in _box(3, 2) if 2 * p[0] - p[1] - p[2] == 0]
     assert (0, 1, -1) in found and all(type(v) is int for p in found for v in p)
     # a pivot outside the bound is dropped too: x0 = 2 x1
-    assert _box_points_in_kernel(lambda x: (x[0] - 2 * x[1],), 2, 1) == [(0, 0)]
-    assert _box_points_in_kernel(lambda x: (), 0, 1) == [()]
+    assert _box_points_in_kernel(Matrix([[1, -2]]), 2, 1) == [(0, 0)]
+    assert _box_points_in_kernel(Matrix([]), 0, 1) == [()]
+    # a system with no rows keeps the whole box
+    assert _box_points_in_kernel(Matrix([]), 2, 1) == list(_box(2, 1))
 
 
 def test_rb_search_budget_needs_raw_box():
