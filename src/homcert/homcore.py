@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -281,13 +282,10 @@ class Law:
 
     Variables are typed by use: each ranges over the domain of the first
     product slot or map it is an argument of, so algebra and carrier
-    variables mix freely.  A side declared as a normalized term is compiled
-    bare and normalized as it is made dense."""
+    variables mix freely."""
 
     def __init__(self, name: str, lhs: Term, rhs: Term):
-        self.name = name
-        self.normalized = (lhs.kind == "normalized", rhs.kind == "normalized")
-        self.lhs, self.rhs = (s.args[0] if s.kind == "normalized" else s for s in (lhs, rhs))
+        self.name, self.lhs, self.rhs = name, lhs, rhs
         nodes = [t for side in (lhs, rhs) for t in _nodes(side)]
         variables = {t.name for t in nodes if t.kind == "var"}
         self.arity = max((i + 1 for i in variables), default=0) + (-1 in variables)
@@ -311,11 +309,11 @@ def _pairs(values) -> tuple:
     return tuple((k, a) for k, a in enumerate(values) if a)
 
 
-def _dense(pairs, m: int, normalized: bool = False) -> tuple:
+def _dense(pairs, m: int) -> tuple:
     out = [ZERO] * m
     for k, a in pairs:
         out[k] = a
-    return tuple(map(_exact, out)) if normalized else tuple(out)
+    return tuple(out)
 
 
 class Identity:
@@ -349,16 +347,16 @@ class Identity:
     def __call__(self, *vectors):
         tables, _, m = self.bind()
         v = [tuple(enumerate(x)) for x in vectors]
-        return tuple(_dense(_compile(side, False)(v, tables), m, norm)
-                     for side, norm in zip((self.law.lhs, self.law.rhs), self.law.normalized))
+        return tuple(_dense(_compile(side, False)(v, tables), m)
+                     for side in (self.law.lhs, self.law.rhs))
 
     def basis_sides(self):
         """(indices, lhs, rhs) at every basis tuple, 0-based indices in
         lexicographic order, each variable over the basis of its own space."""
         tables, dims, m = self.bind()
-        (fl, fr), (nl, nr) = self.law.on_basis, self.law.normalized
+        fl, fr = self.law.on_basis
         for idx in itertools.product(*map(range, dims)):
-            yield idx, _dense(fl(idx, tables), m, nl), _dense(fr(idx, tables), m, nr)
+            yield idx, _dense(fl(idx, tables), m), _dense(fr(idx, tables), m)
 
 
 def _specs(group: str, env: Mapping, suffix: str = "", shared: Optional[dict] = None
@@ -369,20 +367,20 @@ def _specs(group: str, env: Mapping, suffix: str = "", shared: Optional[dict] = 
             for law in _declare_identities()[group]]
 
 
-def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str) -> Matrix:
-    """The constraint matrix of laws that are linear in the matrix or tensor
-    bound to ``unknown`` (env gives its shape): column c holds lhs - rhs of
-    every law at every basis tuple, in law, lexicographic tuple and
-    coordinate order, with the unit at flat position c (row-major) bound in
-    its place.  Its kernel is the set of unknowns on which the laws hold."""
-    shape = env[unknown]
-    if isinstance(shape, Matrix):
-        rows, cols = shape.rows, shape.cols
+def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, shape: tuple) -> Matrix:
+    """The constraint matrix of laws that are linear in ``unknown``, a
+    matrix of shape (rows, cols) or a tensor of shape (d1, d2, d3): column c
+    holds lhs - rhs of every law at every basis tuple, in law, lexicographic
+    tuple and coordinate order, with the unit at flat position c (row-major)
+    bound to ``unknown``.  Its kernel is the set of unknowns on which the
+    laws hold."""
+    cells = math.prod(shape)
+    if len(shape) == 2:
+        rows, cols = shape
         units = (Matrix._exact([[int(r * cols + q == c) for q in range(cols)] for r in range(rows)])
-                 for c in range(rows * cols))
+                 for c in range(cells))
     else:
-        cells = len(shape.data)
-        units = (Tensor3(*shape.dims, basis_vec(cells, c)) for c in range(cells))
+        units = (Tensor3(*shape, basis_vec(cells, c)) for c in range(cells))
     columns, shared = [], {}
     for unit in units:
         bound = {**env, unknown: unit}
@@ -869,8 +867,8 @@ def commuting_endomorphism_basis(alpha: Matrix) -> list[Matrix]:
     """Basis of {f : f.alpha = alpha.f} inside n x n matrices, deterministic:
     the kernel of the declared ``commutes-with-twist`` row, linear in f."""
     n = alpha.rows
-    system = linear_rows(_declare_identities()["commutes-with-twist"],
-                         {"alpha": alpha, "r": Matrix.zeros(n, n)}, "r")
+    laws = _declare_identities()["commutes-with-twist"]
+    system = linear_rows(laws, {"alpha": alpha}, "r", (n, n))
     return [Matrix([v.column(0)[p * n:(p + 1) * n] for p in range(n)]) for v in nullspace(system)]
 
 

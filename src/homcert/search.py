@@ -54,8 +54,8 @@ def postlie_linear_system(l: HomAlgebra) -> Matrix:
     n = l.dim
     laws = [law for law in _declare_identities()["hom-postlie"]
             if law.name == "postlie-bracket-compatibility"]
-    env = {"bracket": l.op("bracket"), "alpha": l.alpha, "mul": Tensor3.zeros(n)}
-    rows = linear_rows(laws, env, "mul").data
+    env = {"bracket": l.op("bracket"), "alpha": l.alpha}
+    rows = linear_rows(laws, env, "mul", (n, n, n)).data
     return Matrix([rows[((i * n + j) * n + k) * n + q]
                    for k, i, j, q in itertools.product(range(n), repeat=4)])
 
@@ -187,11 +187,11 @@ def _require_box(what: str, cells: int, bound: int, max_candidates: int) -> None
                           needed=total, budget=max_candidates)
 
 
-def _operator_box(group: str, env: dict, unknown: str, bound: int) -> list[Matrix]:
-    """The integer matrices in the box, shaped like env[unknown], on which
-    the group's declared laws (linear in the unknown) hold."""
-    rows, cols = env[unknown].rows, env[unknown].cols
-    system = linear_rows(_declare_identities()[group], env, unknown)
+def _operator_box(group: str, env: dict, unknown: str, rows: int, cols: int,
+                  bound: int) -> list[Matrix]:
+    """The integer rows x cols matrices in the box on which the group's
+    declared laws (linear in the unknown) hold."""
+    system = linear_rows(_declare_identities()[group], env, unknown, (rows, cols))
     return [Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)])
             for flat in _box_points_in_kernel(system, rows * cols, bound)]
 
@@ -208,8 +208,8 @@ def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
     _require_box("operator", a.dim * m.mdim, entry_bound, max_candidates)
     if a.dim != m.algebra.dim:
         raise InputError(f"module is over a dim-{m.algebra.dim} algebra, not dim {a.dim}")
-    env = {"alpha": m.algebra.alpha, "beta": m.beta, "T": Matrix.zeros(a.dim, m.mdim)}
-    return [t for t in _operator_box("oop-twist-compat", env, "T", entry_bound)
+    env = {"alpha": m.algebra.alpha, "beta": m.beta}
+    return [t for t in _operator_box("oop-twist-compat", env, "T", a.dim, m.mdim, entry_bound)
             if check_oop(t, m).passed]
 
 
@@ -224,8 +224,8 @@ def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
     if entry_bound < 0:
         raise InputError("entry_bound must be non-negative")
     _require_box("operator", a.dim * a.dim, entry_bound, max_candidates)
-    env = {"alpha": a.alpha, "r": Matrix.zeros(a.dim, a.dim)}
-    return [r for r in _operator_box("commutes-with-twist", env, "r", entry_bound)
+    return [r for r in _operator_box("commutes-with-twist", {"alpha": a.alpha}, "r",
+                                     a.dim, a.dim, entry_bound)
             if check_rota_baxter(a, r, weight).passed]
 
 

@@ -458,8 +458,7 @@ def test_linear_rows_match_hand_systems():
             return Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)])
 
         # the Rota-Baxter twist row, and commuting_endomorphism_basis
-        system = linear_rows(laws["commutes-with-twist"],
-                             {"alpha": alpha, "r": Matrix.zeros(n, n)}, "r")
+        system = linear_rows(laws["commutes-with-twist"], {"alpha": alpha}, "r", (n, n))
         hand = oracle.residual_system(lambda flat: flat_difference(
             oracle.rb_twist_sides(alpha, as_matrix(flat, n, n))), n * n)
         assert_same_kernel(system, hand)
@@ -470,8 +469,8 @@ def test_linear_rows_match_hand_systems():
         a = HomAlgebra(n, "hom-lie", {"bracket": Tensor3.zeros(n)}, alpha)
         m = HomModule(a, mdim, beta, {"rho": (Matrix.zeros(mdim, mdim),) * n},
                       "lie-representation")
-        system = linear_rows(laws["oop-twist-compat"],
-                             {"alpha": alpha, "beta": beta, "T": Matrix.zeros(n, mdim)}, "T")
+        system = linear_rows(laws["oop-twist-compat"], {"alpha": alpha, "beta": beta}, "T",
+                             (n, mdim))
         hand = oracle.residual_system(lambda flat: flat_difference(
             oracle.oop_twist_sides(as_matrix(flat, n, mdim), m)), n * mdim)
         assert_same_kernel(system, hand)
