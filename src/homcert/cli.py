@@ -16,9 +16,9 @@ from . import docs
 from .errors import (BudgetError, CertificationError, InputError,
                      PreconditionError)
 from .exactlin import Matrix, rat
-from .homcore import (CertReport, HomAlgebra, check_axioms, check_predicate,
-                      check_rota_baxter, convolution_rb, epsilon_prerequisites,
-                      yau_twist)
+from .homcore import (CertReport, HomAlgebra, _epsilon_delta_rows, check_axioms,
+                      check_predicate, check_rota_baxter, convolution_rb,
+                      epsilon_prerequisites, yau_twist)
 from .hommod import (HomModule, adjoint_postlie_module, bimodule_to_lie_module,
                      check_module_axioms, direct_sum, tensor_product,
                      twist_0k, twist_beta, twist_n0)
@@ -104,6 +104,9 @@ def cmd_check(args) -> int:
         report = check_module_axioms(docs.module_from_doc(doc, base_dir))
     elif dtype in ("algebra", "bialgebra"):
         report = check_axioms(docs.algebra_from_doc(doc))
+        if dtype == "bialgebra":  # the coproduct rows too, never a PASS that ignored delta
+            report = CertReport.from_results(
+                report.axioms + tuple(_epsilon_delta_rows(docs.bialgebra_from_doc(doc))))
     else:
         raise InputError(f"cannot check a document of type {dtype!r}")
 

@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BudgetError, CertificationError, InputError, UnsupportedError
-from .exactlin import ONE, ZERO, Matrix, Tensor3, basis_vec, nullspace, rat, rref
+from .exactlin import ONE, ZERO, Matrix, Tensor3, nullspace, rat, rref
 from .homcore import (AxiomSpec, EpsilonHomBialgebra, HomAlgebra, _declare_identities,
-                      _epsilon_delta_rows, _epsilon_linear_residual, _epsilon_mul_rows,
+                      _epsilon_delta_rows, _epsilon_mul_rows,
                       _specs, check_axioms, check_identity, check_rota_baxter,
                       linear_rows, require_certified, yau_twist)
 from .functors import FunctorResult
@@ -247,14 +247,16 @@ def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int
         return []
     _require_box("coproduct", n ** 3, entry_bound, max_candidates)
 
-    def bialgebra(flat):
-        return EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha)
-
-    system = Matrix.from_columns([_epsilon_linear_residual(bialgebra(basis_vec(n ** 3, c)))
-                                  for c in range(n ** 3)])
-    kernel = _box_points_in_kernel(system, n ** 3, entry_bound)
-    return [b for b in map(bialgebra, kernel)
-            if all(r.passed for r in _epsilon_delta_rows(b))]
+    # the compatibility and cocentroid rows, linear in the n^2 x n coproduct
+    # map: its cell r*n+i is delta's flat position i*n^2+r
+    _, *linear = _declare_identities()["epsilon-coproduct"]
+    system = linear_rows(linear, {"mul": mul, "alpha": alpha}, "Delta", (n * n, n))
+    kernel = sorted(tuple(point[r * n + i] for i in range(n) for r in range(n * n))
+                    for point in _box_points_in_kernel(system, n ** 3, entry_bound))
+    shared = {}
+    return [b for b in (EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha)
+                        for flat in kernel)
+            if all(r.passed for r in _epsilon_delta_rows(b, shared))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,24 @@
 """Test-only oracle: the hand-written evaluators that certified the algebra
-and module identities, the O-operator identity and the matrix equations
-before they were declared as terms, the hand-built linear systems the
-searches solved, and the coproduct rows and convolution operator before
-they used product lookups.
+and module identities, the O-operator identity, the matrix equations, the
+coproduct rows, the convolution operator and the End_alpha rows before
+they were declared as terms, and the hand-built linear systems the searches
+solved.
 
 Each function mirrors the certifier of the same name in ``homcert.homcore``
 or ``homcert.hommod`` and returns a ``CertReport`` built the same way, so
 tests can compare the two reports for equality and for identical reprs
-(witness entry types included).  Hom-coassociativity comes from ``homcore``
-itself.
+(witness entry types included).  The coproduct rows come twice: as written
+before they used product lookups (``epsilon_linear_equations``), and with
+those lookups, as the coproduct search's residual last used them
+(``_epsilon_linear_equations`` and ``_epsilon_linear_residual``).
 """
 
 import itertools
 
 from homcert.errors import InputError, PreconditionError
-from homcert.exactlin import (Matrix, basis_vec, bilinear_eval, mat_mul, nullspace, rat,
-                              vec_add, vec_neg, vec_scale, vec_sub, zero_vec)
-from homcert.homcore import (AxiomResult, AxiomSpec, CertReport, Witness,
-                             _comul_of_vector, _coassociativity_sides,
-                             _indexed_equation)
+from homcert.exactlin import (ZERO, Matrix, basis_vec, bilinear_eval, mat_mul, nullspace,
+                              rat, vec_add, vec_neg, vec_scale, vec_sub, zero_vec)
+from homcert.homcore import AxiomResult, AxiomSpec, CertReport, Witness
 
 
 def _matrix_equation_result(name, lhs, rhs):
@@ -353,6 +353,155 @@ def epsilon_mul_rows(b):
     return rows
 
 
+def _comul_of_vector(b, x):
+    out = [0] * (b.dim * b.dim)
+    for i, xi in enumerate(x):
+        if xi:
+            for pos, v in enumerate(b.comul_vec(i)):
+                if v:
+                    out[pos] += xi * v
+    return tuple(out)
+
+
+def _coassociativity_sides(b):
+    """Both sides of Hom-coassociativity at e_i; quadratic in the coproduct."""
+    n = b.dim
+    al = b.alpha
+
+    def coassoc(i):
+        lhs = [0] * (n ** 3)
+        rhs = [0] * (n ** 3)
+        for j in range(n):
+            for k in range(n):
+                d = b.delta[i, j, k]
+                if not d:
+                    continue
+                aj = al.column(j)
+                for p in range(n):
+                    if aj[p]:
+                        for q in range(n):
+                            for s in range(n):
+                                v = b.delta[k, q, s]
+                                if v:
+                                    lhs[(p * n + q) * n + s] += d * aj[p] * v
+                ak = al.column(k)
+                for p in range(n):
+                    for q in range(n):
+                        v = b.delta[j, p, q]
+                        if v:
+                            for s in range(n):
+                                if ak[s]:
+                                    rhs[(p * n + q) * n + s] += d * v * ak[s]
+        return tuple(lhs), tuple(rhs)
+
+    return coassoc
+
+
+def _basis_products(t, x, left):
+    """[x.e_u for each u] when left, else [e_u.x]: bilinear_eval of x and a
+    basis vector by product lookups, with its arithmetic and entry types."""
+    out = []
+    for u in range(t.d2 if left else t.d1):
+        acc = [ZERO] * t.d3
+        for p, xp in enumerate(x):
+            if xp:
+                for k, e in enumerate(t.product_vec(p, u) if left else t.product_vec(u, p)):
+                    if e:
+                        acc[k] += xp * e
+        out.append(tuple(acc))
+    return out
+
+
+def _epsilon_linear_equations(b):
+    """The coproduct prerequisites that are linear in the coproduct, as
+    (name, arity, sides) with sides(index) -> (lhs, rhs), by product lookups."""
+    n = b.dim
+    acols = [b.alpha.column(i) for i in range(n)]
+    alpha_times = [_basis_products(b.mul, a, True) for a in acols]  # [i][u]: alpha(e_i).e_u
+    times_alpha = [_basis_products(b.mul, a, False) for a in acols]  # [j][v]: e_v.alpha(e_j)
+
+    def compat(ij):
+        i, j = ij
+        lhs = [0] * (n * n)
+        for k, mk in enumerate(b.mul.product_vec(i, j)):
+            if mk:
+                for pos, v in enumerate(b.comul_vec(k)):
+                    if v:
+                        lhs[pos] += mk * v
+        rhs = [0] * (n * n)
+        for u in range(n):
+            prod = alpha_times[i][u]
+            for v in range(n):
+                d = b.delta[j, u, v]
+                if d:
+                    av = acols[v]
+                    for p in range(n):
+                        if prod[p]:
+                            for q in range(n):
+                                if av[q]:
+                                    rhs[p * n + q] += d * prod[p] * av[q]
+        for u in range(n):
+            au = acols[u]
+            for v in range(n):
+                d = b.delta[i, u, v]
+                if d:
+                    prod = times_alpha[j][v]
+                    for p in range(n):
+                        if au[p]:
+                            for q in range(n):
+                                if prod[q]:
+                                    rhs[p * n + q] += d * au[p] * prod[q]
+        return tuple(lhs), tuple(rhs)
+
+    def cocentroid(i, side):
+        out = [0] * (n * n)
+        for j in range(n):
+            for k in range(n):
+                d = b.delta[i, j, k]
+                if not d:
+                    continue
+                col = acols[j] if side == 0 else acols[k]
+                for p in range(n):
+                    if col[p]:
+                        pos = p * n + k if side == 0 else j * n + p
+                        out[pos] += d * col[p]
+        return tuple(out)
+
+    def cocent_left(i):
+        return cocentroid(i, 0), _comul_of_vector(b, acols[i])
+
+    def cocent_right(i):
+        return cocentroid(i, 1), _comul_of_vector(b, acols[i])
+
+    return [("bialgebra-compatibility", 2, compat),
+            ("cocentroid-left", 1, cocent_left),
+            ("cocentroid-right", 1, cocent_right)]
+
+
+def _epsilon_linear_residual(b):
+    """lhs - rhs of every linear coproduct equation at every index, in the
+    certifier's order: zero exactly when all those rows pass."""
+    out = []
+    for _, arity, sides in _epsilon_linear_equations(b):
+        for idx in _equation_indices(b.dim, arity):
+            lhs, rhs = sides(idx)
+            out.extend(vec_sub(lhs, rhs))
+    return out
+
+
+def _equation_indices(n, arity):
+    return itertools.product(range(n), repeat=arity) if arity > 1 else range(n)
+
+
+def _indexed_equation(name, n, fn, arity=1):
+    for idx in _equation_indices(n, arity):
+        lhs, rhs = fn(idx)
+        if lhs != rhs:
+            pretty = (idx + 1,) if isinstance(idx, int) else tuple(i + 1 for i in idx)
+            return AxiomResult(name, False, Witness(pretty, lhs, rhs))
+    return AxiomResult(name, True, None)
+
+
 def epsilon_linear_equations(b):
     n = b.dim
     al = b.alpha
@@ -450,8 +599,12 @@ def convolution_rb(b):
     prereq = epsilon_prerequisites(b)
     if not prereq.passed:
         return prereq
-    basis = commuting_endomorphism_basis(b.alpha)
-    rows = list(prereq.axioms)
+    return CertReport.from_results(
+        list(prereq.axioms) + end_alpha_rows(b, commuting_endomorphism_basis(b.alpha)))
+
+
+def end_alpha_rows(b, basis):
+    rows = []
 
     def gamma(f):
         return mat_mul(b.alpha, f)
@@ -490,7 +643,7 @@ def convolution_rb(b):
                              Witness((gi + 1, fi + 1), flat(lhs), flat(rhs)))
             break
     rows.append(ok)
-    return CertReport.from_results(rows)
+    return rows
 
 
 # -- module axioms: one matrix identity per algebra basis tuple --------------

@@ -126,6 +126,28 @@ def test_check_bialgebra_convolution(workdir, dual_numbers):
     assert main(["check", "bialg.json", "--predicate", "convolution-rb"]) == 0
 
 
+def test_check_bialgebra_certifies_the_coproduct(workdir, capsys):
+    """Without --predicate a bialgebra document is certified against its
+    kind's axioms and the coproduct rows, not the algebra alone."""
+    swap = HomAlgebra(2, "hom-associative", {"mul": Tensor3.zeros(2)}, Matrix([[0, 1], [1, 0]]))
+    grouplike = sc_tensor(2, {(0, 0): {0: 1}, (1, 1): {1: 1}})  # delta(e_i) = e_i (x) e_i
+    path = write_algebra("swap.json", swap, delta=grouplike)
+    assert main(["check", path]) == 1
+    out = capsys.readouterr().out
+    assert "PASS  hom-associativity" in out and "PASS  bialgebra-compatibility" in out
+    for row in ("hom-coassociativity", "cocentroid-left", "cocentroid-right"):
+        assert f"FAIL  {row}  witness at (1,)" in out
+    assert main(["check", write_algebra("zero.json", swap, delta=Tensor3.zeros(2))]) == 0
+
+
+def test_check_bialgebra_needs_a_single_product(workdir, capsys):
+    dend = HomAlgebra(1, "hom-dendriform",
+                      {"left": Tensor3.zeros(1), "right": Tensor3.zeros(1)}, Matrix.identity(1))
+    assert main(["check", write_algebra("dend.json", dend, delta=Tensor3.zeros(1))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "input error: " in captured.err
+
+
 def test_derive_commutator_and_cert_sibling(workdir, dual_numbers):
     path = write_algebra("dual.json", dual_numbers)
     assert main(["derive", "commutator-lie", path, "--out", "lie.json"]) == 0

@@ -1,19 +1,21 @@
-"""Source hygiene: every name a homcert module imports is used in it.
+"""Source hygiene: every name a homcert module imports is used in it, and
+every private top-level function or class is used somewhere in the package.
 
-Standard library only: each ``src/homcert/*.py`` but the package's
-``__init__.py`` (which imports to re-export) is parsed with ``ast``.
+Standard library only: each ``src/homcert/*.py`` is parsed with ``ast``; the
+import check skips the package's ``__init__.py``, which imports to re-export.
 """
 
 import ast
 import os
+from collections import Counter
 
 import pytest
 
 import homcert
 
 PACKAGE = os.path.dirname(os.path.abspath(homcert.__file__))
-MODULES = sorted(name for name in os.listdir(PACKAGE)
-                 if name.endswith(".py") and name != "__init__.py")
+SOURCES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
+MODULES = [name for name in SOURCES if name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,3 +53,37 @@ def test_scan_sees_an_unused_import():
         "Optional (line 1)"]
     assert unused_imports("import os.path\nos.sep\n") == []
     assert unused_imports('from .m import Matrix\ndef f() -> "Matrix": pass\n') == []
+
+
+def _references(node) -> Counter:
+    """Names read under node: as a name, an attribute, or an imported name."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+                   else n.name for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def unused_private_definitions(sources: dict) -> list[str]:
+    """Top-level functions and classes named ``_x`` (dunders aside) that no
+    module references outside the definition itself, as "module: name (line)"."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum(map(_references, trees.values()), Counter())
+    return [f"{module}: {node.name} (line {node.lineno})"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and total[node.name] == _references(node)[node.name]]
+
+
+def test_no_unused_private_definitions():
+    sources = {}
+    for module in SOURCES:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    assert unused_private_definitions(sources) == []
+
+
+def test_scan_sees_an_unused_private_definition():
+    sources = {"a.py": "def _dead():\n    return _dead()\n\ndef _used(): pass\n"
+                       "class _Kept: pass\ndef __getattr__(name): pass\n",
+               "b.py": "import a\nfrom a import _used\n_used()\nx = a._Kept\n"}
+    assert unused_private_definitions(sources) == ["a.py: _dead (line 1)"]

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import closure_oracle as oracle
 from homcert import functors, harness, hommod
@@ -19,11 +19,12 @@ from homcert.exactlin import Matrix, Tensor3, basis_vec, nullspace, rref
 from homcert.functors import adjoint_bimodule
 from homcert.harness import _build_epsilon, _search_inputs
 from homcert.homcore import (KIND_OPS, PREDICATES, CertReport, EpsilonHomBialgebra,
-                             HomAlgebra, _declare_identities, _epsilon_delta_rows,
-                             _epsilon_mul_rows, check_axioms, check_morphism,
-                             check_predicate, check_rota_baxter,
-                             commuting_endomorphism_basis, convolution_rb,
-                             epsilon_prerequisites, kind_axioms, linear_rows, yau_twist)
+                             HomAlgebra, _declare_identities, _end_alpha_rows,
+                             _epsilon_delta_rows, _epsilon_mul_rows, check_axioms,
+                             check_morphism, check_predicate, check_rota_baxter,
+                             commuting_endomorphism_basis, convolution_operator,
+                             convolution_rb, epsilon_prerequisites, kind_axioms,
+                             linear_rows, yau_twist)
 from homcert.homcore import check_identity
 from homcert.hommod import (MODULE_KINDS, HomModule, adjoint_postlie_module, check_module_axioms,
                             check_oop, module_axioms, twist_beta)
@@ -137,8 +138,16 @@ def structures(draw):
     return a, matrix(), draw(st.sampled_from(ENTRIES)), tensor()
 
 
+# alpha(e1).e1 and e1.alpha(e1) cancel to Fraction(0): a coproduct row skips
+# that factor, so no Fraction zero reaches a witness
+CANCELLING = HomAlgebra(2, "hom-associative", {"mul": Tensor3.from_nested(
+    [[[1, 0], [Fraction(-1, 2), 0]], [[Fraction(-1, 2), 0], [0, 0]]])}, Matrix([[1, 0], [2, 1]]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(structures(), st.randoms(use_true_random=False))
+@example((CANCELLING, Matrix.identity(2), 0, Tensor3.from_nested(
+    [[[1, 0], [0, 0]], [[0, 0], [0, 0]]])), random.Random(0))
 def test_random_structures_match_oracle(data, rnd):
     a, op, weight, delta = data
     assert_algebra_matches(a)
@@ -270,6 +279,36 @@ def test_epsilon_box_matches_oracle(box):
     for b in [first] + brute_force_epsilon_bialgebras(mul, alpha, 1):
         same(epsilon_prerequisites(b), oracle.epsilon_prerequisites(b))
         same(convolution_rb(b), oracle.convolution_rb(b))
+
+
+def random_bialgebra(rng, n):
+    """Fraction entries throughout; a quarter of the coproducts are zero."""
+    mul = Tensor3(n, n, n, [rng.choice(ENTRIES) for _ in range(n ** 3)])
+    zero = rng.random() < 0.25
+    delta = Tensor3(n, n, n, [0 if zero or rng.random() < 0.5 else rng.choice(ENTRIES)
+                              for _ in range(n ** 3)])
+    return EpsilonHomBialgebra(n, mul, delta, involution_like(rng, n))
+
+
+def test_convolution_rows_on_random_bialgebras_match_oracle():
+    """The convolution operator and the End_alpha rows, not gated by the
+    prerequisites, on a basis of End_alpha or on matrices that need not
+    commute with the twist; each row is seen passing and failing."""
+    rng = random.Random(17)
+    verdicts = set()
+    for trial in range(150):
+        n = rng.choice((1, 2, 2, 3))
+        b = random_bialgebra(rng, n)
+        f = Matrix([[rng.choice(ENTRIES) for _ in range(n)] for _ in range(n)])
+        same(convolution_operator(b, f), oracle.convolution_operator(b, f))
+        basis = (commuting_endomorphism_basis(b.alpha) if trial % 2 else
+                 [Matrix([[rng.choice(ENTRIES) for _ in range(n)] for _ in range(n)])
+                  for _ in range(rng.choice((1, 2, 3)))])
+        rows = CertReport.from_results(_end_alpha_rows(b, basis))
+        same(rows, CertReport.from_results(oracle.end_alpha_rows(b, basis)))
+        verdicts.update((row.name, row.passed) for row in rows.axioms)
+    assert verdicts == {(name, passed) for passed in (True, False) for name in (
+        "endalg-hom-associative", "convolution-closed", "convolution-rota-baxter")}
 
 
 # -- O-operators, matrix rows and the linear systems ------------------------------
@@ -474,3 +513,15 @@ def test_linear_rows_match_hand_systems():
         hand = oracle.residual_system(lambda flat: flat_difference(
             oracle.oop_twist_sides(as_matrix(flat, n, mdim), m)), n * mdim)
         assert_same_kernel(system, hand)
+        # the coproduct search's rows, linear in the n^2 x n map Delta, whose
+        # cell r*n+i is the hand system's delta position i*n^2+r
+        mul = Tensor3(n, n, n, [rng.choice(ENTRIES) for _ in range(n ** 3)])
+        system = linear_rows(laws["epsilon-coproduct"][1:], {"mul": mul, "alpha": alpha},
+                             "Delta", (n * n, n))
+        system = Matrix.from_columns([system.column(r * n + i)
+                                      for i in range(n) for r in range(n * n)])
+        hand = oracle.residual_system(lambda flat: oracle._epsilon_linear_residual(
+            EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha)), n ** 3)
+        same(system, hand)  # rows in the same order too
+        if trial % 5 == 0:
+            assert_same_kernel(system, hand)
