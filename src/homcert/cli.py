@@ -11,18 +11,20 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from . import docs
-from .errors import (BudgetError, CertificationError, InputError,
-                     PreconditionError)
-from .exactlin import Matrix, rat
-from .homcore import (CertReport, HomAlgebra, _epsilon_delta_rows, check_axioms,
-                      check_predicate, check_rota_baxter, convolution_rb,
+from .errors import BudgetError, CertificationError, InputError, PreconditionError
+from .exactlin import Matrix, rat, rat_str
+from .homcore import (PREDICATES, CertReport, _digest, _epsilon_delta_rows,
+                      check_axioms, check_predicate, check_rota_baxter, convolution_rb,
                       epsilon_prerequisites, yau_twist)
 from .hommod import (HomModule, adjoint_postlie_module, bimodule_to_lie_module,
                      check_module_axioms, direct_sum, tensor_product,
                      twist_0k, twist_beta, twist_n0)
 from . import functors
+from .functors import FunctorResult
 from .harness import run_corpus_certification
 from .search import postlie_candidate_space, postlie_search
 
@@ -71,231 +73,173 @@ def report_to_doc(report: CertReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# check
+# the tables: each functor and predicate declares the documents it reads and
+# the flags it takes, so an input or flag it would ignore is an input error
+
+@dataclass(frozen=True)
+class Entry:
+    """The kinds of the documents read, in argument order; each flag taken,
+    as ``(parser, default)``, a default of None making it required; the
+    function, called with the documents and the parsed flags as keywords;
+    and what it returns: an "algebra" or "module", certified by the caller,
+    or a "report", an object with ``output`` and ``cert`` (for a predicate,
+    a CertReport)."""
+
+    inputs: tuple
+    flags: dict
+    run: Callable
+    returns: str = "report"
+
+
+_K, _MODE, _WEIGHT = {"k": (int, 1)}, {"mode": (str, "horizontal")}, {"weight": (rat, 0)}
+_ALG, _ALG_OP = ("algebra",), ("algebra", "operator")
+_MOD, _MOD2, _MOD_OP = ("module",), ("module", "module"), ("module", "operator")
+
+# every flag of derive and of check, with its help text
+DERIVE_FLAGS = {"k": "integer power parameter (rational for scale)",
+                "n": "integer power parameter",
+                "weight": "Rota-Baxter weight (rational, default 0)",
+                "mode": "horizontal (the default) or vertical"}
+CHECK_FLAGS = {"weight": DERIVE_FLAGS["weight"]}
+
+
+# The lambdas look their function up when called, so a function replaced on
+# its module after import (perfbench's tracer wraps them) is the one run.
+FUNCTORS = {
+    "commutator-lie": Entry(_ALG, {}, lambda a: functors.commutator_lie(a)),
+    "prelie-to-lie": Entry(_ALG, {}, lambda a: functors.prelie_to_lie(a)),
+    "novikov-to-postlie": Entry(_ALG, {}, lambda a: functors.novikov_to_postlie(a)),
+    "scale": Entry(_ALG, {"k": (rat, None)}, lambda a, k: functors.scale(a, k)),
+    "yau-twist": Entry(_ALG_OP, {}, lambda a, g: yau_twist(a, g), "algebra"),
+    "rb-dendriform": Entry(_ALG_OP, _WEIGHT, lambda a, r, weight: functors.rb_dendriform(
+        a, r, weight)),
+    "adjoint-bimodule": Entry(_ALG, {}, lambda a: functors.adjoint_bimodule(a), "module"),
+    "adjoint-postlie-module": Entry(_ALG, _K, lambda a, k: adjoint_postlie_module(a, k), "module"),
+    "bimodule-to-lie-module": Entry(_MOD, {}, lambda m: bimodule_to_lie_module(m), "module"),
+    "direct-sum-modules": Entry(_MOD2, {}, lambda m1, m2: direct_sum(m1, m2), "module"),
+    "tensor-modules": Entry(_MOD2, _K, lambda m1, m2, k: tensor_product(m1, m2, k), "module"),
+    "twist-n0": Entry(_MOD, {"n": (int, 1)}, lambda m, n: twist_n0(m, n), "module"),
+    "twist-0k": Entry(_MOD, _K, lambda m, k: twist_0k(m, k)[1], "module"),
+    "twist-beta": Entry(("module", "operator", "operator"), {},
+                        lambda m, b, bm: twist_beta(m, b, bm)[1], "module"),
+    "oop-lie-to-prelie": Entry(_MOD_OP, {}, lambda m, t: functors.oop_lie_to_prelie(
+        m.algebra, m, t)),
+    "oop-assoc-to-dendriform": Entry(_MOD_OP, {}, lambda m, t: functors.oop_assoc_to_dendriform(
+        m.algebra, m, t)),
+    "oop-assoc-to-prelie": Entry(_MOD_OP, {}, lambda m, t: functors.oop_assoc_to_prelie(
+        m.algebra, m, t)),
+    "oop-assoc-to-ldendriform": Entry(_MOD_OP, {}, lambda m, t: functors.oop_assoc_to_ldendriform(
+        m.algebra, m, t)),
+    "oop-prelie-to-dendriform": Entry(_MOD_OP, {}, lambda m, t: functors.oop_prelie_to_dendriform(
+        m.algebra, m, t)),
+    "ldend-to-prelie": Entry(_ALG, _MODE, lambda a, mode: functors.ldend_to_prelie(a, mode)),
+    "ldend-brackets": Entry(_ALG, {}, lambda a: functors.ldend_brackets(a)),
+    "ldend-transpose": Entry(_ALG, {}, lambda a: functors.ldend_transpose(a)),
+    "ldend-semidirect": Entry(_MOD, {}, lambda m: functors.ldend_semidirect(m.algebra, m)),
+    "prelie-module-split": Entry(_ALG, _MODE, lambda a, mode: FunctorResult(
+        *functors.prelie_module_split(a, mode)[1:], ())),
+}
+
+CHECKS = {
+    **{name: Entry(_ALG, {}, lambda a, name=name: check_predicate(a, name))
+       for name in PREDICATES},
+    "rota-baxter": Entry(_ALG_OP, _WEIGHT, lambda a, r, weight: check_rota_baxter(a, r, weight)),
+    "epsilon-prerequisites": Entry(("bialgebra",), {}, lambda b: epsilon_prerequisites(b)),
+    "convolution-rb": Entry(("bialgebra",), {}, lambda b: convolution_rb(b)),
+}
+
+
+def _check_document(loaded) -> CertReport:
+    """``check`` without --predicate: the axioms of the document's type."""
+    doc, base_dir = loaded
+    dtype = docs.document_type(doc)
+    if dtype == "module":
+        return check_module_axioms(docs.module_from_doc(doc, base_dir))
+    if dtype == "operator":
+        raise InputError("cannot check a document of type 'operator'")
+    report = check_axioms(docs.algebra_from_doc(doc))
+    if dtype == "bialgebra":  # the coproduct rows too, never a PASS that ignored delta
+        report = CertReport.from_results(
+            report.axioms + tuple(_epsilon_delta_rows(docs.bialgebra_from_doc(doc))))
+    return report
+
+
+_AXIOMS = Entry(("any",), {}, _check_document)
+
+# one loader per document kind, given the parsed JSON and its directory
+_FROM_DOC = {"algebra": lambda doc, _: docs.algebra_from_doc(doc),
+             "bialgebra": lambda doc, _: docs.bialgebra_from_doc(doc),
+             "module": lambda doc, base_dir: docs.module_from_doc(doc, base_dir),
+             "operator": lambda doc, _: docs.operator_from_doc(doc),
+             "any": lambda doc, base_dir: (doc, base_dir)}
+
+
+def _lookup(table: dict, name: str, what: str) -> Entry:
+    if name not in table:
+        raise InputError(f"unknown {what} {name!r}; available: {', '.join(table)}")
+    return table[name]
+
+
+def _bind(name: str, entry: Entry, paths: list, args, flags: dict) -> tuple[list, dict]:
+    """The entry's documents, loaded, and its flags, parsed."""
+    if len(paths) != len(entry.inputs):
+        raise InputError(f"{name} needs {len(entry.inputs)} input(s): "
+                         + ", ".join(f"{kind} document" for kind in entry.inputs)
+                         + f"; got {len(paths)}")
+    for flag in flags:
+        if getattr(args, flag) is not None and flag not in entry.flags:
+            raise InputError(f"{name} takes no --{flag}")
+    params = {}
+    for flag, (parse, default) in entry.flags.items():
+        raw = getattr(args, flag)
+        if raw is None and default is None:
+            raise InputError(f"{name} needs --{flag}")
+        try:
+            params[flag] = default if raw is None else parse(raw)
+        except ValueError as exc:  # InputError included
+            raise InputError(f"--{flag}: {exc}") from None
+    return [_FROM_DOC[kind](docs.load_json(path), os.path.dirname(os.path.abspath(path)))
+            for kind, path in zip(entry.inputs, paths)], params
+
+
+# what an entry's function returns -> (output structure, its certification)
+_CERTIFY = {"algebra": lambda a: (a, check_axioms(a)),
+            "module": lambda m: (m, check_module_axioms(m)),
+            "report": lambda result: (result.output, result.cert)}
+
+
+def _input_digest(x) -> str:
+    if isinstance(x, Matrix):  # an operator document: the digest of its canonical data
+        return _digest(("operator", x.rows, x.cols, tuple(tuple(map(rat_str, r)) for r in x.data)))
+    return x.digest()
+
+
+# ---------------------------------------------------------------------------
+# check and derive
 
 def cmd_check(args) -> int:
-    rota_baxter = args.predicate == "rota-baxter"
-    if len(args.paths) > 1 + rota_baxter:
-        raise InputError("check takes one document"
-                         + (" and one operator document" if rota_baxter else
-                            "; an operator document needs --predicate rota-baxter"))
-    if args.weight is not None and not rota_baxter:
-        raise InputError("--weight is only used with --predicate rota-baxter")
-    doc = docs.load_json(args.paths[0])
-    dtype = docs.document_type(doc)
-    base_dir = os.path.dirname(os.path.abspath(args.paths[0]))
-
-    if args.predicate:
-        name = args.predicate
-        if dtype == "bialgebra" and name in ("convolution-rb", "epsilon-prerequisites"):
-            b = docs.bialgebra_from_doc(doc)
-            report = (convolution_rb(b) if name == "convolution-rb"
-                      else epsilon_prerequisites(b))
-        elif name == "rota-baxter":
-            if len(args.paths) < 2:
-                raise InputError("--predicate rota-baxter needs an operator document")
-            a = docs.algebra_from_doc(doc)
-            r = docs.operator_from_doc(docs.load_json(args.paths[1]))
-            report = check_rota_baxter(a, r, rat("0" if args.weight is None else args.weight))
-        else:
-            a = docs.algebra_from_doc(doc)
-            report = check_predicate(a, name)
-    elif dtype == "module":
-        report = check_module_axioms(docs.module_from_doc(doc, base_dir))
-    elif dtype in ("algebra", "bialgebra"):
-        report = check_axioms(docs.algebra_from_doc(doc))
-        if dtype == "bialgebra":  # the coproduct rows too, never a PASS that ignored delta
-            report = CertReport.from_results(
-                report.axioms + tuple(_epsilon_delta_rows(docs.bialgebra_from_doc(doc))))
-    else:
-        raise InputError(f"cannot check a document of type {dtype!r}")
-
+    name = args.predicate
+    entry = _AXIOMS if name is None else _lookup(CHECKS, name, "predicate")
+    inputs, params = _bind(name or "check", entry, args.paths, args, CHECK_FLAGS)
+    report = entry.run(*inputs, **params)
     render_report(report)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-# ---------------------------------------------------------------------------
-# derive
-
-def _provenance(name: str, params: dict, inputs) -> dict:
-    return {"functor": name, "params": {k: str(v) for k, v in sorted(params.items())},
-            "inputs": list(inputs)}
-
-
-def _load_algebra(path: str) -> HomAlgebra:
-    return docs.algebra_from_doc(docs.load_json(path))
-
-
-def _load_module(path: str) -> HomModule:
-    return docs.module_from_doc(docs.load_json(path),
-                                os.path.dirname(os.path.abspath(path)))
-
-
-def _load_operator(path: str) -> Matrix:
-    return docs.operator_from_doc(docs.load_json(path))
-
-
 def cmd_derive(args) -> int:
+    """Run one FUNCTORS entry.  The output document's provenance names the
+    functor, every parsed flag as a canonical string (defaults included) and
+    the digest of every input document, in argument order."""
     name = args.functor
-    paths = args.inputs
-
-    def int_param(raw, default, what):
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise InputError(f"{what} must be an integer, got {raw!r}") from None
-
-    def path(i, what):
-        if i >= len(paths):
-            raise InputError(f"{name} needs {what} as input {i + 1}")
-        return paths[i]
-
-    def out_doc_for_algebra(result, params):
-        prov = _provenance(name, params, [p for p in result.provenance[2]])
-        return docs.algebra_to_doc(result.output, provenance=prov), result.cert
-
-    if name == "commutator-lie":
-        result = functors.commutator_lie(_load_algebra(paths[0]))
-        out, cert = out_doc_for_algebra(result, {})
-    elif name == "prelie-to-lie":
-        result = functors.prelie_to_lie(_load_algebra(paths[0]))
-        out, cert = out_doc_for_algebra(result, {})
-    elif name == "novikov-to-postlie":
-        result = functors.novikov_to_postlie(_load_algebra(paths[0]))
-        out, cert = out_doc_for_algebra(result, {})
-    elif name == "scale":
-        if args.k is None:
-            raise InputError("scale needs --k")
-        result = functors.scale(_load_algebra(paths[0]), rat(args.k))
-        out, cert = out_doc_for_algebra(result, {"k": args.k})
-    elif name == "yau-twist":
-        a = _load_algebra(paths[0])
-        g = _load_operator(path(1, "the twist map (an operator document)"))
-        twisted = yau_twist(a, g)
-        cert = check_axioms(twisted)
-        out = docs.algebra_to_doc(twisted, provenance=_provenance(
-            name, {}, [a.digest()]))
-    elif name == "rb-dendriform":
-        a = _load_algebra(paths[0])
-        r = _load_operator(path(1, "the Rota-Baxter operator (an operator document)"))
-        result = functors.rb_dendriform(a, r, rat(args.weight))
-        out, cert = out_doc_for_algebra(result, {"weight": args.weight})
-    elif name == "adjoint-bimodule":
-        a = _load_algebra(paths[0])
-        module = functors.adjoint_bimodule(a)
-        cert = check_module_axioms(module)
-        out = docs.module_to_doc(module, provenance=_provenance(name, {}, [a.digest()]))
-    elif name == "adjoint-postlie-module":
-        l = _load_algebra(paths[0])
-        k = int_param(args.k, 1, "--k")
-        module = adjoint_postlie_module(l, k)
-        cert = check_module_axioms(module)
-        out = docs.module_to_doc(module, provenance=_provenance(
-            name, {"k": k}, [l.digest()]))
-    elif name == "bimodule-to-lie-module":
-        m = _load_module(paths[0])
-        module = bimodule_to_lie_module(m)
-        cert = check_module_axioms(module)
-        out = docs.module_to_doc(module, provenance=_provenance(name, {}, [m.digest()]))
-    elif name == "direct-sum-modules":
-        m1 = _load_module(paths[0])
-        m2 = _load_module(path(1, "a second module document"))
-        module = direct_sum(m1, m2)
-        cert = check_module_axioms(module)
-        out = docs.module_to_doc(module, provenance=_provenance(
-            name, {}, [m1.digest(), m2.digest()]))
-    elif name == "tensor-modules":
-        m1 = _load_module(paths[0])
-        m2 = _load_module(path(1, "a second module document"))
-        k = int_param(args.k, 1, "--k")
-        module = tensor_product(m1, m2, k)
-        cert = check_module_axioms(module)
-        out = docs.module_to_doc(module, provenance=_provenance(
-            name, {"k": k}, [m1.digest(), m2.digest()]))
-    elif name == "twist-n0":
-        m = _load_module(paths[0])
-        n = int_param(args.n, 1, "--n")
-        module = twist_n0(m, n)
-        cert = check_module_axioms(module)
-        out = docs.module_to_doc(module, provenance=_provenance(
-            name, {"n": n}, [m.digest()]))
-    elif name == "twist-0k":
-        m = _load_module(paths[0])
-        k = int_param(args.k, 1, "--k")
-        _, module = twist_0k(m, k)
-        cert = check_module_axioms(module)
-        out = docs.module_to_doc(module, provenance=_provenance(
-            name, {"k": k}, [m.digest()]))
-    elif name == "twist-beta":
-        m = _load_module(paths[0])
-        b = _load_operator(path(1, "the algebra twist b (an operator document)"))
-        bm = _load_operator(path(2, "the carrier twist bM (an operator document)"))
-        _, module = twist_beta(m, b, bm)
-        cert = check_module_axioms(module)
-        out = docs.module_to_doc(module, provenance=_provenance(
-            name, {}, [m.digest()]))
-    elif name == "oop-lie-to-prelie":
-        m = _load_module(paths[0])
-        t = _load_operator(path(1, "the O-operator (an operator document)"))
-        result = functors.oop_lie_to_prelie(m.algebra, m, t)
-        out, cert = out_doc_for_algebra(result, {})
-    elif name == "oop-assoc-to-dendriform":
-        m = _load_module(paths[0])
-        t = _load_operator(path(1, "the O-operator (an operator document)"))
-        result = functors.oop_assoc_to_dendriform(m.algebra, m, t)
-        out, cert = out_doc_for_algebra(result, {})
-    elif name == "oop-assoc-to-prelie":
-        m = _load_module(paths[0])
-        t = _load_operator(path(1, "the O-operator (an operator document)"))
-        result = functors.oop_assoc_to_prelie(m.algebra, m, t)
-        out, cert = out_doc_for_algebra(result, {})
-    elif name == "oop-assoc-to-ldendriform":
-        m = _load_module(paths[0])
-        t = _load_operator(path(1, "the O-operator (an operator document)"))
-        result = functors.oop_assoc_to_ldendriform(m.algebra, m, t)
-        out, cert = out_doc_for_algebra(result, {})
-    elif name == "oop-prelie-to-dendriform":
-        m = _load_module(paths[0])
-        t = _load_operator(path(1, "the O-operator (an operator document)"))
-        dual = functors.oop_prelie_to_dendriform(m.algebra, m, t)
-        cert = dual.dendriform.cert.merged_with(
-            dual.l_dendriform.cert, "dendriform:", "l-dendriform:")
-        # ambiguous target system: succeed when either candidate certifies
-        cert = CertReport(bool(dual.passing_systems), cert.axioms)
-        out = docs.algebra_to_doc(dual.dendriform.output, provenance=_provenance(
-            name, {"passing": ",".join(dual.passing_systems) or "none"},
-            dual.dendriform.provenance[2]))
-    elif name == "ldend-to-prelie":
-        result = functors.ldend_to_prelie(_load_algebra(paths[0]), args.mode)
-        out, cert = out_doc_for_algebra(result, {"mode": args.mode})
-    elif name == "ldend-brackets":
-        brackets = functors.ldend_brackets(_load_algebra(paths[0]))
-        cert = brackets.horizontal.cert.merged_with(
-            brackets.vertical.cert, "horizontal:", "vertical:")
-        from .homcore import AxiomResult
-        cert = CertReport.from_results(
-            list(cert.axioms) + [AxiomResult("brackets-equal", brackets.brackets_equal)])
-        out = docs.algebra_to_doc(brackets.horizontal.output, provenance=_provenance(
-            name, {}, brackets.horizontal.provenance[2]))
-    elif name == "ldend-transpose":
-        result = functors.ldend_transpose(_load_algebra(paths[0]))
-        out, cert = out_doc_for_algebra(result, {})
-    elif name == "ldend-semidirect":
-        m = _load_module(paths[0])
-        result = functors.ldend_semidirect(m.algebra, m)
-        out, cert = out_doc_for_algebra(result, {})
-    elif name == "prelie-module-split":
-        mode = args.mode or "horizontal"
-        algebra, module, cert = functors.prelie_module_split(_load_algebra(paths[0]), mode)
-        out = docs.module_to_doc(module, provenance=_provenance(
-            name, {"mode": mode}, [algebra.digest()]))
-    else:
-        raise InputError(f"unknown functor {name!r}")
-
+    entry = _lookup(FUNCTORS, name, "functor")
+    inputs, params = _bind(name, entry, args.inputs, args, DERIVE_FLAGS)
+    output, cert = _CERTIFY[entry.returns](entry.run(*inputs, **params))
     if args.out:
-        docs.save_json(args.out, out)
+        provenance = {"functor": name,
+                      "params": {k: str(v) for k, v in sorted(params.items())},
+                      "inputs": [_input_digest(x) for x in inputs]}
+        to_doc = docs.module_to_doc if isinstance(output, HomModule) else docs.algebra_to_doc
+        docs.save_json(args.out, to_doc(output, provenance=provenance))
         docs.save_json(args.out + ".cert.json", report_to_doc(cert))
     render_report(cert)
     return EXIT_PASS if cert.passed else EXIT_FAIL
@@ -305,7 +249,7 @@ def cmd_derive(args) -> int:
 # search-postlie
 
 def cmd_search_postlie(args) -> int:
-    lie = _load_algebra(args.path)
+    lie = docs.algebra_from_doc(docs.load_json(args.path))
     space = postlie_candidate_space(lie)
     survivors = postlie_search(lie, args.bound)
     bound = args.bound
@@ -321,7 +265,7 @@ def cmd_search_postlie(args) -> int:
         "survivors": len(survivors),
     }
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        docs.make_dir(args.out)
         for idx, result in enumerate(survivors):
             prov = {"functor": "search-postlie",
                     "params": {"bound": str(bound),
@@ -344,7 +288,7 @@ def cmd_certify_corpus(args) -> int:
     if args.trials < 0:
         raise InputError(f"--trials must be non-negative, got {args.trials}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        docs.make_dir(args.out)
     summary, all_pass = run_corpus_certification(
         args.trials, args.max_dim, args.seed, args.out, args.jobs)
     sys.stdout.write(summary)
@@ -359,25 +303,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact certification of twisted algebra structures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="certify a document against its axioms")
-    p.add_argument("paths", nargs="+",
-                   help="document to check (plus an operator document for "
-                        "--predicate rota-baxter)")
-    p.add_argument("--predicate", help="auxiliary predicate: multiplicative, "
-                   "left-commutative, lie-admissible, rota-baxter, "
-                   "epsilon-prerequisites, convolution-rb")
-    p.add_argument("--weight", help="Rota-Baxter weight (rational, default 0)")
+    raw = argparse.RawTextHelpFormatter  # never wraps a name at one of its hyphens
+    p = sub.add_parser("check", help="certify a document against its axioms", formatter_class=raw)
+    p.add_argument("paths", nargs="*", help="document to check (plus an operator document\n"
+                                            "for --predicate rota-baxter)")
+    p.add_argument("--predicate", help="auxiliary predicate, one of:\n" + "\n".join(CHECKS))
+    for flag, text in CHECK_FLAGS.items():
+        p.add_argument(f"--{flag}", help=text)
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("derive", help="run a construction and certify its output")
-    p.add_argument("functor")
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("--out", help="output document path (a .cert.json sibling "
+    p = sub.add_parser("derive", help="run a construction and certify its output",
+                       formatter_class=raw)
+    p.add_argument("functor", help="one of:\n" + "\n".join(FUNCTORS))
+    p.add_argument("inputs", nargs="*", help="the functor's input documents, in order")
+    p.add_argument("--out", help="output document path (a .cert.json sibling\n"
                    "is written next to it)")
-    p.add_argument("--k", help="integer power parameter (rational for scale)")
-    p.add_argument("--n", help="integer power parameter")
-    p.add_argument("--weight", default="0", help="Rota-Baxter weight")
-    p.add_argument("--mode", choices=("horizontal", "vertical"))
+    for flag, text in DERIVE_FLAGS.items():
+        p.add_argument(f"--{flag}", help=text)
     p.set_defaults(fn=cmd_derive)
 
     p = sub.add_parser("search-postlie",

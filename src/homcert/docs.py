@@ -39,8 +39,10 @@ def _tensor_to_lists(t: Tensor3) -> list:
 
 
 def _tensor_from_lists(nested, what="tensor") -> Tensor3:
-    if not isinstance(nested, list):
-        raise InputError(f"{what} must be a nested array")
+    if not (isinstance(nested, list) and all(
+            isinstance(plane, list) and all(isinstance(line, list) for line in plane)
+            for plane in nested)):
+        raise InputError(f"{what} must be an array of arrays of arrays")
     try:
         return Tensor3.from_nested(nested)
     except (InputError, TypeError, IndexError) as exc:
@@ -67,7 +69,7 @@ def algebra_from_doc(doc: dict) -> HomAlgebra:
     _check_header(doc)
     kind = doc.get("kind")
     dim = _count(doc.get("dim"), "dim")
-    if kind not in KIND_OPS:
+    if not isinstance(kind, str) or kind not in KIND_OPS:
         raise InputError(f"unknown algebra kind {kind!r}")
     alpha = _matrix_from_lists(doc.get("alpha"), "alpha")
     ops_doc = doc.get("ops")
@@ -102,7 +104,7 @@ def module_to_doc(m: HomModule, algebra_ref: Optional[str] = None,
 def module_from_doc(doc: dict, base_dir: str = ".") -> HomModule:
     _check_header(doc)
     kind = doc.get("kind")
-    if kind not in MODULE_KINDS:
+    if not isinstance(kind, str) or kind not in MODULE_KINDS:
         raise InputError(f"unknown module kind {kind!r}")
     alg_field = doc.get("algebra")
     if isinstance(alg_field, str):
@@ -182,14 +184,26 @@ def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8, ...
+        raise InputError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def save_json(path: str, doc: dict):
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(dumps(doc))
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):  # written, but the rename failed
+            os.remove(tmp)
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def make_dir(path: str):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create directory {path}: {exc.strerror or exc}") from None

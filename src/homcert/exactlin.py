@@ -31,7 +31,7 @@ def rat(value):
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):  # true is not a rational
         return int(value)
     if isinstance(value, str):
         try:
@@ -265,7 +265,8 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         for i in range(rows):
             if i != r and data[i][c]:
                 f = data[i][c]
-                data[i] = [x - f * y for x, y in zip(data[i], data[r])]
+                # Matrix(data) normalizes the entries, so skipping y == 0 keeps their types
+                data[i] = [x - f * y if y else x for x, y in zip(data[i], data[r])]
         pivots.append(c)
         r += 1
         if r == rows:

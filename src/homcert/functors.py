@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .errors import InputError, PreconditionError
 from .exactlin import ZERO, Matrix, Tensor3, rat
-from .homcore import (CertReport, HomAlgebra, check_axioms, check_predicate,
+from .homcore import (AxiomResult, CertReport, HomAlgebra, check_axioms, check_predicate,
                       check_rota_baxter, require_certified)
 from .hommod import (HomModule, check_module_axioms, check_oop,
                      require_module_certified)
@@ -233,6 +233,17 @@ class DualCertResult:
             out.append("hom-l-dendriform")
         return tuple(out)
 
+    @property
+    def output(self) -> HomAlgebra:
+        return self.dendriform.output
+
+    @property
+    def cert(self) -> CertReport:
+        """Both systems' rows; passes when either system certifies."""
+        merged = self.dendriform.cert.merged_with(
+            self.l_dendriform.cert, "dendriform:", "l-dendriform:")
+        return CertReport(bool(self.passing_systems), merged.axioms)
+
 
 def oop_prelie_to_dendriform(a: HomAlgebra, m: HomModule, t: Matrix) -> DualCertResult:
     """u <| v = l(T(u)) v and u |> v = -r(T(u)) v on the carrier of a preLie
@@ -284,6 +295,17 @@ class BracketsResult:
     horizontal: FunctorResult
     vertical: FunctorResult
     brackets_equal: bool
+
+    @property
+    def output(self) -> HomAlgebra:
+        return self.horizontal.output
+
+    @property
+    def cert(self) -> CertReport:
+        """Both brackets' rows, then whether the brackets are equal."""
+        merged = self.horizontal.cert.merged_with(self.vertical.cert, "horizontal:", "vertical:")
+        return CertReport.from_results(
+            merged.axioms + (AxiomResult("brackets-equal", self.brackets_equal),))
 
 
 def ldend_brackets(a: HomAlgebra) -> BracketsResult:

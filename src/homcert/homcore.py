@@ -805,12 +805,17 @@ def _epsilon_mul_rows(b: EpsilonHomBialgebra) -> list[AxiomResult]:
             for s in _specs("epsilon-product", {"mul": b.mul, "alpha": b.alpha})]
 
 
-def _epsilon_delta_rows(b: EpsilonHomBialgebra, shared: Optional[dict] = None
-                        ) -> list[AxiomResult]:
+def _epsilon_delta_rows(b: EpsilonHomBialgebra, shared: Optional[dict] = None,
+                        until_failure: bool = False) -> list[AxiomResult]:
     """Prerequisites involving the coproduct.  Calls given one ``shared``
-    dict build the product and twist tables once."""
-    return [check_identity(s, b.dim)
-            for s in _specs("epsilon-coproduct", _bialgebra_env(b), shared=shared)]
+    dict build the product and twist tables once; ``until_failure`` stops
+    after the first failing row."""
+    rows = []
+    for s in _specs("epsilon-coproduct", _bialgebra_env(b), shared=shared):
+        rows.append(check_identity(s, b.dim))
+        if until_failure and not rows[-1].passed:
+            break
+    return rows
 
 
 def epsilon_prerequisites(b: EpsilonHomBialgebra) -> CertReport:

@@ -256,7 +256,7 @@ def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int
     shared = {}
     return [b for b in (EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha)
                         for flat in kernel)
-            if all(r.passed for r in _epsilon_delta_rows(b, shared))]
+            if all(r.passed for r in _epsilon_delta_rows(b, shared, until_failure=True))]
 
 
 # ---------------------------------------------------------------------------
