@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from . import docs
 from .errors import CertificationError, InputError, PreconditionError
 from .exactlin import Matrix, Tensor3
-from .homcore import (EpsilonHomBialgebra, HomAlgebra, check_axioms,
+from .homcore import (EpsilonHomBialgebra, HomAlgebra, certification_scope, check_axioms,
                       check_predicate)
 from .hommod import (adjoint_postlie_module, direct_sum, tensor_product, twist_0k,
                      twist_beta, twist_beta_data, twist_n0)
@@ -338,8 +338,10 @@ PROPERTIES: tuple[Property, ...] = (
 
 
 def _eval_indexed(arg):
+    """One work item, in a certification scope of its own."""
     prop_index, payload = arg
-    return PROPERTIES[prop_index].evaluate(payload)
+    with certification_scope():
+        return PROPERTIES[prop_index].evaluate(payload)
 
 
 def run_corpus_certification(trials: int, max_dim: int, seed: int,

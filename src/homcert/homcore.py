@@ -9,6 +9,7 @@ witness on failure.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import hashlib
 import itertools
@@ -351,6 +352,7 @@ class Law:
         self.domains = tuple(domains[i] for i in range(self.arity))
         self.bound = tuple({t if t.kind == "tensor" else t.name: t for t in nodes
                             if t.kind in ("op", "map", "scaled", "tensor")}.values())
+        self.names = tuple(t.name for t in self.bound if t.kind != "tensor")
 
     @functools.cached_property
     def on_basis(self):
@@ -368,31 +370,61 @@ def _dense(pairs, m: int) -> tuple:
     return tuple(out)
 
 
-class Identity:
-    """A law bound to env.  Called on dense vectors it returns both sides as
-    dense tuples, so it serves as AxiomSpec.evaluate."""
+_SCOPE = contextvars.ContextVar("certification scope", default=None)
 
-    def __init__(self, law: Law, env: Mapping, shared: dict):
-        self.law, self.env, self.shared = law, env, shared
+
+class certification_scope:
+    """Run the block in the active scope, or in a fresh one when none is
+    active: one per work item or search, never one for the process.  A scope
+    is (tables, results): a bound name -> (object, lookup table) while that
+    object stays bound to it, and a Law -> (canonical data of its bound
+    names, AxiomResult) for its last binding only."""
+
+    def __enter__(self):
+        self.token = None if _SCOPE.get() is not None else _SCOPE.set(({}, {}))
+
+    def __exit__(self, *exc):
+        if self.token is not None:
+            _SCOPE.reset(self.token)
+
+
+def _canonical(obj):
+    """Shape and entries of a Tensor3, Matrix or action family (integral
+    entries are ints, so equal data has equal types); a scalar's value and type."""
+    if isinstance(obj, Tensor3):
+        return obj.dims, obj.data
+    if isinstance(obj, Matrix):
+        return obj.rows, obj.cols, obj.data
+    return (obj.d1, obj.d2, obj.d3, obj.columns) if hasattr(obj, "columns") else (type(obj), obj)
+
+
+class Identity:
+    """A law bound to env in ``scope``, by default the active one.  Outside
+    any scope it gets fresh tables and no results to reuse.  Called on dense
+    vectors it returns both sides as dense tuples, so it serves as
+    AxiomSpec.evaluate."""
+
+    def __init__(self, law: Law, env: Mapping, scope: Optional[tuple] = None):
+        self.law, self.env = law, env
+        self.tables, self.results = scope or _SCOPE.get() or ({}, None)
 
     def bind(self):
         """(tables, dims, m): lookup tables for the bound names, the length
-        of each variable, and the length m of both sides.  A product or map
-        table is kept in ``shared`` while the same object stays bound to its
-        name, so identities bound with one shared dict build it once."""
-        law, env = self.law, self.env
+        of each variable, and the length m of both sides.  Product and map
+        tables come from the scope."""
+        law, env, held_tables = self.law, self.env, self.tables
         dims = [getattr(env[name], attr) for name, attr in law.domains]
         tables = {}
         for t in law.bound:
             if t.kind == "tensor":
                 tables[t] = (*_tensor_shape(t, env, dims), {}, {})
                 continue
-            obj, held = env[t.name], self.shared.get(t.name)
+            obj, held = env[t.name], held_tables.get(t.name)
             if t.kind == "scaled":  # the scalar and the length of its term
                 tables[t.name] = (obj, _length(t.args[0], env, dims))
                 continue
             if held is None or held[0] is not obj:
-                held = self.shared[t.name] = (obj, (
+                held = held_tables[t.name] = (obj, (
                     [[_pairs(obj.product_vec(i, j)) for j in range(obj.d2)] for i in range(obj.d1)]
                     if t.kind == "op" else [_pairs(col) for col in zip(*obj.data)]))
             tables[t.name] = held[1]
@@ -414,11 +446,11 @@ class Identity:
             yield idx, _dense(fl(idx, tables), m), _dense(fr(idx, tables), m)
 
 
-def _specs(group: str, env: Mapping, suffix: str = "", shared: Optional[dict] = None
-           ) -> list[AxiomSpec]:
-    """The group's declared laws bound to env, as specs sharing their tables."""
-    shared = {} if shared is None else shared
-    return [AxiomSpec(law.name + suffix, law.arity, Identity(law, env, shared))
+def _specs(group: str, env: Mapping, suffix: str = "") -> list[AxiomSpec]:
+    """The group's declared laws bound to env, as specs in the active scope;
+    outside one they share fresh tables (a group has each law once)."""
+    scope = _SCOPE.get() or ({}, None)
+    return [AxiomSpec(law.name + suffix, law.arity, Identity(law, env, scope))
             for law in _declare_identities()[group]]
 
 
@@ -436,12 +468,10 @@ def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, shape: tuple) -
                  for c in range(cells))
     else:
         units = (Tensor3(*shape, basis_vec(cells, c)) for c in range(cells))
-    columns, shared = [], {}
-    for unit in units:
-        bound = {**env, unknown: unit}
-        columns.append([d for law in laws
-                        for _, lhs, rhs in Identity(law, bound, shared).basis_sides()
-                        for d in vec_sub(lhs, rhs)])
+    with certification_scope():
+        columns = [[d for law in laws
+                    for _, lhs, rhs in Identity(law, {**env, unknown: unit}).basis_sides()
+                    for d in vec_sub(lhs, rhs)] for unit in units]
     return Matrix.from_columns(columns)
 
 
@@ -449,20 +479,32 @@ def check_identity(spec: AxiomSpec, dim: int) -> AxiomResult:
     """Evaluate an identity on all basis tuples, lexicographic order.
 
     A declared Identity runs on basis indices, each variable over its own
-    space; any other evaluate gets dense basis vectors of length dim.  The
-    first failing tuple (minimal in lex order) becomes the witness.
+    space, and takes its law's result in the scope when the law's last
+    binding there had equal canonical data; any other evaluate gets dense
+    basis vectors of length dim.  The first failing tuple (minimal in lex
+    order) becomes the witness.
     """
-    if isinstance(spec.evaluate, Identity):
-        sides = spec.evaluate.basis_sides()
-    else:
+    ident = spec.evaluate
+    if not isinstance(ident, Identity):
         basis = [basis_vec(dim, i) for i in range(dim)]
-        sides = ((idx, *spec.evaluate(*[basis[i] for i in idx]))
-                 for idx in itertools.product(range(dim), repeat=spec.arity))
+        return _first_failure(spec.name, ((idx, *ident(*[basis[i] for i in idx])) for idx in
+                                          itertools.product(range(dim), repeat=spec.arity)))
+    if ident.results is None:
+        return _first_failure(spec.name, ident.basis_sides())
+    key = tuple([_canonical(ident.env[name]) for name in ident.law.names])
+    held = ident.results.get(ident.law)
+    if held is None or held[0] != key:
+        held = key, _first_failure(spec.name, ident.basis_sides())
+        ident.results[ident.law] = held
+    r = held[1]
+    return r if r.name == spec.name else AxiomResult(spec.name, r.passed, r.witness)
+
+
+def _first_failure(name: str, sides) -> AxiomResult:
     for idx, lhs, rhs in sides:
         if lhs != rhs:
-            w = Witness(tuple(i + 1 for i in idx), lhs, rhs)
-            return AxiomResult(spec.name, False, w)
-    return AxiomResult(spec.name, True, None)
+            return AxiomResult(name, False, Witness(tuple(i + 1 for i in idx), lhs, rhs))
+    return AxiomResult(name, True, None)
 
 
 @functools.cache  # on first use: a fresh process imports without building any law
@@ -805,13 +847,12 @@ def _epsilon_mul_rows(b: EpsilonHomBialgebra) -> list[AxiomResult]:
             for s in _specs("epsilon-product", {"mul": b.mul, "alpha": b.alpha})]
 
 
-def _epsilon_delta_rows(b: EpsilonHomBialgebra, shared: Optional[dict] = None,
-                        until_failure: bool = False) -> list[AxiomResult]:
-    """Prerequisites involving the coproduct.  Calls given one ``shared``
-    dict build the product and twist tables once; ``until_failure`` stops
-    after the first failing row."""
+def _epsilon_delta_rows(b: EpsilonHomBialgebra, until_failure: bool = False
+                        ) -> list[AxiomResult]:
+    """Prerequisites involving the coproduct; ``until_failure`` stops after
+    the first failing row."""
     rows = []
-    for s in _specs("epsilon-coproduct", _bialgebra_env(b), shared=shared):
+    for s in _specs("epsilon-coproduct", _bialgebra_env(b)):
         rows.append(check_identity(s, b.dim))
         if until_failure and not rows[-1].passed:
             break
@@ -836,7 +877,7 @@ def convolution_operator(b: EpsilonHomBialgebra, f: Matrix) -> Matrix:
     """R(f) = mul o (alpha (x) f) o delta, as a matrix: column i is the
     declared ``convolution`` term at e_i."""
     law, = _declare_identities()["convolution"]
-    cols = [lhs for _, lhs, _ in Identity(law, {**_bialgebra_env(b), "f": f}, {}).basis_sides()]
+    cols = [lhs for _, lhs, _ in Identity(law, {**_bialgebra_env(b), "f": f}).basis_sides()]
     return Matrix.from_columns(cols) if cols else Matrix.zeros(0, 0)
 
 

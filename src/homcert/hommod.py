@@ -25,8 +25,8 @@ from typing import Mapping, Sequence
 from .errors import CertificationError, InputError, PreconditionError
 from .exactlin import Matrix, Tensor3, basis_index, block_diag, mat_mul, rat_str
 from .homcore import (AxiomSpec, CertReport, HomAlgebra, canonical_algebra_key,
-                      check_axioms, check_identity, check_morphism, check_predicate,
-                      _digest, _specs)
+                      certification_scope, check_axioms, check_identity, check_morphism,
+                      check_predicate, _digest, _specs)
 
 MODULE_KINDS = {
     "assoc-bimodule": ("hom-associative", ("l", "r")),
@@ -111,7 +111,7 @@ class _Action:
 
     def __init__(self, family: Sequence[Matrix], mdim: int):
         self.d1, self.d2, self.d3 = len(family), mdim, mdim
-        self.columns = [tuple(zip(*mat.data)) for mat in family]
+        self.columns = tuple(tuple(zip(*mat.data)) for mat in family)
 
     def product_vec(self, i: int, v: int) -> tuple:
         return self.columns[i][v]
@@ -377,7 +377,7 @@ def check_oop(t: Matrix, m: HomModule) -> CertReport:
         raise InputError(f"operator must be {a.dim}x{m.mdim}, got {t.rows}x{t.cols}")
     if m.kind not in OOP_LAWS:
         raise InputError(f"O-operators are not defined for module kind {m.kind!r}")
-    env, shared = {**_module_env(m), "T": t}, {}
-    specs = [s for group in ("oop-twist-compat", OOP_LAWS[m.kind])
-             for s in _specs(group, env, shared=shared)]
-    return CertReport.from_results([check_identity(s, m.mdim) for s in specs])
+    env = {**_module_env(m), "T": t}
+    with certification_scope():
+        return CertReport.from_results([check_identity(s, m.mdim) for group in (
+            "oop-twist-compat", OOP_LAWS[m.kind]) for s in _specs(group, env)])

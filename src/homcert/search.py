@@ -17,13 +17,13 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetError, CertificationError, InputError, UnsupportedError
 from .exactlin import ONE, ZERO, Matrix, Tensor3, nullspace, rat, rref
-from .homcore import (AxiomSpec, EpsilonHomBialgebra, HomAlgebra, _declare_identities,
-                      _epsilon_delta_rows, _epsilon_mul_rows,
-                      _specs, check_axioms, check_identity, check_rota_baxter,
+from .homcore import (AxiomSpec, EpsilonHomBialgebra, HomAlgebra, Identity,
+                      _declare_identities, _epsilon_delta_rows, _epsilon_mul_rows,
+                      certification_scope, check_axioms, check_identity, check_rota_baxter,
                       linear_rows, require_certified, yau_twist)
 from .functors import FunctorResult
 from .hommod import HomModule, check_oop
@@ -71,13 +71,12 @@ class PostLieCandidateSpace:
     rank: int
 
 
-def _postlie_spec(l: HomAlgebra, product: Tensor3, name: str,
-                  shared: Optional[dict] = None) -> AxiomSpec:
-    """The declared post-Lie axiom ``name`` for l's bracket and twist and a
-    candidate product; specs made with one ``shared`` dict build those tables once."""
+def _postlie_spec(l: HomAlgebra, product: Tensor3, name: str) -> AxiomSpec:
+    """The declared post-Lie axiom ``name`` alone, bound to l's bracket and
+    twist and a candidate product in the active scope (or a fresh one)."""
+    law, = (law for law in _declare_identities()["hom-postlie"] if law.name == name)
     env = {"bracket": l.op("bracket"), "mul": product, "alpha": l.alpha}
-    spec, = (s for s in _specs("hom-postlie", env, shared=shared) if s.name == name)
-    return spec
+    return AxiomSpec(name, law.arity, Identity(law, env))
 
 
 def postlie_candidate_space(l: HomAlgebra) -> PostLieCandidateSpace:
@@ -126,18 +125,19 @@ def postlie_search(l: HomAlgebra, combo_bound: int,
                    max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> list[FunctorResult]:
     """Every bounded-box candidate product satisfying both defining identities,
     each returned as a fully certified Hom-post-Lie algebra."""
-    survivors, shared = [], {}
-    for coeffs, mul in iter_postlie_candidates(l, combo_bound, max_candidates):
-        if check_identity(_postlie_spec(l, mul, TWISTED_LEFT_SYMMETRY, shared), l.dim).passed:
-            out = HomAlgebra(l.dim, "hom-postlie",
-                             {"bracket": l.op("bracket"), "mul": mul}, l.alpha)
-            cert = check_axioms(out)
-            if not cert.passed:
-                raise AssertionError(
-                    "search filter and axiom checker disagree on a survivor")
-            prov = ("postlie-search",
-                    (("bound", combo_bound), ("coeffs", coeffs)), (l.digest(),))
-            survivors.append(FunctorResult(out, cert, prov))
+    survivors = []
+    with certification_scope():
+        for coeffs, mul in iter_postlie_candidates(l, combo_bound, max_candidates):
+            if check_identity(_postlie_spec(l, mul, TWISTED_LEFT_SYMMETRY), l.dim).passed:
+                out = HomAlgebra(l.dim, "hom-postlie",
+                                 {"bracket": l.op("bracket"), "mul": mul}, l.alpha)
+                cert = check_axioms(out)
+                if not cert.passed:
+                    raise AssertionError(
+                        "search filter and axiom checker disagree on a survivor")
+                prov = ("postlie-search",
+                        (("bound", combo_bound), ("coeffs", coeffs)), (l.digest(),))
+                survivors.append(FunctorResult(out, cert, prov))
     return survivors
 
 
@@ -188,12 +188,15 @@ def _require_box(what: str, cells: int, bound: int, max_candidates: int) -> None
 
 
 def _operator_box(group: str, env: dict, unknown: str, rows: int, cols: int,
-                  bound: int) -> list[Matrix]:
+                  bound: int, certified: Callable[[Matrix], bool]) -> list[Matrix]:
     """The integer rows x cols matrices in the box on which the group's
-    declared laws (linear in the unknown) hold."""
-    system = linear_rows(_declare_identities()[group], env, unknown, (rows, cols))
-    return [Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)])
-            for flat in _box_points_in_kernel(system, rows * cols, bound)]
+    declared laws (linear in the unknown) hold and that pass ``certified``,
+    all checked in one certification scope."""
+    with certification_scope():
+        system = linear_rows(_declare_identities()[group], env, unknown, (rows, cols))
+        return [t for t in (Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)])
+                            for flat in _box_points_in_kernel(system, rows * cols, bound))
+                if certified(t)]
 
 
 def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
@@ -209,8 +212,8 @@ def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
     if a.dim != m.algebra.dim:
         raise InputError(f"module is over a dim-{m.algebra.dim} algebra, not dim {a.dim}")
     env = {"alpha": m.algebra.alpha, "beta": m.beta}
-    return [t for t in _operator_box("oop-twist-compat", env, "T", a.dim, m.mdim, entry_bound)
-            if check_oop(t, m).passed]
+    return _operator_box("oop-twist-compat", env, "T", a.dim, m.mdim, entry_bound,
+                         lambda t: check_oop(t, m).passed)
 
 
 def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
@@ -224,9 +227,8 @@ def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
     if entry_bound < 0:
         raise InputError("entry_bound must be non-negative")
     _require_box("operator", a.dim * a.dim, entry_bound, max_candidates)
-    return [r for r in _operator_box("commutes-with-twist", {"alpha": a.alpha}, "r",
-                                     a.dim, a.dim, entry_bound)
-            if check_rota_baxter(a, r, weight).passed]
+    return _operator_box("commutes-with-twist", {"alpha": a.alpha}, "r", a.dim, a.dim,
+                         entry_bound, lambda r: check_rota_baxter(a, r, weight).passed)
 
 
 def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int = 1,
@@ -253,10 +255,10 @@ def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int
     system = linear_rows(linear, {"mul": mul, "alpha": alpha}, "Delta", (n * n, n))
     kernel = sorted(tuple(point[r * n + i] for i in range(n) for r in range(n * n))
                     for point in _box_points_in_kernel(system, n ** 3, entry_bound))
-    shared = {}
-    return [b for b in (EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha)
-                        for flat in kernel)
-            if all(r.passed for r in _epsilon_delta_rows(b, shared, until_failure=True))]
+    with certification_scope():
+        return [b for b in (EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha)
+                            for flat in kernel)
+                if all(r.passed for r in _epsilon_delta_rows(b, until_failure=True))]
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +497,15 @@ def _generate(spec: RandomInstanceSpec) -> HomAlgebra:
             raise UnsupportedError(f"no hom-lie seed at dim {spec.dim}")
         lie = lie_entries[rng.randrange(len(lie_entries))].algebra
         space = postlie_candidate_space(lie)
-        product, shared = Tensor3.zeros(spec.dim), {}
-        for _ in range(40):
-            cand = _combination(spec.dim, space.basis,
-                                [rng.randint(-1, 1) for _ in space.basis])
-            if check_identity(_postlie_spec(lie, cand, TWISTED_LEFT_SYMMETRY, shared),
-                              spec.dim).passed:
-                product = cand
-                break
+        product = Tensor3.zeros(spec.dim)
+        with certification_scope():
+            for _ in range(40):
+                cand = _combination(spec.dim, space.basis,
+                                    [rng.randint(-1, 1) for _ in space.basis])
+                if check_identity(_postlie_spec(lie, cand, TWISTED_LEFT_SYMMETRY),
+                                  spec.dim).passed:
+                    product = cand
+                    break
         out = HomAlgebra(spec.dim, "hom-postlie",
                          {"bracket": lie.op("bracket"), "mul": product}, lie.alpha)
 

@@ -296,12 +296,16 @@ def test_criterion_9_epsilon_convolution():
 def test_criterion_10_determinism(tmp_path):
     cmd = [sys.executable, "-m", "homcert.cli", "certify-corpus",
            "--trials", "4", "--max-dim", "2", "--seed", "13"]
-    runs = [subprocess.run(cmd + (["--jobs", str(j)] if j else []),
+    outs = [tmp_path / f"run{i}" for i in range(3)]
+    runs = [subprocess.run(cmd + (["--jobs", str(j)] if j else []) + ["--out", str(out)],
                            capture_output=True, cwd=tmp_path)
-            for j in (0, 0, 2)]
+            for j, out in zip((0, 0, 2), outs)]
     for r in runs:
         assert r.returncode == 0, r.stderr.decode()
     assert runs[0].stdout == runs[1].stdout  # rerun, same seed
     assert runs[0].stdout == runs[2].stdout  # different parallelism level
     assert b"RESULT: PASS" in runs[0].stdout
+    # and the same counterexample documents, byte for byte
+    files = [{f.name: f.read_bytes() for f in out.iterdir()} for out in outs]
+    assert files[0] and files[0] == files[1] == files[2]
     done(10, "certify-corpus byte-identical across reruns and job counts")

@@ -77,12 +77,12 @@ def test_session_corpora_match_oracle(assoc_corpus, prelie_corpus, postlie_corpu
 
 def test_search_consistency_candidates_match_oracle():
     for _, lie, bound in _search_inputs():
-        br, shared = lie.op("bracket"), {}
+        br = lie.op("bracket")
         for _, mul in iter_postlie_candidates(lie, bound):
             candidate = HomAlgebra(lie.dim, "hom-postlie", {"bracket": br, "mul": mul},
                                    lie.alpha)
             same(check_axioms(candidate), oracle.check_axioms(candidate))
-            spec = _postlie_spec(lie, mul, TWISTED_LEFT_SYMMETRY, shared)
+            spec = _postlie_spec(lie, mul, TWISTED_LEFT_SYMMETRY)
             assert (check_identity(spec, lie.dim).passed
                     == oracle.twisted_left_symmetry_holds(mul, br, lie.alpha, lie.dim))
             if br.is_zero():
