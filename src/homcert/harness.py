@@ -21,8 +21,8 @@ from typing import Callable, Optional
 from . import docs
 from .errors import CertificationError, InputError, PreconditionError
 from .exactlin import Matrix, Tensor3
-from .homcore import (EpsilonHomBialgebra, HomAlgebra, certification_scope, check_axioms,
-                      check_predicate)
+from .homcore import (HomAlgebra, certification_scope, check_axioms, check_predicate,
+                      convolution_rb)
 from .hommod import (adjoint_postlie_module, direct_sum, tensor_product, twist_0k,
                      twist_beta, twist_beta_data, twist_n0)
 from .functors import (adjoint_bimodule, commutator_lie, ldend_brackets,
@@ -312,13 +312,8 @@ def _build_epsilon(trials, max_dim, seed):
 def _eval_epsilon(item) -> ItemResult:
     name, mul, alpha = item
     found = brute_force_epsilon_bialgebras(mul, alpha, 1)
-    good = sum(1 for b in found if check_convolution(b))
+    good = sum(1 for b in found if convolution_rb(b).passed)
     return ItemResult(good == len(found), tally=((name, good, len(found)),))
-
-
-def check_convolution(b: EpsilonHomBialgebra) -> bool:
-    from .homcore import convolution_rb
-    return convolution_rb(b).passed
 
 
 # -- the table ----------------------------------------------------------------
@@ -338,7 +333,6 @@ PROPERTIES: tuple[Property, ...] = (
 
 
 def _eval_indexed(arg):
-    """One work item, in a certification scope of its own."""
     prop_index, payload = arg
     with certification_scope():
         return PROPERTIES[prop_index].evaluate(payload)

@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InputError, PreconditionError
@@ -374,57 +375,46 @@ _SCOPE = contextvars.ContextVar("certification scope", default=None)
 
 
 class certification_scope:
-    """Run the block in the active scope, or in a fresh one when none is
-    active: one per work item or search, never one for the process.  A scope
-    is (tables, results): a bound name -> (object, lookup table) while that
-    object stays bound to it, and a Law -> (canonical data of its bound
-    names, AxiomResult) for its last binding only."""
+    """Join the active scope, or open one for the block (never for the process):
+    each name's table while its object stays bound, each Law's last result."""
 
     def __enter__(self):
-        self.token = None if _SCOPE.get() is not None else _SCOPE.set(({}, {}))
+        self.token = _SCOPE.set(_SCOPE.get() or ({}, {}))
 
     def __exit__(self, *exc):
-        if self.token is not None:
-            _SCOPE.reset(self.token)
+        _SCOPE.reset(self.token)
 
 
 def _canonical(obj):
-    """Shape and entries of a Tensor3, Matrix or action family (integral
-    entries are ints, so equal data has equal types); a scalar's value and type."""
-    if isinstance(obj, Tensor3):
-        return obj.dims, obj.data
-    if isinstance(obj, Matrix):
-        return obj.rows, obj.cols, obj.data
-    return (obj.d1, obj.d2, obj.d3, obj.columns) if hasattr(obj, "columns") else (type(obj), obj)
+    """A bound name's type and its slots (shape and entries, or columns) or value."""
+    slots = getattr(obj, "__slots__", None)
+    return type(obj), (attrgetter(*slots)(obj) if slots else obj)
 
 
 class Identity:
-    """A law bound to env in ``scope``, by default the active one.  Outside
-    any scope it gets fresh tables and no results to reuse.  Called on dense
-    vectors it returns both sides as dense tuples, so it serves as
-    AxiomSpec.evaluate."""
+    """A law bound to env in ``scope``, the active or a fresh one by default.
+    Called on dense vectors it returns both dense sides (AxiomSpec.evaluate)."""
 
     def __init__(self, law: Law, env: Mapping, scope: Optional[tuple] = None):
         self.law, self.env = law, env
-        self.tables, self.results = scope or _SCOPE.get() or ({}, None)
+        self.tables, self.results = scope or _SCOPE.get() or ({}, {})
 
     def bind(self):
-        """(tables, dims, m): lookup tables for the bound names, the length
-        of each variable, and the length m of both sides.  Product and map
-        tables come from the scope."""
-        law, env, held_tables = self.law, self.env, self.tables
+        """(tables, dims, m): lookup tables for the bound names, held in the
+        scope, the length of each variable, and the length m of both sides."""
+        law, env = self.law, self.env
         dims = [getattr(env[name], attr) for name, attr in law.domains]
         tables = {}
         for t in law.bound:
             if t.kind == "tensor":
                 tables[t] = (*_tensor_shape(t, env, dims), {}, {})
                 continue
-            obj, held = env[t.name], held_tables.get(t.name)
+            obj, held = env[t.name], self.tables.get(t.name)
             if t.kind == "scaled":  # the scalar and the length of its term
                 tables[t.name] = (obj, _length(t.args[0], env, dims))
                 continue
             if held is None or held[0] is not obj:
-                held = held_tables[t.name] = (obj, (
+                held = self.tables[t.name] = (obj, (
                     [[_pairs(obj.product_vec(i, j)) for j in range(obj.d2)] for i in range(obj.d1)]
                     if t.kind == "op" else [_pairs(col) for col in zip(*obj.data)]))
             tables[t.name] = held[1]
@@ -447,9 +437,8 @@ class Identity:
 
 
 def _specs(group: str, env: Mapping, suffix: str = "") -> list[AxiomSpec]:
-    """The group's declared laws bound to env, as specs in the active scope;
-    outside one they share fresh tables (a group has each law once)."""
-    scope = _SCOPE.get() or ({}, None)
+    """The group's declared laws bound to env, as specs in one scope."""
+    scope = _SCOPE.get() or ({}, {})
     return [AxiomSpec(law.name + suffix, law.arity, Identity(law, env, scope))
             for law in _declare_identities()[group]]
 
@@ -479,32 +468,28 @@ def check_identity(spec: AxiomSpec, dim: int) -> AxiomResult:
     """Evaluate an identity on all basis tuples, lexicographic order.
 
     A declared Identity runs on basis indices, each variable over its own
-    space, and takes its law's result in the scope when the law's last
-    binding there had equal canonical data; any other evaluate gets dense
-    basis vectors of length dim.  The first failing tuple (minimal in lex
-    order) becomes the witness.
+    space, unless its law's last binding in the scope had equal canonical
+    data; any other evaluate gets dense basis vectors of length dim.  The
+    first failing tuple (minimal in lex order) becomes the witness.
     """
     ident = spec.evaluate
-    if not isinstance(ident, Identity):
-        basis = [basis_vec(dim, i) for i in range(dim)]
-        return _first_failure(spec.name, ((idx, *ident(*[basis[i] for i in idx])) for idx in
-                                          itertools.product(range(dim), repeat=spec.arity)))
-    if ident.results is None:
-        return _first_failure(spec.name, ident.basis_sides())
-    key = tuple([_canonical(ident.env[name]) for name in ident.law.names])
-    held = ident.results.get(ident.law)
-    if held is None or held[0] != key:
-        held = key, _first_failure(spec.name, ident.basis_sides())
-        ident.results[ident.law] = held
-    r = held[1]
-    return r if r.name == spec.name else AxiomResult(spec.name, r.passed, r.witness)
+    if isinstance(ident, Identity):
+        key = [_canonical(ident.env[name]) for name in ident.law.names]
+        held = ident.results.get(ident.law)
+        if held is None or held[0] != key:
+            held = ident.results[ident.law] = key, *_first_failure(ident.basis_sides())
+        return AxiomResult(spec.name, *held[1:])
+    basis = [basis_vec(dim, i) for i in range(dim)]
+    return AxiomResult(spec.name, *_first_failure((idx, *ident(*[basis[i] for i in idx]))
+                       for idx in itertools.product(range(dim), repeat=spec.arity)))
 
 
-def _first_failure(name: str, sides) -> AxiomResult:
+def _first_failure(sides) -> tuple:
+    """(passed, witness): the first (indices, lhs, rhs) with lhs != rhs."""
     for idx, lhs, rhs in sides:
         if lhs != rhs:
-            return AxiomResult(name, False, Witness(tuple(i + 1 for i in idx), lhs, rhs))
-    return AxiomResult(name, True, None)
+            return False, Witness(tuple(i + 1 for i in idx), lhs, rhs)
+    return True, None
 
 
 @functools.cache  # on first use: a fresh process imports without building any law
@@ -847,10 +832,8 @@ def _epsilon_mul_rows(b: EpsilonHomBialgebra) -> list[AxiomResult]:
             for s in _specs("epsilon-product", {"mul": b.mul, "alpha": b.alpha})]
 
 
-def _epsilon_delta_rows(b: EpsilonHomBialgebra, until_failure: bool = False
-                        ) -> list[AxiomResult]:
-    """Prerequisites involving the coproduct; ``until_failure`` stops after
-    the first failing row."""
+def _epsilon_delta_rows(b: EpsilonHomBialgebra, until_failure: bool = False) -> list[AxiomResult]:
+    """Prerequisites involving the coproduct, to the first failure if ``until_failure``."""
     rows = []
     for s in _specs("epsilon-coproduct", _bialgebra_env(b)):
         rows.append(check_identity(s, b.dim))

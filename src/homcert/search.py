@@ -21,10 +21,9 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetError, CertificationError, InputError, UnsupportedError
 from .exactlin import ONE, ZERO, Matrix, Tensor3, nullspace, rat, rref
-from .homcore import (AxiomSpec, EpsilonHomBialgebra, HomAlgebra, Identity,
-                      _declare_identities, _epsilon_delta_rows, _epsilon_mul_rows,
-                      certification_scope, check_axioms, check_identity, check_rota_baxter,
-                      linear_rows, require_certified, yau_twist)
+from .homcore import (AxiomSpec, EpsilonHomBialgebra, HomAlgebra, Identity, _declare_identities,
+                      _epsilon_delta_rows, _epsilon_mul_rows, certification_scope, check_axioms,
+                      check_identity, check_rota_baxter, linear_rows, require_certified, yau_twist)
 from .functors import FunctorResult
 from .hommod import HomModule, check_oop
 
@@ -72,8 +71,7 @@ class PostLieCandidateSpace:
 
 
 def _postlie_spec(l: HomAlgebra, product: Tensor3, name: str) -> AxiomSpec:
-    """The declared post-Lie axiom ``name`` alone, bound to l's bracket and
-    twist and a candidate product in the active scope (or a fresh one)."""
+    """The declared post-Lie axiom ``name`` alone, for l and a candidate product."""
     law, = (law for law in _declare_identities()["hom-postlie"] if law.name == name)
     env = {"bracket": l.op("bracket"), "mul": product, "alpha": l.alpha}
     return AxiomSpec(name, law.arity, Identity(law, env))
@@ -188,15 +186,12 @@ def _require_box(what: str, cells: int, bound: int, max_candidates: int) -> None
 
 
 def _operator_box(group: str, env: dict, unknown: str, rows: int, cols: int,
-                  bound: int, certified: Callable[[Matrix], bool]) -> list[Matrix]:
+                  bound: int) -> list[Matrix]:
     """The integer rows x cols matrices in the box on which the group's
-    declared laws (linear in the unknown) hold and that pass ``certified``,
-    all checked in one certification scope."""
-    with certification_scope():
-        system = linear_rows(_declare_identities()[group], env, unknown, (rows, cols))
-        return [t for t in (Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)])
-                            for flat in _box_points_in_kernel(system, rows * cols, bound))
-                if certified(t)]
+    declared laws (linear in the unknown) hold."""
+    system = linear_rows(_declare_identities()[group], env, unknown, (rows, cols))
+    return [Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)])
+            for flat in _box_points_in_kernel(system, rows * cols, bound)]
 
 
 def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
@@ -212,8 +207,9 @@ def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
     if a.dim != m.algebra.dim:
         raise InputError(f"module is over a dim-{m.algebra.dim} algebra, not dim {a.dim}")
     env = {"alpha": m.algebra.alpha, "beta": m.beta}
-    return _operator_box("oop-twist-compat", env, "T", a.dim, m.mdim, entry_bound,
-                         lambda t: check_oop(t, m).passed)
+    box = _operator_box("oop-twist-compat", env, "T", a.dim, m.mdim, entry_bound)
+    with certification_scope():
+        return [t for t in box if check_oop(t, m).passed]
 
 
 def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
@@ -227,8 +223,9 @@ def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
     if entry_bound < 0:
         raise InputError("entry_bound must be non-negative")
     _require_box("operator", a.dim * a.dim, entry_bound, max_candidates)
-    return _operator_box("commutes-with-twist", {"alpha": a.alpha}, "r", a.dim, a.dim,
-                         entry_bound, lambda r: check_rota_baxter(a, r, weight).passed)
+    box = _operator_box("commutes-with-twist", {"alpha": a.alpha}, "r", a.dim, a.dim, entry_bound)
+    with certification_scope():
+        return [r for r in box if check_rota_baxter(a, r, weight).passed]
 
 
 def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int = 1,
