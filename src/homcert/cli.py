@@ -43,7 +43,7 @@ def _paint(text: str, code: str) -> str:
 
 
 def _fmt_vec(values) -> str:
-    return "(" + ", ".join(str(v) for v in values) + ")"
+    return "(" + ", ".join(map(rat_str, values)) + ")"
 
 
 def render_report(report: CertReport, out=None) -> None:
@@ -66,8 +66,8 @@ def report_to_doc(report: CertReport) -> dict:
         entry = {"name": row.name, "passed": row.passed}
         if row.witness is not None:
             entry["witness"] = {"indices": list(row.witness.indices),
-                                "lhs": [str(v) for v in row.witness.lhs],
-                                "rhs": [str(v) for v in row.witness.rhs]}
+                                "lhs": list(map(rat_str, row.witness.lhs)),
+                                "rhs": list(map(rat_str, row.witness.rhs))}
         rows.append(entry)
     return {"passed": report.passed, "axioms": rows}
 

@@ -188,6 +188,8 @@ def load_json(path: str) -> dict:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8, ...
         raise InputError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
 
 
 def save_json(path: str, doc: dict):

@@ -13,6 +13,7 @@ of the ``j``-th basis vector.  Vectors are plain tuples of scalars.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -44,7 +45,11 @@ def rat(value):
 
 def rat_str(q) -> str:
     """Render canonically: "p/q", or just "p" when the denominator is 1."""
-    return str(q)
+    try:
+        return str(q)
+    except ValueError:  # past the int-to-str digit limit; Decimal renders ints of any size
+        n, d = q.numerator, q.denominator
+        return str(Decimal(n)) + ("" if d == 1 else "/" + str(Decimal(d)))
 
 
 def exact_div(a, b):

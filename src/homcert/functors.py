@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError, PreconditionError
-from .exactlin import ZERO, Matrix, Tensor3, rat
+from .exactlin import ZERO, Matrix, Tensor3, block_diag, rat
 from .homcore import (AxiomResult, CertReport, HomAlgebra, check_axioms, check_predicate,
                       check_rota_baxter, require_certified)
 from .hommod import (HomModule, check_module_axioms, check_oop,
@@ -99,10 +99,8 @@ def rb_dendriform(a: HomAlgebra, r: Matrix, weight=0) -> FunctorResult:
     if a.kind != "hom-associative":
         raise InputError("rb_dendriform expects a hom-associative algebra")
     require_certified(a)
-    rb = check_rota_baxter(a, r, weight)
-    if not rb.passed:
-        failing = ", ".join(x.name for x in rb.failing())
-        raise PreconditionError(f"operator fails Rota-Baxter preconditions: {failing}", rb)
+    check_rota_baxter(a, r, weight).require(
+        PreconditionError, "operator fails Rota-Baxter preconditions")
     mul = a.op("mul")
     left = mul.precompose(Matrix.identity(a.dim), r) - mul
     right = mul.precompose(r, Matrix.identity(a.dim)) + mul
@@ -151,10 +149,25 @@ def adjoint_bimodule(a: HomAlgebra) -> HomModule:
 
 def _require_oop(t: Matrix, m: HomModule):
     require_module_certified(m)
-    report = check_oop(t, m)
-    if not report.passed:
-        failing = ", ".join(r.name for r in report.failing())
-        raise PreconditionError(f"operator fails O-operator conditions: {failing}", report)
+    check_oop(t, m).require(PreconditionError, "operator fails O-operator conditions")
+
+
+def _oop_actions(m: HomModule, t: Matrix, name: str) -> list[Matrix]:
+    """The ``name`` action of T(e_i) for each carrier basis index i."""
+    return [m.act(name, t.column(i)) for i in range(m.mdim)]
+
+
+def _carrier_tensor(mats: Sequence[Matrix], transpose: bool = False) -> Tensor3:
+    """e_i . e_j = column j of mats[i], or column i of mats[j] if ``transpose``."""
+    d = len(mats)
+    return Tensor3.from_basis_products(d, d, d, (lambda i, j: mats[j].column(i)) if transpose
+                                       else (lambda i, j: mats[i].column(j)))
+
+
+def _assoc_oop_products(m: HomModule, t: Matrix) -> tuple[Tensor3, Tensor3]:
+    """u . v = r(T(v)) u and u . v = l(T(u)) v on the carrier."""
+    return (_carrier_tensor(_oop_actions(m, t, "r"), transpose=True),
+            _carrier_tensor(_oop_actions(m, t, "l")))
 
 
 def oop_lie_to_prelie(l: HomAlgebra, rho: HomModule, t: Matrix) -> FunctorResult:
@@ -165,10 +178,8 @@ def oop_lie_to_prelie(l: HomAlgebra, rho: HomModule, t: Matrix) -> FunctorResult
         raise InputError("expected a lie representation or module")
     require_certified(l)
     _require_oop(t, rho)
-    m = rho.mdim
-    mul = Tensor3.from_basis_products(
-        m, m, m, lambda i, j: rho.act("rho", t.column(i)).column(j))
-    out = HomAlgebra(m, "hom-prelie", {"mul": mul}, rho.beta)
+    mul = _carrier_tensor(_oop_actions(rho, t, "rho"))
+    out = HomAlgebra(rho.mdim, "hom-prelie", {"mul": mul}, rho.beta)
     return _result("oop-lie-to-prelie", out, [l.digest(), rho.digest()])
 
 
@@ -178,12 +189,8 @@ def oop_assoc_to_dendriform(a: HomAlgebra, m: HomModule, t: Matrix) -> FunctorRe
         raise InputError("expected a bimodule over the given hom-associative algebra")
     require_certified(a)
     _require_oop(t, m)
-    d = m.mdim
-    left = Tensor3.from_basis_products(
-        d, d, d, lambda i, j: m.act("r", t.column(j)).column(i))
-    right = Tensor3.from_basis_products(
-        d, d, d, lambda i, j: m.act("l", t.column(i)).column(j))
-    out = HomAlgebra(d, "hom-dendriform", {"left": left, "right": right}, m.beta)
+    left, right = _assoc_oop_products(m, t)
+    out = HomAlgebra(m.mdim, "hom-dendriform", {"left": left, "right": right}, m.beta)
     return _result("oop-assoc-to-dendriform", out, [a.digest(), m.digest()])
 
 
@@ -193,11 +200,8 @@ def oop_assoc_to_prelie(a: HomAlgebra, m: HomModule, t: Matrix) -> FunctorResult
         raise InputError("expected a bimodule over the given hom-associative algebra")
     require_certified(a)
     _require_oop(t, m)
-    d = m.mdim
-    mul = Tensor3.from_basis_products(
-        d, d, d,
-        lambda i, j: (m.act("l", t.column(i)) - m.act("r", t.column(i))).column(j))
-    out = HomAlgebra(d, "hom-prelie", {"mul": mul}, m.beta)
+    mul = _carrier_tensor([l - r for l, r in zip(_oop_actions(m, t, "l"), _oop_actions(m, t, "r"))])
+    out = HomAlgebra(m.mdim, "hom-prelie", {"mul": mul}, m.beta)
     return _result("oop-assoc-to-prelie", out, [a.digest(), m.digest()])
 
 
@@ -207,12 +211,8 @@ def oop_assoc_to_ldendriform(a: HomAlgebra, m: HomModule, t: Matrix) -> FunctorR
         raise InputError("expected a bimodule over the given hom-associative algebra")
     require_certified(a)
     _require_oop(t, m)
-    d = m.mdim
-    tleft = Tensor3.from_basis_products(
-        d, d, d, lambda i, j: m.act("r", t.column(j)).column(i))
-    tright = Tensor3.from_basis_products(
-        d, d, d, lambda i, j: m.act("l", t.column(i)).column(j))
-    out = HomAlgebra(d, "hom-l-dendriform", {"tleft": tleft, "tright": tright}, m.beta)
+    tleft, tright = _assoc_oop_products(m, t)
+    out = HomAlgebra(m.mdim, "hom-l-dendriform", {"tleft": tleft, "tright": tright}, m.beta)
     return _result("oop-assoc-to-ldendriform", out, [a.digest(), m.digest()])
 
 
@@ -254,10 +254,8 @@ def oop_prelie_to_dendriform(a: HomAlgebra, m: HomModule, t: Matrix) -> DualCert
     require_certified(a)
     _require_oop(t, m)
     d = m.mdim
-    tleft = Tensor3.from_basis_products(
-        d, d, d, lambda i, j: m.act("l", t.column(i)).column(j))
-    tright = Tensor3.from_basis_products(
-        d, d, d, lambda i, j: tuple(-x for x in m.act("r", t.column(i)).column(j)))
+    tleft = _carrier_tensor(_oop_actions(m, t, "l"))
+    tright = _carrier_tensor([-r for r in _oop_actions(m, t, "r")])
     inputs = [a.digest(), m.digest()]
     dend = HomAlgebra(d, "hom-dendriform", {"left": tleft, "right": tright}, m.beta)
     ldend = HomAlgebra(d, "hom-l-dendriform", {"tleft": tleft, "tright": tright}, m.beta)
@@ -372,7 +370,6 @@ def ldend_semidirect(a: HomAlgebra, m: HomModule) -> FunctorResult:
 
         return Tensor3.from_basis_products(total, total, total, product)
 
-    from .exactlin import block_diag
     out = HomAlgebra(total, "hom-l-dendriform",
                      {"tleft": build(a.op("tleft"), "lt", "rt"),
                       "tright": build(a.op("tright"), "lr", "rr")},

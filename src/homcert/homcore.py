@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .exactlin import (ONE, ZERO, Matrix, Tensor3, basis_vec, mat_mul, nullspace, rat,
@@ -138,19 +138,16 @@ class CertReport:
     def failing(self) -> tuple[AxiomResult, ...]:
         return tuple(r for r in self.axioms if not r.passed)
 
+    def require(self, error: type, message: str) -> "CertReport":
+        """The report if it passed; else raise error("message: failing rows", report)."""
+        if not self.passed:
+            raise error(f"{message}: {', '.join(r.name for r in self.failing())}", self)
+        return self
+
     def merged_with(self, other: "CertReport", prefix_self="", prefix_other="") -> "CertReport":
         rows = [AxiomResult(prefix_self + r.name, r.passed, r.witness) for r in self.axioms]
         rows += [AxiomResult(prefix_other + r.name, r.passed, r.witness) for r in other.axioms]
         return CertReport.from_results(rows)
-
-
-@dataclass(frozen=True)
-class AxiomSpec:
-    """One multilinear identity, split as lhs == rhs on r-tuples of vectors."""
-
-    name: str
-    arity: int
-    evaluate: Callable[..., tuple]  # (*vectors) -> (lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +389,13 @@ def _canonical(obj):
 
 
 class Identity:
-    """A law bound to env in ``scope``, the active or a fresh one by default.
-    Called on dense vectors it returns both dense sides (AxiomSpec.evaluate)."""
+    """A law bound to env in the active scope, or a fresh one: one report
+    row, named by the law's name plus ``suffix``.  Called on dense vectors
+    it returns both dense sides."""
 
-    def __init__(self, law: Law, env: Mapping, scope: Optional[tuple] = None):
-        self.law, self.env = law, env
-        self.tables, self.results = scope or _SCOPE.get() or ({}, {})
+    def __init__(self, law: Law, env: Mapping, suffix: str = ""):
+        self.law, self.env, self.name = law, env, law.name + suffix
+        self.tables, self.results = _SCOPE.get() or ({}, {})
 
     def bind(self):
         """(tables, dims, m): lookup tables for the bound names, held in the
@@ -436,11 +434,10 @@ class Identity:
             yield idx, _dense(fl(idx, tables), m), _dense(fr(idx, tables), m)
 
 
-def _specs(group: str, env: Mapping, suffix: str = "") -> list[AxiomSpec]:
-    """The group's declared laws bound to env, as specs in one scope."""
-    scope = _SCOPE.get() or ({}, {})
-    return [AxiomSpec(law.name + suffix, law.arity, Identity(law, env, scope))
-            for law in _declare_identities()[group]]
+def _specs(group: str, env: Mapping, suffix: str = "") -> list[Identity]:
+    """The group's declared laws bound to env, in one scope."""
+    with certification_scope():
+        return [Identity(law, env, suffix) for law in _declare_identities()[group]]
 
 
 def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, shape: tuple) -> Matrix:
@@ -464,24 +461,16 @@ def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, shape: tuple) -
     return Matrix.from_columns(columns)
 
 
-def check_identity(spec: AxiomSpec, dim: int) -> AxiomResult:
-    """Evaluate an identity on all basis tuples, lexicographic order.
-
-    A declared Identity runs on basis indices, each variable over its own
-    space, unless its law's last binding in the scope had equal canonical
-    data; any other evaluate gets dense basis vectors of length dim.  The
-    first failing tuple (minimal in lex order) becomes the witness.
-    """
-    ident = spec.evaluate
-    if isinstance(ident, Identity):
-        key = [_canonical(ident.env[name]) for name in ident.law.names]
-        held = ident.results.get(ident.law)
-        if held is None or held[0] != key:
-            held = ident.results[ident.law] = key, *_first_failure(ident.basis_sides())
-        return AxiomResult(spec.name, *held[1:])
-    basis = [basis_vec(dim, i) for i in range(dim)]
-    return AxiomResult(spec.name, *_first_failure((idx, *ident(*[basis[i] for i in idx]))
-                       for idx in itertools.product(range(dim), repeat=spec.arity)))
+def check_identity(ident: Identity) -> AxiomResult:
+    """Evaluate an identity on all basis tuples, lexicographic order, each
+    variable over its own space, unless its law's last binding in the scope
+    had equal canonical data.  The first failing tuple (minimal in lex
+    order) becomes the witness."""
+    key = [_canonical(ident.env[name]) for name in ident.law.names]
+    held = ident.results.get(ident.law)
+    if held is None or held[0] != key:
+        held = ident.results[ident.law] = key, *_first_failure(ident.basis_sides())
+    return AxiomResult(ident.name, *held[1:])
 
 
 def _first_failure(sides) -> tuple:
@@ -690,11 +679,11 @@ def _declare_identities():
 
 def hom_associator(a: HomAlgebra, x, y, z) -> tuple:
     """(x.y).alpha(z) - alpha(x).(y.z) for the algebra's "mul" product."""
-    spec, = _specs("hom-associative", {"mul": a.op("mul"), "alpha": a.alpha})
-    return vec_sub(*spec.evaluate(x, y, z))
+    ident, = _specs("hom-associative", {"mul": a.op("mul"), "alpha": a.alpha})
+    return vec_sub(*ident(x, y, z))
 
 
-def kind_axioms(a: HomAlgebra) -> list[AxiomSpec]:
+def kind_axioms(a: HomAlgebra) -> list[Identity]:
     """The defining identities of the algebra's declared kind."""
     return _specs(a.kind, {**a.ops, "alpha": a.alpha})
 
@@ -705,7 +694,7 @@ def kind_axioms(a: HomAlgebra) -> list[AxiomSpec]:
 PREDICATES = ("multiplicative", "left-commutative", "lie-admissible")
 
 
-def predicate_axioms(a: HomAlgebra, name: str) -> list[AxiomSpec]:
+def predicate_axioms(a: HomAlgebra, name: str) -> list[Identity]:
     al = a.alpha
     if name == "multiplicative":
         return [spec for op_name in a.op_names()
@@ -721,19 +710,15 @@ def predicate_axioms(a: HomAlgebra, name: str) -> list[AxiomSpec]:
 def check_axioms(a: HomAlgebra, predicates: Sequence[str] = ()) -> CertReport:
     """Certify the algebra against its kind's axioms plus optional predicates."""
     specs = kind_axioms(a) + [s for p in predicates for s in predicate_axioms(a, p)]
-    return CertReport.from_results([check_identity(s, a.dim) for s in specs])
+    return CertReport.from_results([check_identity(s) for s in specs])
 
 
 def check_predicate(a: HomAlgebra, name: str) -> CertReport:
-    return CertReport.from_results([check_identity(s, a.dim) for s in predicate_axioms(a, name)])
+    return CertReport.from_results([check_identity(s) for s in predicate_axioms(a, name)])
 
 
 def require_certified(a: HomAlgebra, what: str = "input algebra") -> CertReport:
-    report = check_axioms(a)
-    if not report.passed:
-        failing = ", ".join(r.name for r in report.failing())
-        raise PreconditionError(f"{what} fails {a.kind} axioms: {failing}", report)
-    return report
+    return check_axioms(a).require(PreconditionError, f"{what} fails {a.kind} axioms")
 
 
 # ---------------------------------------------------------------------------
@@ -745,11 +730,11 @@ def check_morphism(f: Matrix, a: HomAlgebra, b: HomAlgebra) -> CertReport:
         raise InputError(f"morphism kind mismatch: {a.kind} vs {b.kind}")
     if f.rows != b.dim or f.cols != a.dim:
         raise InputError(f"morphism must be {b.dim}x{a.dim}, got {f.rows}x{f.cols}")
-    rows = [check_identity(s, a.dim) for s in _specs(
+    rows = [check_identity(s) for s in _specs(
         "intertwines-twists", {"f": f, "alpha": a.alpha, "target-alpha": b.alpha})]
     for name in a.op_names():
         env = {"source": a.ops[name], "target": b.ops[name], "f": f}
-        rows += [check_identity(s, a.dim) for s in _specs("preserves", env, f":{name}")]
+        rows += [check_identity(s) for s in _specs("preserves", env, f":{name}")]
     return CertReport.from_results(rows)
 
 
@@ -764,7 +749,7 @@ def check_rota_baxter(a: HomAlgebra, r: Matrix, weight) -> CertReport:
     if r.rows != a.dim or r.cols != a.dim:
         raise InputError(f"operator must be {a.dim}x{a.dim}")
     env = {"mul": a.single_op(), "r": r, "weight": weight, "alpha": a.alpha}
-    return CertReport.from_results([check_identity(s, a.dim) for s in (
+    return CertReport.from_results([check_identity(s) for s in (
         _specs("rota-baxter", env) + _specs("commutes-with-twist", env))])
 
 
@@ -775,10 +760,7 @@ def yau_twist(a: HomAlgebra, g: Matrix) -> HomAlgebra:
     endomorphism commuting with alpha (checked), which makes every axiom
     system considered here stable under the twist.
     """
-    report = check_morphism(g, a, a)
-    if not report.passed:
-        failing = ", ".join(x.name for x in report.failing())
-        raise PreconditionError(f"yau twist map is not an endomorphism: {failing}", report)
+    check_morphism(g, a, a).require(PreconditionError, "yau twist map is not an endomorphism")
     new_ops = {name: t.postcompose(g) for name, t in a.ops.items()}
     return HomAlgebra(a.dim, a.kind, new_ops, mat_mul(g, a.alpha))
 
@@ -828,7 +810,7 @@ def _bialgebra_env(b: EpsilonHomBialgebra) -> dict:
 
 def _epsilon_mul_rows(b: EpsilonHomBialgebra) -> list[AxiomResult]:
     """Prerequisites touching only the product and the twist."""
-    return [check_identity(s, b.dim)
+    return [check_identity(s)
             for s in _specs("epsilon-product", {"mul": b.mul, "alpha": b.alpha})]
 
 
@@ -836,7 +818,7 @@ def _epsilon_delta_rows(b: EpsilonHomBialgebra, until_failure: bool = False) -> 
     """Prerequisites involving the coproduct, to the first failure if ``until_failure``."""
     rows = []
     for s in _specs("epsilon-coproduct", _bialgebra_env(b)):
-        rows.append(check_identity(s, b.dim))
+        rows.append(check_identity(s))
         if until_failure and not rows[-1].passed:
             break
     return rows
@@ -877,7 +859,7 @@ def _end_alpha_rows(b: EpsilonHomBialgebra, basis: Sequence[Matrix]) -> list[Axi
            "left-alpha": b.alpha.kron(one), "right-alpha": one.kron(b.alpha.transpose()),
            # row x*n+p of conv is entry (p, x) of R(f)
            "R": Matrix([conv.row(x * n + p) for p in range(n) for x in range(n)])}
-    return [check_identity(s, n) for s in _specs("end-alpha", env)]
+    return [check_identity(s) for s in _specs("end-alpha", env)]
 
 
 def convolution_rb(b: EpsilonHomBialgebra) -> CertReport:

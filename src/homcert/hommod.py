@@ -24,9 +24,8 @@ from typing import Mapping, Sequence
 
 from .errors import CertificationError, InputError, PreconditionError
 from .exactlin import Matrix, Tensor3, basis_index, block_diag, mat_mul, rat_str
-from .homcore import (AxiomSpec, CertReport, HomAlgebra, canonical_algebra_key,
-                      certification_scope, check_axioms, check_identity, check_morphism,
-                      check_predicate, _digest, _specs)
+from .homcore import (CertReport, HomAlgebra, Identity, canonical_algebra_key, check_axioms,
+                      check_identity, check_morphism, check_predicate, _digest, _specs)
 
 MODULE_KINDS = {
     "assoc-bimodule": ("hom-associative", ("l", "r")),
@@ -125,7 +124,7 @@ def _module_env(m: HomModule) -> dict:
             **{name: _Action(fam, m.mdim) for name, fam in m.actions.items()}}
 
 
-def module_axioms(m: HomModule, strict_twist_commute: bool = False) -> list[AxiomSpec]:
+def module_axioms(m: HomModule, strict_twist_commute: bool = False) -> list[Identity]:
     """The axiom system of the module's kind, declared in ``homcore``; a
     post-Lie module with ``strict_twist_commute`` also gets the literal
     twist rows."""
@@ -137,23 +136,16 @@ def check_module_axioms(m: HomModule, strict_twist_commute: bool = False) -> Cer
     """Certify the module against its axiom system.  Witness indices are the
     algebra basis indices, then the first carrier index (the matrix column)
     where the sides differ."""
-    return CertReport.from_results([check_identity(s, m.algebra.dim)
+    return CertReport.from_results([check_identity(s)
                                     for s in module_axioms(m, strict_twist_commute)])
 
 
 def require_module_certified(m: HomModule, what="input module") -> CertReport:
-    report = check_module_axioms(m)
-    if not report.passed:
-        failing = ", ".join(r.name for r in report.failing())
-        raise PreconditionError(f"{what} fails {m.kind} axioms: {failing}", report)
-    return report
+    return check_module_axioms(m).require(PreconditionError, f"{what} fails {m.kind} axioms")
 
 
 def _certified_output(m: HomModule, what: str) -> HomModule:
-    report = check_module_axioms(m)
-    if not report.passed:
-        failing = ", ".join(r.name for r in report.failing())
-        raise CertificationError(f"{what} fails certification: {failing}", report)
+    check_module_axioms(m).require(CertificationError, f"{what} fails certification")
     return m
 
 
@@ -332,19 +324,16 @@ def twist_beta(m: HomModule, b: Matrix, bm: Matrix) -> tuple[HomAlgebra, HomModu
     if m.kind != "postlie-module":
         raise InputError("twist_beta expects a postlie-module")
     a = m.algebra
-    morphism = check_morphism(b, a, a)
-    if not morphism.passed:
-        failing = ", ".join(r.name for r in morphism.failing())
-        raise PreconditionError(f"b is not an algebra endomorphism: {failing}", morphism)
+    check_morphism(b, a, a).require(PreconditionError, "b is not an algebra endomorphism")
     if bm.rows != m.mdim or bm.cols != m.mdim:
         raise InputError(f"bM must be {m.mdim}x{m.mdim}, got {bm.rows}x{bm.cols}")
     commutes, = _specs("commutes-with-twist", {"r": bm, "alpha": m.beta})
-    if not check_identity(commutes, m.mdim).passed:
+    if not check_identity(commutes).passed:
         raise PreconditionError("bM does not commute with the module twist")
     for name in ("diamond", "bullet"):
-        spec, = _specs("intertwines-action",
-                       {"act": _Action(m.action(name), m.mdim), "b": b, "bM": bm})
-        row = check_identity(spec, a.dim)
+        ident, = _specs("intertwines-action",
+                        {"act": _Action(m.action(name), m.mdim), "b": b, "bM": bm})
+        row = check_identity(ident)
         if not row.passed:
             raise PreconditionError(f"bM does not intertwine the {name} action with b "
                                     f"(basis index {row.witness.indices[0]})")
@@ -378,6 +367,5 @@ def check_oop(t: Matrix, m: HomModule) -> CertReport:
     if m.kind not in OOP_LAWS:
         raise InputError(f"O-operators are not defined for module kind {m.kind!r}")
     env = {**_module_env(m), "T": t}
-    with certification_scope():
-        return CertReport.from_results([check_identity(s, m.mdim) for group in (
-            "oop-twist-compat", OOP_LAWS[m.kind]) for s in _specs(group, env)])
+    return CertReport.from_results([check_identity(s) for group in (
+        "oop-twist-compat", OOP_LAWS[m.kind]) for s in _specs(group, env)])

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetError, CertificationError, InputError, UnsupportedError
 from .exactlin import ONE, ZERO, Matrix, Tensor3, nullspace, rat, rref
-from .homcore import (AxiomSpec, EpsilonHomBialgebra, HomAlgebra, Identity, _declare_identities,
+from .homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, Identity, _declare_identities,
                       _epsilon_delta_rows, _epsilon_mul_rows, certification_scope, check_axioms,
                       check_identity, check_rota_baxter, linear_rows, require_certified, yau_twist)
 from .functors import FunctorResult
@@ -70,11 +70,10 @@ class PostLieCandidateSpace:
     rank: int
 
 
-def _postlie_spec(l: HomAlgebra, product: Tensor3, name: str) -> AxiomSpec:
+def _postlie_spec(l: HomAlgebra, product: Tensor3, name: str) -> Identity:
     """The declared post-Lie axiom ``name`` alone, for l and a candidate product."""
     law, = (law for law in _declare_identities()["hom-postlie"] if law.name == name)
-    env = {"bracket": l.op("bracket"), "mul": product, "alpha": l.alpha}
-    return AxiomSpec(name, law.arity, Identity(law, env))
+    return Identity(law, {"bracket": l.op("bracket"), "mul": product, "alpha": l.alpha})
 
 
 def postlie_candidate_space(l: HomAlgebra) -> PostLieCandidateSpace:
@@ -83,7 +82,7 @@ def postlie_candidate_space(l: HomAlgebra) -> PostLieCandidateSpace:
     basis = []
     for v in nullspace(system):
         t = Tensor3(n, n, n, v.column(0))
-        if not check_identity(_postlie_spec(l, t, "postlie-bracket-compatibility"), n).passed:
+        if not check_identity(_postlie_spec(l, t, "postlie-bracket-compatibility")).passed:
             raise AssertionError(
                 "nullspace tensor fails re-evaluation of the linear identity")
         basis.append(t)
@@ -126,7 +125,7 @@ def postlie_search(l: HomAlgebra, combo_bound: int,
     survivors = []
     with certification_scope():
         for coeffs, mul in iter_postlie_candidates(l, combo_bound, max_candidates):
-            if check_identity(_postlie_spec(l, mul, TWISTED_LEFT_SYMMETRY), l.dim).passed:
+            if check_identity(_postlie_spec(l, mul, TWISTED_LEFT_SYMMETRY)).passed:
                 out = HomAlgebra(l.dim, "hom-postlie",
                                  {"bracket": l.op("bracket"), "mul": mul}, l.alpha)
                 cert = check_axioms(out)
@@ -452,7 +451,6 @@ CATALOG = _build_catalog()
 
 
 def _zero_ops(kind: str, dim: int) -> dict[str, Tensor3]:
-    from .homcore import KIND_OPS
     names = KIND_OPS[kind] or ("mul",)
     return {name: Tensor3.zeros(dim) for name in names}
 
@@ -499,8 +497,7 @@ def _generate(spec: RandomInstanceSpec) -> HomAlgebra:
             for _ in range(40):
                 cand = _combination(spec.dim, space.basis,
                                     [rng.randint(-1, 1) for _ in space.basis])
-                if check_identity(_postlie_spec(lie, cand, TWISTED_LEFT_SYMMETRY),
-                                  spec.dim).passed:
+                if check_identity(_postlie_spec(lie, cand, TWISTED_LEFT_SYMMETRY)).passed:
                     product = cand
                     break
         out = HomAlgebra(spec.dim, "hom-postlie",

@@ -14,11 +14,22 @@ those lookups, as the coproduct search's residual last used them
 """
 
 import itertools
+from dataclasses import dataclass
+from typing import Callable
 
 from homcert.errors import InputError, PreconditionError
 from homcert.exactlin import (ZERO, Matrix, basis_vec, bilinear_eval, mat_mul, nullspace,
                               rat, vec_add, vec_neg, vec_scale, vec_sub, zero_vec)
-from homcert.homcore import AxiomResult, AxiomSpec, CertReport, Witness
+from homcert.homcore import AxiomResult, CertReport, Witness
+
+
+@dataclass(frozen=True)
+class AxiomSpec:
+    """One multilinear identity, split as lhs == rhs on r-tuples of vectors."""
+
+    name: str
+    arity: int
+    evaluate: Callable[..., tuple]  # (*vectors) -> (lhs, rhs)
 
 
 def _matrix_equation_result(name, lhs, rhs):

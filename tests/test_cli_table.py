@@ -9,6 +9,7 @@ import json
 import os
 import re
 import tempfile
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,11 +206,32 @@ def test_check_directory_is_input_error(indir, capsys):
     assert "input error: " in capsys.readouterr().err
 
 
-def test_check_non_utf8_file_is_input_error(tmp_path, capsys):
-    path = tmp_path / "latin1.json"
-    path.write_bytes(b'{"kind": "\xe9"}')
+@pytest.mark.parametrize("content", [b'{"kind": "\xe9"}', b"[" * 200000 + b"]" * 200000],
+                         ids=["non-utf8", "nested-past-the-recursion-limit"])
+def test_check_unreadable_file_is_input_error(tmp_path, capsys, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
     assert main(["check", str(path)]) == 2
     assert "input error: " in capsys.readouterr().err
+
+
+def test_rationals_past_the_str_digit_limit_are_written_exactly(tmp_path, capsys):
+    """Witnesses, reports and documents hold rationals with more digits than
+    str(int) converts: a 3000-digit twist squared, a 3000-digit product scaled."""
+    big = "9" * 3000
+    squared = str(Decimal(int(big) ** 2))
+    algebra = {"schema_version": "1", "kind": "hom-associative", "dim": 1,
+               "alpha": [[big]], "ops": {"mul": [[["1"]]]}}
+    docs.save_json(str(tmp_path / "a.json"), algebra)
+    assert main(["check", str(tmp_path / "a.json"), "--predicate", "multiplicative"]) == 1
+    assert f"lhs=({big}) rhs=({squared})" in capsys.readouterr().out
+    postlie = {"schema_version": "1", "kind": "hom-postlie", "dim": 1, "alpha": [["1"]],
+               "ops": {"bracket": [[["0"]]], "mul": [[[big]]]}}
+    docs.save_json(str(tmp_path / "l.json"), postlie)
+    out = str(tmp_path / "scaled.json")
+    assert main(["derive", "scale", str(tmp_path / "l.json"), "--k", big, "--out", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        assert json.load(fh)["ops"]["mul"] == [[[squared]]]
 
 
 def test_derive_out_in_missing_directory_is_input_error(indir, tmp_path, capsys):

@@ -72,7 +72,7 @@ def test_witness_reproducible():
     row = check_axioms(a).axiom("hom-associativity")
     spec = kind_axioms(a)[0]
     vectors = [basis_vec(2, i - 1) for i in row.witness.indices]
-    lhs, rhs = spec.evaluate(*vectors)
+    lhs, rhs = spec(*vectors)
     assert (lhs, rhs) == (row.witness.lhs, row.witness.rhs)
 
 
@@ -103,11 +103,11 @@ def test_random_vector_equivalence():
     ]
     for a in instances:
         for spec in kind_axioms(a):
-            basis_ok = check_identity(spec, a.dim).passed
+            basis_ok = check_identity(spec).passed
             defect_seen = False
             for _ in range(50):
-                vectors = [random_vec(a.dim) for _ in range(spec.arity)]
-                lhs, rhs = spec.evaluate(*vectors)
+                vectors = [random_vec(a.dim) for _ in range(spec.law.arity)]
+                lhs, rhs = spec(*vectors)
                 if lhs != rhs:
                     defect_seen = True
             # basis check passes iff no random defect appears; random vectors

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a homcert module imports is used in it, and
-every private top-level function or class is used somewhere in the package.
+"""Source hygiene: every name a homcert module imports is used in it, no
+function imports, and every private top-level function or class is used
+somewhere in the package.
 
 Standard library only: each ``src/homcert/*.py`` is parsed with ``ast``; the
 import check skips the package's ``__init__.py``, which imports to re-export.
@@ -53,6 +54,25 @@ def test_scan_sees_an_unused_import():
         "Optional (line 1)"]
     assert unused_imports("import os.path\nos.sep\n") == []
     assert unused_imports('from .m import Matrix\ndef f() -> "Matrix": pass\n') == []
+
+
+def imports_in_functions(source: str) -> list[int]:
+    """Lines of the imports made inside a function body, nested ones included."""
+    return sorted({node.lineno for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("module", SOURCES)
+def test_no_imports_inside_functions(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert imports_in_functions(fh.read()) == []
+
+
+def test_scan_sees_an_import_inside_a_function():
+    source = ("import os\ndef f():\n    def g():\n        from . import m\n"
+              "    import sys\nclass C:\n    def h(self):\n        import re\n")
+    assert imports_in_functions(source) == [4, 5, 8]
 
 
 def _references(node) -> Counter:
