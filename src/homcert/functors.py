@@ -16,7 +16,7 @@ from .exactlin import ZERO, Matrix, Tensor3, block_diag, rat
 from .homcore import (AxiomResult, CertReport, HomAlgebra, check_axioms, check_predicate,
                       check_rota_baxter, require_certified)
 from .hommod import (HomModule, check_module_axioms, check_oop,
-                     require_module_certified)
+                     require_module_certified, _family)
 
 
 @dataclass(frozen=True)
@@ -115,31 +115,21 @@ def adjoint_bimodule(a: HomAlgebra) -> HomModule:
     """The algebra acting on itself by left/right multiplications, with the
     module kind matching the algebra kind."""
     require_certified(a)
-    n = a.dim
-    if a.kind == "hom-associative":
+    if a.kind in ("hom-associative", "hom-prelie"):
         mul = a.op("mul")
-        actions = {"l": tuple(mul.left_mult_matrix(i) for i in range(n)),
-                   "r": tuple(mul.right_mult_matrix(i) for i in range(n))}
-        kind = "assoc-bimodule"
-    elif a.kind == "hom-prelie":
-        mul = a.op("mul")
-        actions = {"l": tuple(mul.left_mult_matrix(i) for i in range(n)),
-                   "r": tuple(mul.right_mult_matrix(i) for i in range(n))}
-        kind = "prelie-bimodule"
+        actions = {"l": _family(mul), "r": _family(mul.swap_arguments())}
+        kind = "assoc-bimodule" if a.kind == "hom-associative" else "prelie-bimodule"
     elif a.kind == "hom-lie":
-        br = a.op("bracket")
-        actions = {"rho": tuple(br.left_mult_matrix(i) for i in range(n))}
+        actions = {"rho": _family(a.op("bracket"))}
         kind = "lie-representation"
     elif a.kind == "hom-l-dendriform":
         q, p = a.op("tleft"), a.op("tright")
-        actions = {"lt": tuple(q.left_mult_matrix(i) for i in range(n)),
-                   "rt": tuple(q.right_mult_matrix(i) for i in range(n)),
-                   "lr": tuple(p.left_mult_matrix(i) for i in range(n)),
-                   "rr": tuple(p.right_mult_matrix(i) for i in range(n))}
+        actions = {"lt": _family(q), "rt": _family(q.swap_arguments()),
+                   "lr": _family(p), "rr": _family(p.swap_arguments())}
         kind = "ldend-bimodule"
     else:
         raise InputError(f"no adjoint module for algebra kind {a.kind!r}")
-    module = HomModule(a, n, a.alpha, actions, kind)
+    module = HomModule(a, a.dim, a.alpha, actions, kind)
     require_module_certified(module, "adjoint module")
     return module
 
@@ -152,22 +142,9 @@ def _require_oop(t: Matrix, m: HomModule):
     check_oop(t, m).require(PreconditionError, "operator fails O-operator conditions")
 
 
-def _oop_actions(m: HomModule, t: Matrix, name: str) -> list[Matrix]:
-    """The ``name`` action of T(e_i) for each carrier basis index i."""
-    return [m.act(name, t.column(i)) for i in range(m.mdim)]
-
-
-def _carrier_tensor(mats: Sequence[Matrix], transpose: bool = False) -> Tensor3:
-    """e_i . e_j = column j of mats[i], or column i of mats[j] if ``transpose``."""
-    d = len(mats)
-    return Tensor3.from_basis_products(d, d, d, (lambda i, j: mats[j].column(i)) if transpose
-                                       else (lambda i, j: mats[i].column(j)))
-
-
-def _assoc_oop_products(m: HomModule, t: Matrix) -> tuple[Tensor3, Tensor3]:
-    """u . v = r(T(v)) u and u . v = l(T(u)) v on the carrier."""
-    return (_carrier_tensor(_oop_actions(m, t, "r"), transpose=True),
-            _carrier_tensor(_oop_actions(m, t, "l")))
+def _oop_product(m: HomModule, t: Matrix, name: str) -> Tensor3:
+    """u . v = name(T(u)) v on the carrier."""
+    return m.tensors[name].precompose(t, Matrix.identity(m.mdim))
 
 
 def oop_lie_to_prelie(l: HomAlgebra, rho: HomModule, t: Matrix) -> FunctorResult:
@@ -178,7 +155,7 @@ def oop_lie_to_prelie(l: HomAlgebra, rho: HomModule, t: Matrix) -> FunctorResult
         raise InputError("expected a lie representation or module")
     require_certified(l)
     _require_oop(t, rho)
-    mul = _carrier_tensor(_oop_actions(rho, t, "rho"))
+    mul = _oop_product(rho, t, "rho")
     out = HomAlgebra(rho.mdim, "hom-prelie", {"mul": mul}, rho.beta)
     return _result("oop-lie-to-prelie", out, [l.digest(), rho.digest()])
 
@@ -189,7 +166,7 @@ def oop_assoc_to_dendriform(a: HomAlgebra, m: HomModule, t: Matrix) -> FunctorRe
         raise InputError("expected a bimodule over the given hom-associative algebra")
     require_certified(a)
     _require_oop(t, m)
-    left, right = _assoc_oop_products(m, t)
+    left, right = _oop_product(m, t, "r").swap_arguments(), _oop_product(m, t, "l")
     out = HomAlgebra(m.mdim, "hom-dendriform", {"left": left, "right": right}, m.beta)
     return _result("oop-assoc-to-dendriform", out, [a.digest(), m.digest()])
 
@@ -200,7 +177,7 @@ def oop_assoc_to_prelie(a: HomAlgebra, m: HomModule, t: Matrix) -> FunctorResult
         raise InputError("expected a bimodule over the given hom-associative algebra")
     require_certified(a)
     _require_oop(t, m)
-    mul = _carrier_tensor([l - r for l, r in zip(_oop_actions(m, t, "l"), _oop_actions(m, t, "r"))])
+    mul = _oop_product(m, t, "l") - _oop_product(m, t, "r")
     out = HomAlgebra(m.mdim, "hom-prelie", {"mul": mul}, m.beta)
     return _result("oop-assoc-to-prelie", out, [a.digest(), m.digest()])
 
@@ -211,7 +188,7 @@ def oop_assoc_to_ldendriform(a: HomAlgebra, m: HomModule, t: Matrix) -> FunctorR
         raise InputError("expected a bimodule over the given hom-associative algebra")
     require_certified(a)
     _require_oop(t, m)
-    tleft, tright = _assoc_oop_products(m, t)
+    tleft, tright = _oop_product(m, t, "r").swap_arguments(), _oop_product(m, t, "l")
     out = HomAlgebra(m.mdim, "hom-l-dendriform", {"tleft": tleft, "tright": tright}, m.beta)
     return _result("oop-assoc-to-ldendriform", out, [a.digest(), m.digest()])
 
@@ -254,8 +231,7 @@ def oop_prelie_to_dendriform(a: HomAlgebra, m: HomModule, t: Matrix) -> DualCert
     require_certified(a)
     _require_oop(t, m)
     d = m.mdim
-    tleft = _carrier_tensor(_oop_actions(m, t, "l"))
-    tright = _carrier_tensor([-r for r in _oop_actions(m, t, "r")])
+    tleft, tright = _oop_product(m, t, "l"), -_oop_product(m, t, "r")
     inputs = [a.digest(), m.digest()]
     dend = HomAlgebra(d, "hom-dendriform", {"left": tleft, "right": tright}, m.beta)
     ldend = HomAlgebra(d, "hom-l-dendriform", {"tleft": tleft, "tright": tright}, m.beta)
@@ -351,22 +327,16 @@ def ldend_semidirect(a: HomAlgebra, m: HomModule) -> FunctorResult:
     total = n + md
 
     def build(prod: Tensor3, left_name: str, right_name: str) -> Tensor3:
-        lf, rf = m.action(left_name), m.action(right_name)
+        lf, rf = m.tensors[left_name], m.tensors[right_name]
 
         def product(i, j):
-            out = [ZERO] * total
             if i < n and j < n:
-                for k, v in enumerate(prod.product_vec(i, j)):
-                    out[k] = v
-            elif i < n:
-                col = lf[i].column(j - n)
-                for k, v in enumerate(col):
-                    out[n + k] = v
-            elif j < n:
-                col = rf[j].column(i - n)
-                for k, v in enumerate(col):
-                    out[n + k] = v
-            return tuple(out)
+                return prod.product_vec(i, j) + (ZERO,) * md
+            if i < n:
+                return (ZERO,) * n + lf.product_vec(i, j - n)
+            if j < n:
+                return (ZERO,) * n + rf.product_vec(j, i - n)
+            return (ZERO,) * total
 
         return Tensor3.from_basis_products(total, total, total, product)
 
@@ -387,18 +357,13 @@ def prelie_module_split(a: HomAlgebra, mode: str = "horizontal"
     if mode not in ("horizontal", "vertical"):
         raise InputError("mode must be 'horizontal' or 'vertical'")
     require_certified(a)
-    n = a.dim
-    q, p = a.op("tleft"), a.op("tright")
+    q = a.op("tleft")
     if mode == "horizontal":
-        mul = horizontal_tensor(a)
-        r_actions = tuple(q.right_mult_matrix(i) for i in range(n))
+        mul, r = horizontal_tensor(a), q.swap_arguments()
     else:
-        mul = vertical_tensor(a)
-        r_actions = tuple(-q.left_mult_matrix(i) for i in range(n))
-    algebra = HomAlgebra(n, "hom-prelie", {"mul": mul}, a.alpha)
-    module = HomModule(algebra, n, a.alpha,
-                       {"l": tuple(p.left_mult_matrix(i) for i in range(n)),
-                        "r": r_actions},
+        mul, r = vertical_tensor(a), -q
+    algebra = HomAlgebra(a.dim, "hom-prelie", {"mul": mul}, a.alpha)
+    module = HomModule(algebra, a.dim, a.alpha, {"l": _family(a.op("tright")), "r": _family(r)},
                        "prelie-bimodule")
     report = check_axioms(algebra).merged_with(
         check_module_axioms(module), "algebra:", "module:")
@@ -408,12 +373,10 @@ def prelie_module_split(a: HomAlgebra, mode: str = "horizontal"
 def reassemble_ldendriform(algebra: HomAlgebra, module: HomModule) -> FunctorResult:
     """Inverse of the horizontal split: x |> y = l(x) y, x <| y = r(y) x,
     rebuilt on the carrier and certified as Hom-L-dendriform."""
-    if module.kind != "prelie-bimodule" or module.mdim != algebra.dim:
-        raise InputError("expected a prelie-bimodule on the algebra's own carrier")
-    n = algebra.dim
-    lf, rf = module.action("l"), module.action("r")
-    tright = Tensor3.from_basis_products(n, n, n, lambda i, j: lf[i].column(j))
-    tleft = Tensor3.from_basis_products(n, n, n, lambda i, j: rf[j].column(i))
-    out = HomAlgebra(n, "hom-l-dendriform",
-                     {"tleft": tleft, "tright": tright}, algebra.alpha)
+    if (module.kind != "prelie-bimodule" or module.algebra != algebra
+            or module.mdim != algebra.dim):
+        raise InputError("expected a prelie-bimodule over the algebra, on its own carrier")
+    out = HomAlgebra(algebra.dim, "hom-l-dendriform",
+                     {"tleft": module.tensors["r"].swap_arguments(),
+                      "tright": module.tensors["l"]}, algebra.alpha)
     return _result("reassemble-ldendriform", out, [algebra.digest(), module.digest()])

@@ -494,7 +494,7 @@ def _declare_identities():
     action family as a product algebra x carrier -> carrier; "T" an
     O-operator carrier -> algebra; "b", "bM" and "act" (intertwines-action);
     "Delta", "M" and "f" (the coproduct rows and the convolution, see
-    _bialgebra_env); "E", "comp", "left-alpha", "right-alpha" and "R"
+    EpsilonHomBialgebra.env); "E", "comp", "left-alpha", "right-alpha" and "R"
     (end-alpha, see _end_alpha_rows).
 
     A matrix equation A = B is declared column by column, as an arity-1 law
@@ -798,14 +798,16 @@ class EpsilonHomBialgebra:
         base = i * self.dim * self.dim
         return self.delta.data[base:base + self.dim * self.dim]
 
-
-def _bialgebra_env(b: EpsilonHomBialgebra) -> dict:
-    """The names the coproduct and convolution laws bind: the product as a
-    tensor "mul" and as the n x n^2 map "M" (column p*n+q is e_p.e_q), the
-    twist, and "Delta", the n^2 x n map whose column i is comul_vec(i)."""
-    n = b.dim
-    return {"mul": b.mul, "alpha": b.alpha, "M": Matrix._exact(b.mul.data[k::n] for k in range(n)),
-            "Delta": Matrix._exact(b.delta.data[r::n * n] for r in range(n * n))}
+    @functools.cached_property
+    def env(self) -> dict:
+        """The names the coproduct and convolution laws bind: the product as
+        a tensor "mul" and as the n x n^2 map "M" (column p*n+q is e_p.e_q),
+        the twist, and "Delta", the n^2 x n map whose column i is
+        comul_vec(i).  Built once per bialgebra, so a scope keeps its tables."""
+        n = self.dim
+        return {"mul": self.mul, "alpha": self.alpha,
+                "M": Matrix._exact(self.mul.data[k::n] for k in range(n)),
+                "Delta": Matrix._exact(self.delta.data[r::n * n] for r in range(n * n))}
 
 
 def _epsilon_mul_rows(b: EpsilonHomBialgebra) -> list[AxiomResult]:
@@ -817,7 +819,7 @@ def _epsilon_mul_rows(b: EpsilonHomBialgebra) -> list[AxiomResult]:
 def _epsilon_delta_rows(b: EpsilonHomBialgebra, until_failure: bool = False) -> list[AxiomResult]:
     """Prerequisites involving the coproduct, to the first failure if ``until_failure``."""
     rows = []
-    for s in _specs("epsilon-coproduct", _bialgebra_env(b)):
+    for s in _specs("epsilon-coproduct", b.env):
         rows.append(check_identity(s))
         if until_failure and not rows[-1].passed:
             break
@@ -842,7 +844,7 @@ def convolution_operator(b: EpsilonHomBialgebra, f: Matrix) -> Matrix:
     """R(f) = mul o (alpha (x) f) o delta, as a matrix: column i is the
     declared ``convolution`` term at e_i."""
     law, = _declare_identities()["convolution"]
-    cols = [lhs for _, lhs, _ in Identity(law, {**_bialgebra_env(b), "f": f}).basis_sides()]
+    cols = [lhs for _, lhs, _ in Identity(law, {**b.env, "f": f}).basis_sides()]
     return Matrix.from_columns(cols) if cols else Matrix.zeros(0, 0)
 
 
@@ -851,7 +853,7 @@ def _end_alpha_rows(b: EpsilonHomBialgebra, basis: Sequence[Matrix]) -> list[Axi
     composition algebra is Hom-associative with twist alpha.f, and the
     convolution R maps it into End_alpha as a weight-0 Rota-Baxter operator."""
     n, cells, one = b.dim, b.dim ** 2, Matrix.identity(b.dim)
-    conv = linear_rows(_declare_identities()["convolution"], _bialgebra_env(b), "f", (n, n))
+    conv = linear_rows(_declare_identities()["convolution"], b.env, "f", (n, n))
     env = {"E": Matrix.from_columns([sum(f.data, ()) for f in basis]),
            # e_pq . e_qs = e_ps, matrix units flattened row-major
            "comp": Tensor3.from_basis_products(cells, cells, cells, lambda u, w: basis_vec(

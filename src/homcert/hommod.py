@@ -4,10 +4,12 @@ Actions are stored as one carrier-sized matrix per algebra basis element;
 the action of a general element is the linear extension.  The axiom systems,
 the O-operator identities and the carrier-map preconditions of
 ``twist_beta`` are declared with the algebra identities in ``homcore``: an
-action family binds as a product algebra x carrier -> carrier, an O-operator
-as a map carrier -> algebra.  They are checked exactly on every basis tuple,
-each variable over its own space; module witnesses end with the first
-differing column.
+action family binds as ``HomModule.tensors[name]``, the product algebra x
+carrier -> carrier, an O-operator as a map carrier -> algebra.  That tensor
+is built once per module, so a certification scope keeps its lookup tables
+across calls; ``_family`` turns a tensor back into an action family.  The
+laws are checked exactly on every basis tuple, each variable over its own
+space; module witnesses end with the first differing column.
 
 The post-Lie module axioms follow the element/operator form (the one every
 proof in the source theory actually uses); the literal printed variant of
@@ -19,6 +21,7 @@ bimodule axiom for the analogous printed-typo correction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -74,6 +77,16 @@ class HomModule:
                 and self.mdim == other.mdim and self.algebra == other.algebra
                 and self.beta == other.beta and dict(self.actions) == dict(other.actions))
 
+    @functools.cached_property
+    def tensors(self) -> dict[str, Tensor3]:
+        """Each action family as the product algebra x carrier -> carrier that
+        module laws bind: product_vec(i, v) is column v of the matrix of e_i.
+        Built once per module, so a scope keeps its lookup tables."""
+        m = self.mdim
+        return {name: Tensor3(len(fam), m, m, [x for mat in fam for col in zip(*mat.data)
+                                               for x in col])
+                for name, fam in self.actions.items()}
+
     def action(self, name: str) -> tuple[Matrix, ...]:
         return self.actions[name]
 
@@ -102,26 +115,18 @@ class HomModule:
 # ---------------------------------------------------------------------------
 # axiom checking
 
-class _Action:
-    """An action family as the product algebra x carrier -> carrier that
-    module laws bind: product_vec(i, v) is column v of the matrix of e_i."""
-
-    __slots__ = ("d1", "d2", "d3", "columns")
-
-    def __init__(self, family: Sequence[Matrix], mdim: int):
-        self.d1, self.d2, self.d3 = len(family), mdim, mdim
-        self.columns = tuple(tuple(zip(*mat.data)) for mat in family)
-
-    def product_vec(self, i: int, v: int) -> tuple:
-        return self.columns[i][v]
+def _family(t: Tensor3) -> tuple[Matrix, ...]:
+    """The action family of a product algebra x carrier -> carrier: the
+    matrix of y -> e_i * y for each algebra basis index i (the inverse of
+    ``HomModule.tensors``)."""
+    return tuple(t.left_mult_matrix(i) for i in range(t.d1))
 
 
 def _module_env(m: HomModule) -> dict:
     """The names a module law binds: the algebra's products and twist, the
     carrier twist and each action family."""
     a = m.algebra
-    return {**a.ops, "alpha": a.alpha, "beta": m.beta,
-            **{name: _Action(fam, m.mdim) for name, fam in m.actions.items()}}
+    return {**a.ops, "alpha": a.alpha, "beta": m.beta, **m.tensors}
 
 
 def module_axioms(m: HomModule, strict_twist_commute: bool = False) -> list[Identity]:
@@ -185,21 +190,10 @@ def adjoint_postlie_module(l: HomAlgebra, k: int = 0) -> HomModule:
     if k < 0:
         raise InputError("k must be non-negative")
     _require_multiplicative(l)
-    ak = l.alpha.power(k)
-    br, mul = l.op("bracket"), l.op("mul")
-
-    def family(t: Tensor3):
-        mats = []
-        for i in range(l.dim):
-            acc = Matrix.zeros(l.dim, l.dim)
-            for pcoord, w in enumerate(ak.column(i)):
-                if w:
-                    acc = acc + t.left_mult_matrix(pcoord).scale(w)
-            mats.append(acc)
-        return tuple(mats)
-
+    ak, one = l.alpha.power(k), Matrix.identity(l.dim)
     out = HomModule(l, l.dim, l.alpha,
-                    {"diamond": family(br), "bullet": family(mul)},
+                    {"diamond": _family(l.op("bracket").precompose(ak, one)),
+                     "bullet": _family(l.op("mul").precompose(ak, one))},
                     "postlie-module")
     return _certified_output(out, "adjoint post-Lie module")
 
@@ -264,11 +258,9 @@ def twist_n0(m: HomModule, n: int) -> HomModule:
         raise InputError("n must be non-negative")
     _require_multiplicative(m.algebra)
     require_module_certified(m)
-    an = m.algebra.alpha.power(n)
-    actions = {
-        name: tuple(m.act(name, an.column(i)) for i in range(m.algebra.dim))
-        for name in ("diamond", "bullet")
-    }
+    an, one = m.algebra.alpha.power(n), Matrix.identity(m.mdim)
+    actions = {name: _family(m.tensors[name].precompose(an, one))
+               for name in ("diamond", "bullet")}
     out = HomModule(m.algebra, m.mdim, m.beta, actions, "postlie-module")
     return _certified_output(out, "alpha^n twisted module")
 
@@ -310,10 +302,9 @@ def twist_beta_data(m: HomModule, b: Matrix, bm: Matrix) -> tuple[HomAlgebra, Ho
     algebra = HomAlgebra(a.dim, a.kind,
                          {name: t.postcompose(b) for name, t in a.ops.items()},
                          mat_mul(b, a.alpha))
-    actions = {
-        name: tuple(mat_mul(bm, m.act(name, b.column(i))) for i in range(a.dim))
-        for name in m.actions
-    }
+    one = Matrix.identity(m.mdim)
+    actions = {name: _family(t.precompose(b, one).postcompose(bm))
+               for name, t in m.tensors.items()}
     module = HomModule(algebra, m.mdim, mat_mul(m.beta, bm), actions, m.kind)
     return algebra, module
 
@@ -332,7 +323,7 @@ def twist_beta(m: HomModule, b: Matrix, bm: Matrix) -> tuple[HomAlgebra, HomModu
         raise PreconditionError("bM does not commute with the module twist")
     for name in ("diamond", "bullet"):
         ident, = _specs("intertwines-action",
-                        {"act": _Action(m.action(name), m.mdim), "b": b, "bM": bm})
+                        {"act": m.tensors[name], "b": b, "bM": bm})
         row = check_identity(ident)
         if not row.passed:
             raise PreconditionError(f"bM does not intertwine the {name} action with b "

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -162,7 +163,7 @@ def test_derive_replay_is_bit_identical(workdir, dual_numbers):
     path = write_algebra("dual.json", dual_numbers)
     main(["derive", "commutator-lie", path, "--out", "a.json"])
     main(["derive", "commutator-lie", path, "--out", "b.json"])
-    assert open("a.json", "rb").read() == open("b.json", "rb").read()
+    assert pathlib.Path("a.json").read_bytes() == pathlib.Path("b.json").read_bytes()
 
 
 def test_derive_scale_zero_rejected(workdir):

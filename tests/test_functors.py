@@ -256,6 +256,14 @@ def test_prelie_module_split_both_directions(ldend):
     assert vertical_report.passed
 
 
+def test_reassemble_ldendriform_needs_a_module_over_the_algebra(ldend):
+    algebra, _, _ = prelie_module_split(ldend, "horizontal")
+    other = adjoint_bimodule(catalog_algebra("hom-prelie", "left-shift"))
+    assert other.mdim == algebra.dim and other.algebra != algebra
+    with pytest.raises(InputError, match="over the algebra"):
+        reassemble_ldendriform(algebra, other)
+
+
 def test_ldend_semidirect_trivial_module(ldend):
     z = HomModule(ldend, 1, Matrix.identity(1),
                   {name: (Matrix.zeros(1, 1),) * 2

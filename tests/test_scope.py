@@ -15,6 +15,8 @@ from homcert.homcore import (PREDICATES, HomAlgebra, certification_scope, check_
                              check_predicate)
 from homcert.hommod import check_module_axioms
 
+from conftest import catalog_algebra
+
 
 def same(new, old):
     assert new == old
@@ -116,6 +118,18 @@ def test_fraction_entries_reuse_identical_witnesses(evaluations):
         assert len(evaluations) == 2
         same(check_axioms(c), fresh_c)  # a's product under another twist
     assert len(evaluations) == 3
+
+
+def test_action_tables_persist_across_operators():
+    """A module binds the same action tensors on every call, so within one
+    scope two O-operators on it share one lookup table per action family."""
+    m = functors.adjoint_bimodule(catalog_algebra("hom-prelie", "left-shift"))
+    with certification_scope():
+        tables, _ = homcore._SCOPE.get()
+        hommod.check_oop(Matrix.zeros(2, 2), m)
+        _, held = tables["l"]
+        hommod.check_oop(Matrix.identity(2), m)
+        assert tables["l"][1] is held
 
 
 UNIT = Tensor3(2, 2, 2, [1, 0, 0, 1, 0, 0, 0, 0])  # e1.e1 = e1, e1.e2 = e2
