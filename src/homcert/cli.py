@@ -122,20 +122,15 @@ FUNCTORS = {
     "twist-0k": Entry(_MOD, _K, lambda m, k: twist_0k(m, k)[1], "module"),
     "twist-beta": Entry(("module", "operator", "operator"), {},
                         lambda m, b, bm: twist_beta(m, b, bm)[1], "module"),
-    "oop-lie-to-prelie": Entry(_MOD_OP, {}, lambda m, t: functors.oop_lie_to_prelie(
-        m.algebra, m, t)),
-    "oop-assoc-to-dendriform": Entry(_MOD_OP, {}, lambda m, t: functors.oop_assoc_to_dendriform(
-        m.algebra, m, t)),
-    "oop-assoc-to-prelie": Entry(_MOD_OP, {}, lambda m, t: functors.oop_assoc_to_prelie(
-        m.algebra, m, t)),
-    "oop-assoc-to-ldendriform": Entry(_MOD_OP, {}, lambda m, t: functors.oop_assoc_to_ldendriform(
-        m.algebra, m, t)),
-    "oop-prelie-to-dendriform": Entry(_MOD_OP, {}, lambda m, t: functors.oop_prelie_to_dendriform(
-        m.algebra, m, t)),
+    "oop-lie-to-prelie": Entry(_MOD_OP, {}, lambda m, t: functors.oop_lie_to_prelie(m, t)),
+    "oop-assoc-to-dendriform": Entry(_MOD_OP, {}, lambda m, t: functors.oop_assoc_to_dendriform(m, t)),
+    "oop-assoc-to-prelie": Entry(_MOD_OP, {}, lambda m, t: functors.oop_assoc_to_prelie(m, t)),
+    "oop-assoc-to-ldendriform": Entry(_MOD_OP, {}, lambda m, t: functors.oop_assoc_to_ldendriform(m, t)),
+    "oop-prelie-to-dendriform": Entry(_MOD_OP, {}, lambda m, t: functors.oop_prelie_to_dendriform(m, t)),
     "ldend-to-prelie": Entry(_ALG, _MODE, lambda a, mode: functors.ldend_to_prelie(a, mode)),
     "ldend-brackets": Entry(_ALG, {}, lambda a: functors.ldend_brackets(a)),
     "ldend-transpose": Entry(_ALG, {}, lambda a: functors.ldend_transpose(a)),
-    "ldend-semidirect": Entry(_MOD, {}, lambda m: functors.ldend_semidirect(m.algebra, m)),
+    "ldend-semidirect": Entry(_MOD, {}, lambda m: functors.ldend_semidirect(m)),
     "prelie-module-split": Entry(_ALG, _MODE, lambda a, mode: FunctorResult(
         *functors.prelie_module_split(a, mode)[1:], ())),
 }

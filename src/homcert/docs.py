@@ -49,12 +49,9 @@ def _tensor_from_lists(nested, what="tensor") -> Tensor3:
         raise InputError(f"bad {what}: {exc}") from exc
 
 
-def algebra_to_doc(a: HomAlgebra, basis: Optional[list[str]] = None,
-                   delta: Optional[Tensor3] = None,
+def algebra_to_doc(a: HomAlgebra, delta: Optional[Tensor3] = None,
                    provenance: Optional[dict] = None) -> dict:
     doc = {"schema_version": SCHEMA_VERSION, "kind": a.kind, "dim": a.dim}
-    if basis is not None:
-        doc["basis"] = list(basis)
     doc["alpha"] = _matrix_to_lists(a.alpha)
     names = KIND_OPS[a.kind] or tuple(sorted(a.ops))
     doc["ops"] = {name: _tensor_to_lists(a.ops[name]) for name in names}

@@ -13,6 +13,7 @@ of the ``j``-th basis vector.  Vectors are plain tuples of scalars.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -23,6 +24,34 @@ Rational = Fraction
 
 ZERO = 0
 ONE = 1
+
+_SHORT_DIGITS = 600  # int() converts this many digits under any int-to-str limit (least 640)
+_INTEGER_PARTS = re.compile(r"([-+]?)(\d+)(?:/(\d+))?")
+
+
+def _int_by_halves(digits: str) -> int:
+    """int(digits) at any length: int() refuses strings past the int-to-str
+    digit limit, so a long one is split in half and joined with 10**k."""
+    if len(digits) <= _SHORT_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _int_by_halves(digits[:-k]) * 10 ** k + _int_by_halves(digits[-k:])
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), reading a long "p" or "p/q" by halves."""
+    parts = _INTEGER_PARTS.fullmatch(text) if len(text) > _SHORT_DIGITS else None
+    if parts is None:
+        return Fraction(text)
+    sign, num, den = parts.groups()
+    n = _int_by_halves(num)
+    return Fraction(-n if sign == "-" else n, _int_by_halves(den or "1"))
+
+
+def _short_repr(value) -> str:
+    """repr(value), cut short when it is long."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def rat(value):
@@ -36,11 +65,11 @@ def rat(value):
         return int(value)
     if isinstance(value, str):
         try:
-            q = Fraction(value.strip())
+            q = _fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational: {value!r}") from exc
+            raise InputError(f"not a rational: {_short_repr(value)}") from exc
         return q.numerator if q.denominator == 1 else q
-    raise InputError(f"not a rational: {value!r}")
+    raise InputError(f"not a rational: {_short_repr(value)}")
 
 
 def rat_str(q) -> str:
@@ -425,10 +454,6 @@ class Tensor3:
     def left_mult_matrix(self, i: int) -> Matrix:
         """Matrix of y -> e_i * y."""
         return Matrix([[self[i, j, k] for j in range(self.d2)] for k in range(self.d3)])
-
-    def right_mult_matrix(self, j: int) -> Matrix:
-        """Matrix of x -> x * e_j."""
-        return Matrix([[self[i, j, k] for i in range(self.d1)] for k in range(self.d3)])
 
 
 def bilinear_eval(t: Tensor3, x: Sequence, y: Sequence) -> tuple:

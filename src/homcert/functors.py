@@ -4,6 +4,9 @@ No theorem is trusted: every output is re-checked against its target axiom
 system and the certification report travels with the result.  A failing
 report is a counterexample, not an error; preconditions on inputs, by
 contrast, are hard errors.
+
+A construction on a module takes the module alone and reads the algebra it
+is over from ``HomModule.algebra``; it checks only the module kind.
 """
 
 from __future__ import annotations
@@ -138,6 +141,7 @@ def adjoint_bimodule(a: HomAlgebra) -> HomModule:
 # O-operator functors
 
 def _require_oop(t: Matrix, m: HomModule):
+    require_certified(m.algebra)
     require_module_certified(m)
     check_oop(t, m).require(PreconditionError, "operator fails O-operator conditions")
 
@@ -147,50 +151,44 @@ def _oop_product(m: HomModule, t: Matrix, name: str) -> Tensor3:
     return m.tensors[name].precompose(t, Matrix.identity(m.mdim))
 
 
-def oop_lie_to_prelie(l: HomAlgebra, rho: HomModule, t: Matrix) -> FunctorResult:
-    """u * v = rho(T(u)) v on the carrier of a Lie representation."""
-    if l.kind != "hom-lie" or rho.algebra != l:
-        raise InputError("expected a representation of the given hom-lie algebra")
+def oop_lie_to_prelie(rho: HomModule, t: Matrix) -> FunctorResult:
+    """u * v = rho(T(u)) v on the carrier of a Hom-Lie representation rho."""
     if rho.kind not in ("lie-representation", "lie-module"):
         raise InputError("expected a lie representation or module")
-    require_certified(l)
     _require_oop(t, rho)
     mul = _oop_product(rho, t, "rho")
     out = HomAlgebra(rho.mdim, "hom-prelie", {"mul": mul}, rho.beta)
-    return _result("oop-lie-to-prelie", out, [l.digest(), rho.digest()])
+    return _result("oop-lie-to-prelie", out, [rho.algebra.digest(), rho.digest()])
 
 
-def oop_assoc_to_dendriform(a: HomAlgebra, m: HomModule, t: Matrix) -> FunctorResult:
-    """u -| v = r(T(v)) u and u |- v = l(T(u)) v on the carrier."""
-    if a.kind != "hom-associative" or m.algebra != a or m.kind != "assoc-bimodule":
-        raise InputError("expected a bimodule over the given hom-associative algebra")
-    require_certified(a)
+def oop_assoc_to_dendriform(m: HomModule, t: Matrix) -> FunctorResult:
+    """u -| v = r(T(v)) u and u |- v = l(T(u)) v on the carrier of the assoc-bimodule m."""
+    if m.kind != "assoc-bimodule":
+        raise InputError("expected a bimodule over a hom-associative algebra")
     _require_oop(t, m)
     left, right = _oop_product(m, t, "r").swap_arguments(), _oop_product(m, t, "l")
     out = HomAlgebra(m.mdim, "hom-dendriform", {"left": left, "right": right}, m.beta)
-    return _result("oop-assoc-to-dendriform", out, [a.digest(), m.digest()])
+    return _result("oop-assoc-to-dendriform", out, [m.algebra.digest(), m.digest()])
 
 
-def oop_assoc_to_prelie(a: HomAlgebra, m: HomModule, t: Matrix) -> FunctorResult:
-    """u * v = l(T(u)) v - r(T(u)) v on the carrier."""
-    if a.kind != "hom-associative" or m.algebra != a or m.kind != "assoc-bimodule":
-        raise InputError("expected a bimodule over the given hom-associative algebra")
-    require_certified(a)
+def oop_assoc_to_prelie(m: HomModule, t: Matrix) -> FunctorResult:
+    """u * v = l(T(u)) v - r(T(u)) v on the carrier of the assoc-bimodule m."""
+    if m.kind != "assoc-bimodule":
+        raise InputError("expected a bimodule over a hom-associative algebra")
     _require_oop(t, m)
     mul = _oop_product(m, t, "l") - _oop_product(m, t, "r")
     out = HomAlgebra(m.mdim, "hom-prelie", {"mul": mul}, m.beta)
-    return _result("oop-assoc-to-prelie", out, [a.digest(), m.digest()])
+    return _result("oop-assoc-to-prelie", out, [m.algebra.digest(), m.digest()])
 
 
-def oop_assoc_to_ldendriform(a: HomAlgebra, m: HomModule, t: Matrix) -> FunctorResult:
-    """u |> v = l(T(u)) v and u <| v = r(T(v)) u on the carrier."""
-    if a.kind != "hom-associative" or m.algebra != a or m.kind != "assoc-bimodule":
-        raise InputError("expected a bimodule over the given hom-associative algebra")
-    require_certified(a)
+def oop_assoc_to_ldendriform(m: HomModule, t: Matrix) -> FunctorResult:
+    """u |> v = l(T(u)) v and u <| v = r(T(v)) u on the carrier of the assoc-bimodule m."""
+    if m.kind != "assoc-bimodule":
+        raise InputError("expected a bimodule over a hom-associative algebra")
     _require_oop(t, m)
     tleft, tright = _oop_product(m, t, "r").swap_arguments(), _oop_product(m, t, "l")
     out = HomAlgebra(m.mdim, "hom-l-dendriform", {"tleft": tleft, "tright": tright}, m.beta)
-    return _result("oop-assoc-to-ldendriform", out, [a.digest(), m.digest()])
+    return _result("oop-assoc-to-ldendriform", out, [m.algebra.digest(), m.digest()])
 
 
 @dataclass(frozen=True)
@@ -222,17 +220,16 @@ class DualCertResult:
         return CertReport(bool(self.passing_systems), merged.axioms)
 
 
-def oop_prelie_to_dendriform(a: HomAlgebra, m: HomModule, t: Matrix) -> DualCertResult:
-    """u <| v = l(T(u)) v and u |> v = -r(T(u)) v on the carrier of a preLie
-    bimodule, certified against BOTH the dendriform and L-dendriform systems
-    (reading -| = <| and |- = |> for the former)."""
-    if a.kind != "hom-prelie" or m.algebra != a or m.kind != "prelie-bimodule":
-        raise InputError("expected a bimodule over the given hom-prelie algebra")
-    require_certified(a)
+def oop_prelie_to_dendriform(m: HomModule, t: Matrix) -> DualCertResult:
+    """u <| v = l(T(u)) v and u |> v = -r(T(u)) v on the carrier of the
+    prelie-bimodule m, certified against BOTH the dendriform and L-dendriform
+    systems (reading -| = <| and |- = |> for the former)."""
+    if m.kind != "prelie-bimodule":
+        raise InputError("expected a bimodule over a hom-prelie algebra")
     _require_oop(t, m)
     d = m.mdim
     tleft, tright = _oop_product(m, t, "l"), -_oop_product(m, t, "r")
-    inputs = [a.digest(), m.digest()]
+    inputs = [m.algebra.digest(), m.digest()]
     dend = HomAlgebra(d, "hom-dendriform", {"left": tleft, "right": tright}, m.beta)
     ldend = HomAlgebra(d, "hom-l-dendriform", {"tleft": tleft, "tright": tright}, m.beta)
     return DualCertResult(_result("oop-prelie-to-dendriform", dend, inputs),
@@ -310,18 +307,17 @@ def ldend_transpose(a: HomAlgebra) -> FunctorResult:
     return _result("ldend-transpose", out, [a.digest()])
 
 
-def ldend_semidirect(a: HomAlgebra, m: HomModule) -> FunctorResult:
-    """Semidirect sum A (+) M of an L-dendriform algebra and a candidate
-    bimodule; basis is algebra-first then module.
+def ldend_semidirect(m: HomModule) -> FunctorResult:
+    """Semidirect sum A (+) M of a candidate bimodule M and the L-dendriform
+    algebra A it is over; basis is algebra-first then module.
 
     The bimodule axioms hold iff the sum is L-dendriform, so a failing
     candidate is deliberately not an error: the sum is built anyway and its
     certification failure witnesses the defect.
     """
-    if a.kind != "hom-l-dendriform":
-        raise InputError("ldend_semidirect expects a hom-l-dendriform algebra")
-    if m.kind != "ldend-bimodule" or m.algebra != a:
-        raise InputError("expected an ldend-bimodule over the given algebra")
+    if m.kind != "ldend-bimodule":
+        raise InputError("ldend_semidirect expects an ldend-bimodule")
+    a = m.algebra
     require_certified(a)
     n, md = a.dim, m.mdim
     total = n + md
@@ -370,12 +366,12 @@ def prelie_module_split(a: HomAlgebra, mode: str = "horizontal"
     return algebra, module, report
 
 
-def reassemble_ldendriform(algebra: HomAlgebra, module: HomModule) -> FunctorResult:
+def reassemble_ldendriform(module: HomModule) -> FunctorResult:
     """Inverse of the horizontal split: x |> y = l(x) y, x <| y = r(y) x,
     rebuilt on the carrier and certified as Hom-L-dendriform."""
-    if (module.kind != "prelie-bimodule" or module.algebra != algebra
-            or module.mdim != algebra.dim):
-        raise InputError("expected a prelie-bimodule over the algebra, on its own carrier")
+    algebra = module.algebra
+    if module.kind != "prelie-bimodule" or module.mdim != algebra.dim:
+        raise InputError("expected a prelie-bimodule on its algebra's own carrier")
     out = HomAlgebra(algebra.dim, "hom-l-dendriform",
                      {"tleft": module.tensors["r"].swap_arguments(),
                       "tright": module.tensors["l"]}, algebra.alpha)

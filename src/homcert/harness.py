@@ -157,11 +157,11 @@ def _eval_oop_functors(item) -> ItemResult:
     for t in operators:
         tried += 1
         if tag == "assoc":
-            ok = (oop_assoc_to_dendriform(a, module, t).passed
-                  and oop_assoc_to_prelie(a, module, t).passed
-                  and oop_assoc_to_ldendriform(a, module, t).passed)
+            ok = (oop_assoc_to_dendriform(module, t).passed
+                  and oop_assoc_to_prelie(module, t).passed
+                  and oop_assoc_to_ldendriform(module, t).passed)
         else:
-            ok = oop_lie_to_prelie(a, module, t).passed
+            ok = oop_lie_to_prelie(module, t).passed
         good += ok
     return ItemResult(good == tried, tally=((f"{tag}-operators", good, tried),))
 
@@ -190,13 +190,13 @@ def _eval_ldend_layer(a: HomAlgebra) -> ItemResult:
         algebra, module, report = prelie_module_split(a, "horizontal")
         if not report.passed:
             return _ok(False)
-        if reassemble_ldendriform(algebra, module).output != a:
+        if reassemble_ldendriform(module).output != a:
             return _ok(False)
         _, _, vertical_report = prelie_module_split(a, "vertical")
         if not vertical_report.passed:
             return _ok(False)
         regular = adjoint_bimodule(a)
-        if not ldend_semidirect(a, regular).passed:
+        if not ldend_semidirect(regular).passed:
             return _ok(False)
         return _ok(True)
     except (PreconditionError, CertificationError):
@@ -278,7 +278,7 @@ def _eval_oop_dual(a: HomAlgebra) -> ItemResult:
     ldend = 0
     counter = []
     for idx, t in enumerate(operators):
-        dual = oop_prelie_to_dendriform(a, module, t)
+        dual = oop_prelie_to_dendriform(module, t)
         dend += dual.dendriform.passed
         ldend += dual.l_dendriform.passed
         if not (dual.dendriform.passed and dual.l_dendriform.passed):

@@ -203,8 +203,8 @@ def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
     if entry_bound < 0:
         raise InputError("entry_bound must be non-negative")
     _require_box("operator", a.dim * m.mdim, entry_bound, max_candidates)
-    if a.dim != m.algebra.dim:
-        raise InputError(f"module is over a dim-{m.algebra.dim} algebra, not dim {a.dim}")
+    if m.algebra != a:
+        raise InputError("the module is not over the given algebra")
     env = {"alpha": m.algebra.alpha, "beta": m.beta}
     box = _operator_box("oop-twist-compat", env, "T", a.dim, m.mdim, entry_bound)
     with certification_scope():

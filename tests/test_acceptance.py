@@ -124,12 +124,12 @@ def test_criterion_5_oop_functors(assoc_corpus, lie_corpus):
     for a in assoc_corpus:
         m = adjoint_bimodule(a)
         z = Matrix.zeros(a.dim, m.mdim)
-        assert oop_assoc_to_dendriform(a, m, z).passed
-        assert oop_assoc_to_prelie(a, m, z).passed
-        assert oop_assoc_to_ldendriform(a, m, z).passed
+        assert oop_assoc_to_dendriform(m, z).passed
+        assert oop_assoc_to_prelie(m, z).passed
+        assert oop_assoc_to_ldendriform(m, z).passed
     for l in lie_corpus:
         rep = adjoint_bimodule(l)
-        assert oop_lie_to_prelie(l, rep, Matrix.zeros(l.dim, rep.mdim)).passed
+        assert oop_lie_to_prelie(rep, Matrix.zeros(l.dim, rep.mdim)).passed
 
     # brute-forced nontrivial operators at dims <= 3
     tried = passed = 0
@@ -138,9 +138,9 @@ def test_criterion_5_oop_functors(assoc_corpus, lie_corpus):
         m = adjoint_bimodule(a)
         for t in brute_force_oop_search(a, m, 1):
             tried += 1
-            passed += (oop_assoc_to_dendriform(a, m, t).passed
-                       and oop_assoc_to_prelie(a, m, t).passed
-                       and oop_assoc_to_ldendriform(a, m, t).passed)
+            passed += (oop_assoc_to_dendriform(m, t).passed
+                       and oop_assoc_to_prelie(m, t).passed
+                       and oop_assoc_to_ldendriform(m, t).passed)
     fixture = catalog_algebra("hom-associative", "truncated-poly-2")
     fixture_ops = brute_force_oop_search(fixture, adjoint_bimodule(fixture), 1)
     assert Matrix([[0, 0], [1, 0]]) in fixture_ops
@@ -150,7 +150,7 @@ def test_criterion_5_oop_functors(assoc_corpus, lie_corpus):
         rep = adjoint_bimodule(l)
         for t in brute_force_oop_search(l, rep, 1):
             tried += 1
-            passed += oop_lie_to_prelie(l, rep, t).passed
+            passed += oop_lie_to_prelie(rep, t).passed
     assert tried > 0 and passed == tried
     done(5, f"O-operator functors {passed}/{tried} nontrivial + zero operators")
 
@@ -162,7 +162,7 @@ def ldend_corpus(assoc_corpus):
     for a in (x for x in assoc_corpus if x.dim <= 2):
         m = adjoint_bimodule(a)
         for t in brute_force_oop_search(a, m, 1):
-            result = oop_assoc_to_ldendriform(a, m, t)
+            result = oop_assoc_to_ldendriform(m, t)
             assert result.passed
             instances.append(result.output)
             instances.append(ldend_transpose(result.output).output)
@@ -227,7 +227,7 @@ def _dual_tabulation(algebras):
             continue
         for t in brute_force_oop_search(a, m, 1):
             tried += 1
-            dual = oop_prelie_to_dendriform(a, m, t)
+            dual = oop_prelie_to_dendriform(m, t)
             dend += dual.dendriform.passed
             ldend += dual.l_dendriform.passed
     return [f"dendriform: {dend}/{tried}", f"l-dendriform: {ldend}/{tried}"]

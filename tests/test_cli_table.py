@@ -232,6 +232,7 @@ def test_rationals_past_the_str_digit_limit_are_written_exactly(tmp_path, capsys
     assert main(["derive", "scale", str(tmp_path / "l.json"), "--k", big, "--out", out]) == 0
     with open(out, encoding="utf-8") as fh:
         assert json.load(fh)["ops"]["mul"] == [[[squared]]]
+    assert main(["check", out]) == 0
 
 
 def test_derive_out_in_missing_directory_is_input_error(indir, tmp_path, capsys):

@@ -128,18 +128,18 @@ def test_rb_dendriform_rejects_non_rb(dual_numbers):
 def test_oop_assoc_functors_on_fixture(dual_numbers):
     m = adjoint_bimodule(dual_numbers)
     r = Matrix([[0, 0], [1, 0]])
-    dend = oop_assoc_to_dendriform(dual_numbers, m, r)
+    dend = oop_assoc_to_dendriform(m, r)
     assert dend.passed
     # u -| v = u.R(v), u |- v = R(u).v
     assert dend.output.op("left").product_vec(0, 0) == (0, 1)
     assert dend.output.op("right").product_vec(0, 0) == (0, 1)
 
-    pre = oop_assoc_to_prelie(dual_numbers, m, r)
+    pre = oop_assoc_to_prelie(m, r)
     assert pre.passed
     # commutative algebra: l = r so the product collapses to zero
     assert pre.output.op("mul").is_zero()
 
-    ld = oop_assoc_to_ldendriform(dual_numbers, m, r)
+    ld = oop_assoc_to_ldendriform(m, r)
     assert ld.passed
     assert ld.output.op("tright").product_vec(0, 0) == (0, 1)
 
@@ -154,7 +154,7 @@ def test_oop_assoc_to_prelie_matches_rb_formula():
     assert len(ops) > 1
     from homcert.exactlin import bilinear_eval, basis_vec, vec_sub
     for r in ops:
-        pre = oop_assoc_to_prelie(a, m, r)
+        pre = oop_assoc_to_prelie(m, r)
         assert pre.passed
         for i in range(2):
             for j in range(2):
@@ -167,7 +167,7 @@ def test_oop_assoc_to_prelie_matches_rb_formula():
 def test_oop_lie_to_prelie_corollary(affine_lie):
     rep = adjoint_bimodule(affine_lie)
     r = Matrix([[1, 0], [0, 0]])
-    result = oop_lie_to_prelie(affine_lie, rep, r)
+    result = oop_lie_to_prelie(rep, r)
     assert result.passed
     # x * y = [R(x), y]: only e1 * e2 = e2 survives
     assert result.output.op("mul").product_vec(0, 1) == (0, 1)
@@ -177,9 +177,9 @@ def test_oop_lie_to_prelie_corollary(affine_lie):
 def test_oop_functors_zero_operator(affine_lie, dual_numbers):
     rep = adjoint_bimodule(affine_lie)
     z = Matrix.zeros(2, 2)
-    assert oop_lie_to_prelie(affine_lie, rep, z).output.op("mul").is_zero()
+    assert oop_lie_to_prelie(rep, z).output.op("mul").is_zero()
     m = adjoint_bimodule(dual_numbers)
-    assert oop_assoc_to_dendriform(dual_numbers, m, z).output.op("left").is_zero()
+    assert oop_assoc_to_dendriform(m, z).output.op("left").is_zero()
 
 
 def test_oop_prelie_dual_certification():
@@ -189,7 +189,7 @@ def test_oop_prelie_dual_certification():
     ops = brute_force_oop_search(prelie, m, 1)
     assert ops
     for t in ops:
-        dual = oop_prelie_to_dendriform(prelie, m, t)
+        dual = oop_prelie_to_dendriform(m, t)
         assert dual.dendriform.output.op("left") == dual.l_dendriform.output.op("tleft")
         # zero operator passes both systems
         if t.is_zero():
@@ -249,19 +249,21 @@ def test_ldend_transpose_symmetric_tleft():
 def test_prelie_module_split_both_directions(ldend):
     algebra, module, report = prelie_module_split(ldend, "horizontal")
     assert report.passed
-    rebuilt = reassemble_ldendriform(algebra, module)
+    rebuilt = reassemble_ldendriform(module)
     assert rebuilt.passed
     assert rebuilt.output == ldend
     _, _, vertical_report = prelie_module_split(ldend, "vertical")
     assert vertical_report.passed
 
 
-def test_reassemble_ldendriform_needs_a_module_over_the_algebra(ldend):
+def test_reassemble_ldendriform_needs_the_algebra_own_carrier(ldend):
     algebra, _, _ = prelie_module_split(ldend, "horizontal")
-    other = adjoint_bimodule(catalog_algebra("hom-prelie", "left-shift"))
-    assert other.mdim == algebra.dim and other.algebra != algebra
-    with pytest.raises(InputError, match="over the algebra"):
-        reassemble_ldendriform(algebra, other)
+    zeros = (Matrix.zeros(1, 1),) * algebra.dim
+    line = HomModule(algebra, 1, Matrix.identity(1), {"l": zeros, "r": zeros},
+                     "prelie-bimodule")
+    assert check_module_axioms(line).passed and line.mdim != algebra.dim
+    with pytest.raises(InputError, match="own carrier"):
+        reassemble_ldendriform(line)
 
 
 def test_ldend_semidirect_trivial_module(ldend):
@@ -269,7 +271,7 @@ def test_ldend_semidirect_trivial_module(ldend):
                   {name: (Matrix.zeros(1, 1),) * 2
                    for name in ("lt", "rt", "lr", "rr")},
                   "ldend-bimodule")
-    result = ldend_semidirect(ldend, z)
+    result = ldend_semidirect(z)
     assert result.passed
     assert result.output.dim == 3
     # products extend by zero on the module line
@@ -277,7 +279,7 @@ def test_ldend_semidirect_trivial_module(ldend):
 
 
 def test_ldend_semidirect_regular_bimodule(ldend):
-    result = ldend_semidirect(ldend, adjoint_bimodule(ldend))
+    result = ldend_semidirect(adjoint_bimodule(ldend))
     assert result.passed
     assert result.output.dim == 4
 
@@ -291,7 +293,7 @@ def test_ldend_semidirect_witness_transfer(ldend):
                         "lr": (Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]]))},
                        "ldend-bimodule")
     assert not check_module_axioms(broken).passed
-    result = ldend_semidirect(ldend, broken)
+    result = ldend_semidirect(broken)
     assert not result.passed
     assert any(r.witness is not None for r in result.cert.failing())
 
@@ -305,7 +307,7 @@ def test_rb_split_sum_product_identity(assoc_corpus):
     for a in (x for x in assoc_corpus if x.dim <= 2):
         mul = a.op("mul")
         for r in brute_force_rb_search(a, 0, 1):
-            result = oop_assoc_to_dendriform(a, adjoint_bimodule(a), r)
+            result = oop_assoc_to_dendriform(adjoint_bimodule(a), r)
             assert result.passed
             total = result.output.op("left") + result.output.op("right")
             for i in range(a.dim):

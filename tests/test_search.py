@@ -148,6 +148,10 @@ def test_oop_search_rejects_a_module_over_another_dimension(dual_numbers):
     m = adjoint_bimodule(catalog_algebra("hom-associative", "truncated-poly-3"))
     with pytest.raises(InputError):
         brute_force_oop_search(dual_numbers, m, 1)
+    # same dimension, another algebra: the module's own operators are not the answer
+    m = adjoint_bimodule(catalog_algebra("hom-associative", "null-square"))
+    with pytest.raises(InputError):
+        brute_force_oop_search(catalog_algebra("hom-associative", "truncated-poly-2"), m, 1)
 
 
 def test_rb_search_contains_known_operators(dual_numbers):
