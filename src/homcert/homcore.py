@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
@@ -440,6 +441,13 @@ def _specs(group: str, env: Mapping, suffix: str = "") -> list[Identity]:
         return [Identity(law, env, suffix) for law in _declare_identities()[group]]
 
 
+def _residuals(laws: Sequence[Law], env: Mapping) -> list:
+    """lhs - rhs of every law at every basis tuple, in law, lexicographic
+    tuple and coordinate order."""
+    return [d for law in laws for _, lhs, rhs in Identity(law, env).basis_sides()
+            for d in vec_sub(lhs, rhs)]
+
+
 def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, shape: tuple) -> Matrix:
     """The constraint matrix of laws that are linear in ``unknown``, a
     matrix of shape (rows, cols) or a tensor of shape (d1, d2, d3): column c
@@ -455,10 +463,58 @@ def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, shape: tuple) -
     else:
         units = (Tensor3(*shape, basis_vec(cells, c)) for c in range(cells))
     with certification_scope():
-        columns = [[d for law in laws
-                    for _, lhs, rhs in Identity(law, {**env, unknown: unit}).basis_sides()
-                    for d in vec_sub(lhs, rhs)] for unit in units]
+        columns = [_residuals(laws, {**env, unknown: unit}) for unit in units]
     return Matrix.from_columns(columns)
+
+
+def _degree(t: Term, unknown: str) -> int:
+    """The degree of a term in the bound name ``unknown``: every node is
+    linear in each of its arguments and in its own bound name."""
+    if t.kind == "sum":
+        return max((_degree(u, unknown) for u in t.args), default=0)
+    return (t.kind in ("op", "map", "scaled") and t.name == unknown) + sum(
+        _degree(u, unknown) for u in t.args)
+
+
+def _half(a):
+    return _exact(Fraction(a, 2))
+
+
+def quadratic_rows(laws: Sequence[Law], env: Mapping, unknown: str,
+                   basis: Sequence) -> list[tuple]:
+    """The residuals lhs - rhs of laws of degree at most 2 in ``unknown``,
+    as exact forms in coefficients c over ``basis``: with env[unknown] +
+    sum_i c_i basis[i] bound to ``unknown``, row r (in linear_rows' order) is
+
+        const + sum_i c_i linear[i] + sum_{i<=j} c_i c_j quadratic[i, j],
+
+    returned as (const, linear, quadratic), dicts keeping nonzero entries.
+    Polarization reads them from bindings of the laws at the base point f(0),
+    at f(+-basis[i]) and at f(basis[i] + basis[j]).  Raises InputError for a
+    law of higher degree, on which these forms would not be exact."""
+    for law in laws:
+        if max(_degree(law.lhs, unknown), _degree(law.rhs, unknown)) > 2:
+            raise InputError(f"law {law.name!r} has degree above 2 in {unknown!r}")
+    base = env[unknown]
+
+    def at(point):
+        return _residuals(laws, {**env, unknown: point})
+
+    with certification_scope():
+        const = at(base)
+        plus = [at(base + b) for b in basis]
+        minus = [at(base - b) for b in basis]
+        cross = {(i, j): at(base + basis[i] + basis[j])
+                 for i, j in itertools.combinations(range(len(basis)), 2)}
+    rows = []
+    for r, k in enumerate(const):
+        linear = {i: _half(p[r] - m[r]) for i, (p, m) in enumerate(zip(plus, minus))}
+        quadratic = {(i, i): _half(p[r] + m[r]) - k for i, (p, m) in enumerate(zip(plus, minus))}
+        quadratic.update({(i, j): f[r] - plus[i][r] - plus[j][r] + k
+                          for (i, j), f in cross.items()})
+        rows.append((k, {i: a for i, a in linear.items() if a},
+                     {ij: a for ij, a in quadratic.items() if a}))
+    return rows
 
 
 def check_identity(ident: Identity) -> AxiomResult:

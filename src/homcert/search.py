@@ -1,34 +1,38 @@
 """Searching for Hom-post-Lie products, plus the instance generators and
 box searches the test corpus is built from.
 
-Finding a post-Lie product on a given Hom-Lie algebra splits into an exact
-linear step (the bracket-compatibility identity is linear in the unknown
-structure constants) and a quadratic filter (the twisted left-symmetry
-identity), handled by bounded integer enumeration over the kernel basis.
-The O-operator, Rota-Baxter and coproduct box searches take the same two
-steps: integer box points in the kernel of their linear certification rows,
-then full certification of each.
+Every search takes two steps.  The linear step solves the certification
+rows that are linear in the unknown (for a post-Lie product, the
+bracket-compatibility identity) exactly, as a kernel basis.  The quadratic
+step is one enumerator, ``kernel_points``: it walks the bounded integer
+combinations of that basis and prunes them with a remaining row of degree
+at most 2 in the unknown (the twisted left-symmetry identity, or
+Hom-coassociativity for coproducts), as exact quadratic forms.  Whatever
+survives is certified in full.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetError, CertificationError, InputError, UnsupportedError
 from .exactlin import ONE, ZERO, Matrix, Tensor3, nullspace, rat, rref
 from .homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, Identity, _declare_identities,
                       _epsilon_delta_rows, _epsilon_mul_rows, certification_scope, check_axioms,
-                      check_identity, check_rota_baxter, linear_rows, require_certified, yau_twist)
+                      check_identity, check_rota_baxter, linear_rows, quadratic_rows,
+                      require_certified, yau_twist)
 from .functors import FunctorResult
-from .hommod import HomModule, check_oop
+from .hommod import OOP_LAWS, HomModule, check_oop
 
 DEFAULT_CANDIDATE_BUDGET = 200_000
-TWISTED_LEFT_SYMMETRY = "postlie-twisted-left-symmetry"  # the quadratic filter
+TWISTED_LEFT_SYMMETRY = "postlie-twisted-left-symmetry"  # the quadratic step
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +94,10 @@ def postlie_candidate_space(l: HomAlgebra) -> PostLieCandidateSpace:
     return PostLieCandidateSpace(l, tuple(basis), ambient, ambient - len(basis))
 
 
-def iter_postlie_candidates(l: HomAlgebra, combo_bound: int,
-                            max_candidates: int = DEFAULT_CANDIDATE_BUDGET
-                            ) -> Iterator[tuple[tuple[int, ...], Tensor3]]:
-    """All bounded integer combinations of the kernel basis, in lexicographic
-    coefficient order; raises BudgetError before enumerating too many."""
+def _candidate_space(l: HomAlgebra, combo_bound: int,
+                     max_candidates: int) -> PostLieCandidateSpace:
+    """The kernel basis of a bound-``combo_bound`` candidate box, or BudgetError
+    when the whole box holds more than ``max_candidates`` points."""
     if combo_bound < 0:
         raise InputError("combo_bound must be non-negative")
     space = postlie_candidate_space(l)
@@ -104,7 +107,18 @@ def iter_postlie_candidates(l: HomAlgebra, combo_bound: int,
         raise BudgetError(
             f"candidate box has {total} points over {d} kernel directions, "
             f"budget is {max_candidates}", needed=total, budget=max_candidates)
-    for coeffs in itertools.product(range(-combo_bound, combo_bound + 1), repeat=d):
+    return space
+
+
+def iter_postlie_candidates(l: HomAlgebra, combo_bound: int,
+                            max_candidates: int = DEFAULT_CANDIDATE_BUDGET
+                            ) -> Iterator[tuple[tuple[int, ...], Tensor3]]:
+    """All bounded integer combinations of the kernel basis, in lexicographic
+    coefficient order; raises BudgetError before enumerating too many.  The
+    unfiltered box, kept as the oracle ``postlie_search`` is checked against."""
+    space = _candidate_space(l, combo_bound, max_candidates)
+    for coeffs in itertools.product(range(-combo_bound, combo_bound + 1),
+                                    repeat=len(space.basis)):
         yield coeffs, _combination(l.dim, space.basis, coeffs)
 
 
@@ -122,57 +136,151 @@ def postlie_search(l: HomAlgebra, combo_bound: int,
                    max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> list[FunctorResult]:
     """Every bounded-box candidate product satisfying both defining identities,
     each returned as a fully certified Hom-post-Lie algebra."""
+    space = _candidate_space(l, combo_bound, max_candidates)
+    n = l.dim
+    law, = (law for law in _declare_identities()["hom-postlie"]
+            if law.name == TWISTED_LEFT_SYMMETRY)
+    env = {"bracket": l.op("bracket"), "alpha": l.alpha, "mul": Tensor3.zeros(n)}
     survivors = []
     with certification_scope():
-        for coeffs, mul in iter_postlie_candidates(l, combo_bound, max_candidates):
-            if check_identity(_postlie_spec(l, mul, TWISTED_LEFT_SYMMETRY)).passed:
-                out = HomAlgebra(l.dim, "hom-postlie",
-                                 {"bracket": l.op("bracket"), "mul": mul}, l.alpha)
-                cert = check_axioms(out)
-                if not cert.passed:
-                    raise AssertionError(
-                        "search filter and axiom checker disagree on a survivor")
-                prov = ("postlie-search",
-                        (("bound", combo_bound), ("coeffs", coeffs)), (l.digest(),))
-                survivors.append(FunctorResult(out, cert, prov))
+        for coeffs in kernel_points(len(space.basis), combo_bound,
+                                    quadratic=([law], env, "mul", space.basis)):
+            out = HomAlgebra(n, "hom-postlie", {"bracket": l.op("bracket"),
+                                                "mul": _combination(n, space.basis, coeffs)},
+                             l.alpha)
+            cert = check_axioms(out)
+            if not cert.passed:
+                raise AssertionError("search enumerator and axiom checker disagree on a survivor")
+            prov = ("postlie-search",
+                    (("bound", combo_bound), ("coeffs", coeffs)), (l.digest(),))
+            survivors.append(FunctorResult(out, cert, prov))
     return survivors
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles: the linear step, then certification
+# the enumerator: the linear step, then the quadratic step
 #
-# Each search certifies every integer point of a box [-bound, bound]^cells.
-# Some of its certification rows are linear in the unknown entries, and most
-# box points fail them, so only the points in their kernel are enumerated:
-# the same list, in the same row-major lexicographic order, as a walk of the
-# whole box would certify.
+# Every search's unknown is an integer point of a box in the kernel of its
+# linear certification rows, written over a kernel basis with coefficients c.
+# A remaining row of degree at most 2 in the unknown is an exact quadratic
+# form in c (homcore.quadratic_rows).  A depth-first walk sets c_0, c_1, ...
+# in the order itertools.product visits them, keeps each form's running sum,
+# and checks a form as soon as the last coefficient it involves is set, so a
+# failing prefix cuts its whole subtree.
 
-def _box_points_in_kernel(system: Matrix, cells: int, bound: int) -> list[tuple[int, ...]]:
+def kernel_points(d: int, bound: int, pivots: Sequence[dict] = (),
+                  quadratic: tuple = None) -> list[tuple[int, ...]]:
+    """Every integer vector c in [-bound, bound]^d, in ``itertools.product``
+    order, at which each pivot (a linear form {i: coefficient}) is an integer
+    inside the bound and, when ``quadratic`` is (laws, env, unknown, basis),
+    the laws hold with env[unknown] + sum_i c_i basis[i] bound to
+    ``unknown``; each c is returned followed by its pivots' values.  The
+    quadratic forms are built only over coordinates that move: at bound 0
+    the box is one point and only env[unknown] is bound."""
+    rows = [(ZERO, pivot, {}, -bound, bound) for pivot in pivots]
+    if quadratic is not None:
+        laws, env, unknown, basis = quadratic
+        rows += [(const, lin, quad, 0, 0) for const, lin, quad
+                 in quadratic_rows(laws, env, unknown, basis if bound else ())]
+    # Row f is scaled to integers by scales[f]: its running sum must be a
+    # multiple of scales[f] inside scales[f] * [lo, hi], checked once the
+    # row's last coordinate is set.  The pivots hold the first len(pivots).
+    start, scales, moves, checks, seen = [], [], [[] for _ in range(d)], [[] for _ in range(d)], set()
+    for const, lin, quad, lo, hi in rows:
+        terms = [(None, const), *lin.items(), *quad.items()]
+        scale = math.lcm(*(a.denominator for _, a in terms))
+        terms = [(key, int(a * scale)) for key, a in terms]
+        if len(start) >= len(pivots):  # a row that must vanish: kept once, up to a factor
+            first = next((a for _, a in terms if a), 0)
+            unit = math.gcd(*(a for _, a in terms)) * (1 if first > 0 else -1)
+            if not unit or (terms := tuple((key, a // unit) for key, a in terms)) in seen:
+                continue
+            seen.add(terms)
+        (_, const), *terms = terms
+        lin = {k: a for k, a in terms if type(k) is int}
+        quad = {k: a for k, a in terms if type(k) is tuple}
+        moving = set(lin).union(*quad)
+        if not moving and (const % scale or not lo * scale <= const <= hi * scale):
+            return []
+        f = len(start)
+        start.append(const)
+        scales.append(scale)
+        for k in moving:
+            moves[k].append((f, lin.get(k, 0), quad.get((k, k), 0),
+                             [(j, a) for (j, i), a in quad.items() if i == k and j < k]))
+        if moving:
+            checks[max(moving)].append((f, scale, lo * scale, hi * scale))
+    # past the last level a row moves at, every combination survives
+    depth = max((k + 1 for k in range(d) if moves[k]), default=0)
+    values = range(-bound, bound + 1)
+    tails = list(itertools.product(values, repeat=d - depth))
+    points, c = [], [0] * depth
+
+    def descend(k: int, sums: list) -> None:
+        if k == depth:
+            pivot_values = tuple(a // scale for a, scale in zip(sums, scales[:len(pivots)]))
+            points.extend((*c, *tail, *pivot_values) for tail in tails)
+            return
+        # each row's coefficient of c_k, given c_0..c_{k-1}
+        slopes = [(f, a + sum(b * c[j] for j, b in cross) if cross else a, square)
+                  for f, a, square, cross in moves[k]]
+        for v in values:
+            c[k] = v
+            s = sums
+            if v:
+                s = sums.copy()
+                for f, slope, square in slopes:
+                    s[f] += v * (slope + v * square)
+            for f, scale, lo, hi in checks[k]:
+                x = s[f]
+                if x % scale or not lo <= x <= hi:
+                    break
+            else:
+                descend(k + 1, s)
+
+    descend(0, start)
+    return points
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles: box searches through the enumerator
+#
+# Each search returns the integer points of a box [-bound, bound]^cells that
+# pass its certification: the same list, in the same row-major lexicographic
+# order, as a certified walk of the whole box.  Only the points the
+# enumerator finds are certified.
+
+def _box_points(system: Matrix, cells: int, bound: int,
+                quadratic: tuple = None) -> list[tuple[int, ...]]:
     """The integer points of [-bound, bound]^cells in the kernel of the
     constraint matrix ``system`` (``cells`` columns; it may have no rows),
-    sorted as ``itertools.product`` would visit them.
+    sorted as ``itertools.product`` would visit them.  When ``quadratic`` is
+    (laws, env, unknown), only points on which the laws hold are kept, each
+    point bound to ``unknown`` as a matrix of env[unknown]'s shape, row-major.
 
     The reduced echelon form writes each pivot coordinate in terms of the
-    free ones, so the free coordinates run over the box and a point is kept
-    when every pivot value is an integer inside the bound.  That form is
-    unique for the row space, so the points do not depend on row order.
-    """
+    free ones, so the free coordinates are the enumerator's coefficients and
+    each pivot must be an integer inside the bound.  That form is unique for
+    the row space, so the points do not depend on row order."""
     reduced, pivots = rref(system)
     free = [c for c in range(cells) if c not in pivots]
-    solve = [(p, [(f, -reduced[r, f]) for f in free if reduced[r, f]])
-             for r, p in enumerate(pivots)]
-    points = []
-    point = [0] * cells
-    for values in itertools.product(range(-bound, bound + 1), repeat=len(free)):
-        for f, v in zip(free, values):
-            point[f] = v
-        for p, terms in solve:
-            x = sum(c * point[f] for f, c in terms)
-            if x.denominator != 1 or not -bound <= x <= bound:
-                break
-            point[p] = int(x)
-        else:
-            points.append(tuple(point))
+    solve = [{k: -reduced[r, f] for k, f in enumerate(free) if reduced[r, f]}
+             for r in range(len(pivots))]
+    if quadratic is not None:
+        laws, env, unknown = quadratic
+        cols = env[unknown].cols
+        basis = []
+        for k, f in enumerate(free):
+            flat = [ZERO] * cells
+            flat[f] = ONE
+            for p, pivot in zip(pivots, solve):
+                flat[p] = pivot.get(k, ZERO)
+            basis.append(Matrix._exact(flat[r:r + cols] for r in range(0, cells, cols)))
+        quadratic = laws, env, unknown, basis
+    points = kernel_points(len(free), bound, solve, quadratic)
+    if cells > 1:  # each walk point lists the free values, then the pivot values
+        order = free + list(pivots)
+        points = list(map(itemgetter(*sorted(range(cells), key=order.__getitem__)), points))
     points.sort()
     return points
 
@@ -184,13 +292,8 @@ def _require_box(what: str, cells: int, bound: int, max_candidates: int) -> None
                           needed=total, budget=max_candidates)
 
 
-def _operator_box(group: str, env: dict, unknown: str, rows: int, cols: int,
-                  bound: int) -> list[Matrix]:
-    """The integer rows x cols matrices in the box on which the group's
-    declared laws (linear in the unknown) hold."""
-    system = linear_rows(_declare_identities()[group], env, unknown, (rows, cols))
-    return [Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)])
-            for flat in _box_points_in_kernel(system, rows * cols, bound)]
+def _matrices(points, rows: int, cols: int) -> list[Matrix]:
+    return [Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)]) for flat in points]
 
 
 def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
@@ -198,17 +301,20 @@ def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
     """All integer matrices T with entries in [-bound, bound] passing the
     O-operator certification, in row-major lexicographic order.
 
-    Only the box points solving the linear ``oop-twist-compat`` row are
-    certified; the list equals a certified walk of the whole box."""
+    The enumerator solves the linear ``oop-twist-compat`` row, and each
+    point it finds is certified."""
     if entry_bound < 0:
         raise InputError("entry_bound must be non-negative")
-    _require_box("operator", a.dim * m.mdim, entry_bound, max_candidates)
     if m.algebra != a:
         raise InputError("the module is not over the given algebra")
-    env = {"alpha": m.algebra.alpha, "beta": m.beta}
-    box = _operator_box("oop-twist-compat", env, "T", a.dim, m.mdim, entry_bound)
+    if m.kind not in OOP_LAWS:
+        raise InputError(f"O-operators are not defined for module kind {m.kind!r}")
+    _require_box("operator", a.dim * m.mdim, entry_bound, max_candidates)
+    system = linear_rows(_declare_identities()["oop-twist-compat"],
+                         {"alpha": a.alpha, "beta": m.beta}, "T", (a.dim, m.mdim))
+    points = _box_points(system, a.dim * m.mdim, entry_bound)
     with certification_scope():
-        return [t for t in box if check_oop(t, m).passed]
+        return [t for t in _matrices(points, a.dim, m.mdim) if check_oop(t, m).passed]
 
 
 def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
@@ -217,14 +323,19 @@ def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
     the given weight (including the twist-commutation requirement), in
     row-major lexicographic order.
 
-    Only the box points solving the linear ``commutes-with-twist`` row are
-    certified; the list equals a certified walk of the whole box."""
+    The enumerator solves the linear ``commutes-with-twist`` row, and each
+    point it finds is certified."""
     if entry_bound < 0:
         raise InputError("entry_bound must be non-negative")
+    a.single_op()  # like a malformed weight, raises InputError before the box is counted
+    weight = rat(weight)
     _require_box("operator", a.dim * a.dim, entry_bound, max_candidates)
-    box = _operator_box("commutes-with-twist", {"alpha": a.alpha}, "r", a.dim, a.dim, entry_bound)
+    system = linear_rows(_declare_identities()["commutes-with-twist"], {"alpha": a.alpha},
+                         "r", (a.dim, a.dim))
+    points = _box_points(system, a.dim * a.dim, entry_bound)
     with certification_scope():
-        return [r for r in box if check_rota_baxter(a, r, weight).passed]
+        return [r for r in _matrices(points, a.dim, a.dim)
+                if check_rota_baxter(a, r, weight).passed]
 
 
 def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int = 1,
@@ -235,8 +346,9 @@ def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int
     the flat coproduct.  Returns [] when the fixed product-side prerequisites
     already fail.
 
-    Only the box points solving the linear compatibility and cocentroid rows
-    are certified; the list equals a certified walk of the whole box."""
+    The enumerator solves the linear compatibility and cocentroid rows and
+    the quadratic ``hom-coassociativity`` row; each point it finds must pass
+    all four coproduct rows."""
     if entry_bound < 0:
         raise InputError("entry_bound must be non-negative")
     n = mul.d1
@@ -245,16 +357,18 @@ def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int
         return []
     _require_box("coproduct", n ** 3, entry_bound, max_candidates)
 
-    # the compatibility and cocentroid rows, linear in the n^2 x n coproduct
-    # map: its cell r*n+i is delta's flat position i*n^2+r
-    _, *linear = _declare_identities()["epsilon-coproduct"]
-    system = linear_rows(linear, {"mul": mul, "alpha": alpha}, "Delta", (n * n, n))
-    kernel = sorted(tuple(point[r * n + i] for i in range(n) for r in range(n * n))
-                    for point in _box_points_in_kernel(system, n ** 3, entry_bound))
+    # the rows over the n^2 x n coproduct map: its cell r*n+i is delta's flat
+    # position i*n^2+r
+    coassociativity, *linear = _declare_identities()["epsilon-coproduct"]
+    env = {"mul": mul, "alpha": alpha, "Delta": Matrix.zeros(n * n, n)}
+    points = _box_points(linear_rows(linear, env, "Delta", (n * n, n)), n ** 3, entry_bound,
+                         ([coassociativity], env, "Delta"))
+    found = [EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha) for flat in sorted(
+        tuple(point[r * n + i] for i in range(n) for r in range(n * n)) for point in points)]
     with certification_scope():
-        return [b for b in (EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha)
-                            for flat in kernel)
-                if all(r.passed for r in _epsilon_delta_rows(b, until_failure=True))]
+        if not all(r.passed for b in found for r in _epsilon_delta_rows(b)):
+            raise AssertionError("search enumerator and certifier disagree on a survivor")
+    return found
 
 
 # ---------------------------------------------------------------------------

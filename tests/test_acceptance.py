@@ -13,7 +13,7 @@ import pytest
 
 from homcert.errors import BudgetError, PreconditionError
 from homcert.exactlin import Matrix, Tensor3, vec_sub
-from homcert.homcore import (HomAlgebra, check_axioms, check_predicate,
+from homcert.homcore import (KIND_OPS, HomAlgebra, check_axioms, check_predicate,
                              check_rota_baxter, convolution_rb)
 from homcert.hommod import (adjoint_postlie_module, check_module_axioms,
                             check_oop, direct_sum, tensor_product, twist_0k,
@@ -24,8 +24,10 @@ from homcert.functors import (adjoint_bimodule, commutator_lie,
                               oop_assoc_to_ldendriform, oop_assoc_to_prelie,
                               oop_lie_to_prelie, oop_prelie_to_dendriform,
                               prelie_to_lie, rb_dendriform)
-from homcert.harness import (_eval_ldend_layer, _eval_module_theorems,
-                             _eval_search_consistency, _search_inputs)
+from homcert import docs as docmod
+from homcert.harness import (_eval_ldend_layer, _eval_module_theorems, _eval_oop_dual,
+                             _eval_rb_dendriform, _eval_search_consistency,
+                             _search_inputs)
 from homcert.search import (CATALOG, RandomInstanceSpec,
                             brute_force_epsilon_bialgebras,
                             brute_force_oop_search, brute_force_rb_search,
@@ -48,7 +50,6 @@ def test_criterion_1_axiom_checker_soundness():
         for entry in entries:
             assert check_axioms(entry.algebra).passed, (kind, entry.name)
     # zero products pass every axiom system for arbitrary twists
-    from homcert.homcore import KIND_OPS
     alpha = Matrix([[1, 2], [3, 4]])
     for kind, names in KIND_OPS.items():
         if names is None:
@@ -249,8 +250,6 @@ def test_criterion_8_empirical_ledger(assoc_corpus, prelie_corpus, tmp_path):
     assert dual_first == dual_second
 
     # counterexample documents are emitted through the harness path
-    from homcert.harness import (_eval_oop_dual, _eval_rb_dendriform)
-    from homcert import docs as docmod
     emitted = 0
     for a in assoc_small:
         for weight in (0, -1, 1):

@@ -3,18 +3,19 @@
 import pytest
 
 from homcert.errors import InputError, PreconditionError
-from homcert.exactlin import Matrix, Tensor3
+from homcert.exactlin import Matrix, Tensor3, basis_vec, bilinear_eval, vec_add, vec_sub
 from homcert.homcore import HomAlgebra, check_axioms, check_predicate
 from homcert.functors import (adjoint_bimodule, commutator_lie,
-                              ldend_brackets, ldend_semidirect,
+                              horizontal_tensor, ldend_brackets, ldend_semidirect,
                               ldend_to_prelie, ldend_transpose,
                               novikov_to_postlie, oop_assoc_to_dendriform,
                               oop_assoc_to_ldendriform, oop_assoc_to_prelie,
                               oop_lie_to_prelie, oop_prelie_to_dendriform,
                               prelie_module_split, prelie_to_lie,
-                              rb_dendriform, reassemble_ldendriform, scale)
+                              rb_dendriform, reassemble_ldendriform, scale,
+                              vertical_tensor)
 from homcert.hommod import HomModule, check_module_axioms
-from homcert.search import sc_tensor
+from homcert.search import brute_force_oop_search, brute_force_rb_search, sc_tensor
 
 from conftest import catalog_algebra
 
@@ -112,7 +113,7 @@ def test_rb_dendriform_weight_zero_square_zero(dual_numbers):
 def test_rb_dendriform_weight_zero_three_nilpotent():
     # null-square: products of three vanish, so the weight-0 split certifies
     a = catalog_algebra("hom-associative", "null-square")
-    ops = __import__("homcert.search", fromlist=["x"]).brute_force_rb_search(a, 0, 1)
+    ops = brute_force_rb_search(a, 0, 1)
     assert len(ops) > 1
     for r in ops:
         assert rb_dendriform(a, r, 0).passed
@@ -149,10 +150,8 @@ def test_oop_assoc_to_prelie_matches_rb_formula():
     t = sc_tensor(2, {(0, 0): {0: 1}, (0, 1): {1: 1}})
     a = HomAlgebra(2, "hom-associative", {"mul": t}, I2)
     m = adjoint_bimodule(a)
-    from homcert.search import brute_force_oop_search
     ops = brute_force_oop_search(a, m, 1)
     assert len(ops) > 1
-    from homcert.exactlin import bilinear_eval, basis_vec, vec_sub
     for r in ops:
         pre = oop_assoc_to_prelie(m, r)
         assert pre.passed
@@ -185,7 +184,6 @@ def test_oop_functors_zero_operator(affine_lie, dual_numbers):
 def test_oop_prelie_dual_certification():
     prelie = catalog_algebra("hom-prelie", "left-shift")
     m = adjoint_bimodule(prelie)
-    from homcert.search import brute_force_oop_search
     ops = brute_force_oop_search(prelie, m, 1)
     assert ops
     for t in ops:
@@ -230,7 +228,6 @@ def test_ldend_transpose_involution(ldend):
     assert t.passed
     assert ldend_transpose(t.output).output == ldend
     # horizontal product of the transpose is the vertical product
-    from homcert.functors import horizontal_tensor, vertical_tensor
     assert horizontal_tensor(t.output) == vertical_tensor(ldend)
 
 
@@ -301,8 +298,6 @@ def test_ldend_semidirect_witness_transfer(ldend):
 def test_rb_split_sum_product_identity(assoc_corpus):
     """For weight-0 Rota-Baxter operators on corpus instances, the dendriform
     split certifies and its total product is x.R(y) + R(x).y."""
-    from homcert.search import brute_force_rb_search
-    from homcert.exactlin import bilinear_eval, basis_vec, vec_add
     covered = 0
     for a in (x for x in assoc_corpus if x.dim <= 2):
         mul = a.op("mul")

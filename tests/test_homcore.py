@@ -7,7 +7,7 @@ import pytest
 
 from homcert.errors import InputError, PreconditionError
 from homcert.exactlin import (Matrix, Tensor3, basis_vec, vec_scale, vec_sub)
-from homcert.homcore import (EpsilonHomBialgebra, HomAlgebra, check_axioms,
+from homcert.homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, check_axioms,
                              check_identity, check_morphism, check_predicate,
                              check_rota_baxter, commuting_endomorphism_basis,
                              convolution_rb, epsilon_prerequisites,
@@ -41,7 +41,6 @@ def test_hom_associator_counterexample():
 
 
 def test_check_axioms_zero_products_all_kinds():
-    from homcert.homcore import KIND_OPS
     alpha = Matrix([[1, 2], [0, 3]])
     for kind, names in KIND_OPS.items():
         if names is None:

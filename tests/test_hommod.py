@@ -6,7 +6,7 @@ import pytest
 
 from homcert.errors import CertificationError, InputError, PreconditionError
 from homcert.exactlin import Matrix, Tensor3, mat_mul
-from homcert.homcore import HomAlgebra, check_axioms
+from homcert.homcore import HomAlgebra, check_axioms, yau_twist
 from homcert.hommod import (HomModule, adjoint_postlie_module,
                             bimodule_to_lie_module, check_module_axioms,
                             check_oop, direct_sum, tensor_product, twist_0k,
@@ -245,7 +245,6 @@ def test_strict_twist_commute_flag():
     """The literal printed form of the first module axiom (module twist
     commuting with each action) fails on genuinely twisted instances that the
     adopted element-form axioms certify; it stays behind a non-default flag."""
-    from homcert.homcore import yau_twist
     base = catalog_algebra("hom-postlie", "skew-pair-postlie")
     twisted = yau_twist(base, Matrix([[2, 0, 0], [0, 2, 0], [0, 0, 1]]))
     m = adjoint_postlie_module(twisted, 0)

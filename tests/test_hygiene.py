@@ -1,9 +1,10 @@
 """Source hygiene: every name a homcert module imports is used in it, no
-function imports, and every private top-level function or class is used
-somewhere in the package.
+function imports in the package or its tests, and every private top-level
+function or class is used somewhere in the package.
 
-Standard library only: each ``src/homcert/*.py`` is parsed with ``ast``; the
-import check skips the package's ``__init__.py``, which imports to re-export.
+Standard library only: each ``src/homcert/*.py`` and ``tests/*.py`` is parsed
+with ``ast``; the import check skips the package's ``__init__.py``, which
+imports to re-export.
 """
 
 import ast
@@ -17,6 +18,8 @@ import homcert
 PACKAGE = os.path.dirname(os.path.abspath(homcert.__file__))
 SOURCES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
 MODULES = [name for name in SOURCES if name != "__init__.py"]
+TESTS = os.path.dirname(os.path.abspath(__file__))
+TEST_SOURCES = sorted(name for name in os.listdir(TESTS) if name.endswith(".py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,11 +59,18 @@ def test_scan_sees_an_unused_import():
     assert unused_imports('from .m import Matrix\ndef f() -> "Matrix": pass\n') == []
 
 
+def _is_import(node) -> bool:
+    return isinstance(node, (ast.Import, ast.ImportFrom)) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "__import__")
+
+
 def imports_in_functions(source: str) -> list[int]:
-    """Lines of the imports made inside a function body, nested ones included."""
+    """Lines of the imports (statements or ``__import__`` calls) made inside
+    a function body, nested ones included."""
     return sorted({node.lineno for fn in ast.walk(ast.parse(source))
                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
+                   for node in ast.walk(fn) if _is_import(node)})
 
 
 @pytest.mark.parametrize("module", SOURCES)
@@ -69,10 +79,17 @@ def test_no_imports_inside_functions(module):
         assert imports_in_functions(fh.read()) == []
 
 
+@pytest.mark.parametrize("module", TEST_SOURCES)
+def test_no_imports_inside_test_functions(module):
+    with open(os.path.join(TESTS, module), encoding="utf-8") as fh:
+        assert imports_in_functions(fh.read()) == []
+
+
 def test_scan_sees_an_import_inside_a_function():
     source = ("import os\ndef f():\n    def g():\n        from . import m\n"
-              "    import sys\nclass C:\n    def h(self):\n        import re\n")
-    assert imports_in_functions(source) == [4, 5, 8]
+              "    import sys\nclass C:\n    def h(self):\n        import re\n"
+              "def k():\n    return __import__('json').dumps\n")
+    assert imports_in_functions(source) == [4, 5, 8, 10]
 
 
 def _references(node) -> Counter:

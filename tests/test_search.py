@@ -4,20 +4,22 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from homcert.errors import (BudgetError, InputError, PreconditionError,
                             UnsupportedError)
 from homcert.exactlin import Matrix, Tensor3, mat_mul, rank
 from homcert.harness import _build_epsilon
-from homcert.homcore import (EpsilonHomBialgebra, HomAlgebra, check_axioms,
-                             check_rota_baxter, epsilon_prerequisites, yau_twist)
-from homcert.hommod import HomModule, check_oop
+from homcert.exactlin import vec_sub
+from homcert.homcore import (EpsilonHomBialgebra, HomAlgebra, Identity, Law, Term,
+                             _declare_identities, check_axioms, check_rota_baxter,
+                             epsilon_prerequisites, quadratic_rows, yau_twist)
+from homcert.hommod import HomModule, adjoint_postlie_module, check_oop
 from homcert.functors import adjoint_bimodule
-from homcert.search import (CATALOG, RandomInstanceSpec, _box_points_in_kernel,
+from homcert.search import (CATALOG, RandomInstanceSpec, _box_points,
                             brute_force_epsilon_bialgebras,
                             brute_force_oop_search, brute_force_rb_search,
-                            corpus, iter_postlie_candidates,
+                            corpus, iter_postlie_candidates, kernel_points,
                             postlie_candidate_space, postlie_linear_system,
                             postlie_search, random_instance, sc_tensor)
 
@@ -273,14 +275,100 @@ def test_rb_search_random_twists_equal_naive_walk(entries, weight):
 
 def test_kernel_points_skip_fractional_pivots():
     # x0 = (x1 + x2) / 2 is the pivot; odd x1 + x2 gives no integer point
-    found = _box_points_in_kernel(Matrix([[2, -1, -1]]), 3, 2)
+    found = _box_points(Matrix([[2, -1, -1]]), 3, 2)
     assert found == [p for p in _box(3, 2) if 2 * p[0] - p[1] - p[2] == 0]
     assert (0, 1, -1) in found and all(type(v) is int for p in found for v in p)
     # a pivot outside the bound is dropped too: x0 = 2 x1
-    assert _box_points_in_kernel(Matrix([[1, -2]]), 2, 1) == [(0, 0)]
-    assert _box_points_in_kernel(Matrix([]), 0, 1) == [()]
+    assert _box_points(Matrix([[1, -2]]), 2, 1) == [(0, 0)]
+    assert _box_points(Matrix([]), 0, 1) == [()]
     # a system with no rows keeps the whole box
-    assert _box_points_in_kernel(Matrix([]), 2, 1) == list(_box(2, 1))
+    assert _box_points(Matrix([]), 2, 1) == list(_box(2, 1))
+
+
+_twist_entry = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(_twist_entry, min_size=4, max_size=4))
+def test_postlie_search_equals_certified_candidate_walk(entries):
+    # the oracle certifies every candidate of the unfiltered box, in order
+    affine = catalog_algebra("hom-lie", "affine-line")
+    lie = HomAlgebra(2, "hom-lie", dict(affine.ops), Matrix([entries[:2], entries[2:]]))
+    assume(len(postlie_candidate_space(lie).basis) == 4)  # 81 candidates
+    expected = [(coeffs, mul) for coeffs, mul in iter_postlie_candidates(lie, 1)
+                if check_axioms(HomAlgebra(2, "hom-postlie", {"bracket": lie.op("bracket"),
+                                                              "mul": mul}, lie.alpha)).passed]
+    found = postlie_search(lie, 1)
+    assert [(dict(r.provenance[1])["coeffs"], r.output.op("mul")) for r in found] == expected
+
+
+@pytest.mark.parametrize("alpha", [1, -1, 2])
+@pytest.mark.parametrize("product", [-2, -1, 0, 1, 2])
+def test_epsilon_search_equals_naive_walk_on_dim_one(product, alpha):
+    mul, twist = sc_tensor(1, {(0, 0): {0: product}}), Matrix([[alpha]])
+    found = brute_force_epsilon_bialgebras(mul, twist, 2)
+    expected = naive_epsilon(mul, twist, 2)
+    assert [typed(b.delta.data) for b in found] == [typed(b.delta.data) for b in expected]
+
+
+def test_quadratic_rows_are_exact_forms():
+    # the residual of rota-baxter at r0 + sum c_i B_i, fractional data throughout
+    law, = _declare_identities()["rota-baxter"]
+    a = RB_INPUTS["twisted-dual"]
+    env = {"mul": a.op("mul"), "weight": Fraction(1, 2), "alpha": a.alpha,
+           "r": Matrix([[1, 0], [Fraction(1, 3), 0]])}
+    basis = [Matrix([[1, 2], [0, -1]]), Matrix([[0, Fraction(1, 2)], [1, 0]]),
+             Matrix([[3, 0], [0, 0]])]
+    rows = quadratic_rows([law], env, "r", basis)
+    for c in _box(3, 2):
+        point = env["r"]
+        for ci, b in zip(c, basis):
+            point = point + b.scale(ci)
+        residual = [d for _, lhs, rhs in Identity(law, {**env, "r": point}).basis_sides()
+                    for d in vec_sub(lhs, rhs)]
+        assert [const + sum(c[i] * v for i, v in linear.items())
+                + sum(c[i] * c[j] * v for (i, j), v in quadratic.items())
+                for const, linear, quadratic in rows] == residual
+    assert all(type(v) in (int, Fraction) for const, linear, quadratic in rows
+               for v in (const, *linear.values(), *quadratic.values()))
+
+
+def test_quadratic_rows_reject_a_cubic_law():
+    x = Term("var", 0)
+
+    def r(u):
+        return Term("map", "r", u)
+
+    cubic = Law("cubic", r(r(r(x))), Term("sum", ()))
+    with pytest.raises(InputError, match="degree above 2"):
+        quadratic_rows([cubic], {"r": Matrix.zeros(2, 2)}, "r", [])
+
+
+def test_searches_validate_inputs_before_counting_the_box():
+    # bound 20 is far over budget; the inputs are wrong at every bound
+    a = ASSOC["truncated-poly-2"]
+    postlie = catalog_algebra("hom-postlie", "left-shift-trivial")
+    dendriform = catalog_algebra("hom-dendriform", "split-dual")
+    for bound in (1, 20):
+        with pytest.raises(InputError):
+            brute_force_oop_search(a, adjoint_bimodule(ASSOC["null-square"]), bound)
+        with pytest.raises(InputError):
+            brute_force_oop_search(postlie, adjoint_postlie_module(postlie), bound)
+        with pytest.raises(InputError):
+            brute_force_rb_search(a, "x", bound)
+        with pytest.raises(InputError):
+            brute_force_rb_search(dendriform, 0, bound)
+    with pytest.raises(BudgetError):
+        brute_force_rb_search(a, 0, 20)
+
+
+def test_kernel_points_follow_each_point_with_its_pivots():
+    # two pivots, both c0 / 2: only even c0 survives, and a repeated pivot is kept
+    half = Fraction(1, 2)
+    assert kernel_points(1, 2, [{0: half}, {0: half}]) == [(-2, -1, -1), (0, 0, 0), (2, 1, 1)]
+    assert kernel_points(1, 0, [{0: half}, {0: half}]) == [(0, 0, 0)]
+    assert kernel_points(2, 1, [{}]) == [p + (0,) for p in _box(2, 1)]
+    assert kernel_points(0, 1) == [()]
 
 
 def test_rb_search_budget_needs_raw_box():
