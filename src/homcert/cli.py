@@ -26,7 +26,7 @@ from .hommod import (HomModule, adjoint_postlie_module, bimodule_to_lie_module,
 from . import functors
 from .functors import FunctorResult
 from .harness import run_corpus_certification
-from .search import postlie_candidate_space, postlie_search
+from .search import postlie_candidate_space, search_candidate_space
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -246,7 +246,7 @@ def cmd_derive(args) -> int:
 def cmd_search_postlie(args) -> int:
     lie = docs.algebra_from_doc(docs.load_json(args.path))
     space = postlie_candidate_space(lie)
-    survivors = postlie_search(lie, args.bound)
+    survivors = search_candidate_space(space, args.bound)
     bound = args.bound
     tested = (2 * bound + 1) ** len(space.basis)
     summary = {

@@ -207,9 +207,6 @@ class Matrix:
             raise InputError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return mat_mul(self, other)
-
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product."""
         if len(v) != self.cols:
@@ -399,10 +396,6 @@ class Tensor3:
     def __getitem__(self, ijk):
         i, j, k = ijk
         return self.data[(i * self.d2 + j) * self.d3 + k]
-
-    def nested(self):
-        return [[[self[i, j, k] for k in range(self.d3)]
-                 for j in range(self.d2)] for i in range(self.d1)]
 
     def product_vec(self, i: int, j: int) -> tuple:
         """The vector e_i * e_j."""

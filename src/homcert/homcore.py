@@ -448,22 +448,25 @@ def _residuals(laws: Sequence[Law], env: Mapping) -> list:
             for d in vec_sub(lhs, rhs)]
 
 
-def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, shape: tuple) -> Matrix:
-    """The constraint matrix of laws that are linear in ``unknown``, a
-    matrix of shape (rows, cols) or a tensor of shape (d1, d2, d3): column c
-    holds lhs - rhs of every law at every basis tuple, in law, lexicographic
-    tuple and coordinate order, with the unit at flat position c (row-major)
-    bound to ``unknown``.  Its kernel is the set of unknowns on which the
-    laws hold."""
+def unit_basis(shape: tuple) -> list:
+    """The units of a matrix of shape (rows, cols) or a tensor of shape
+    (d1, d2, d3): unit c holds 1 at flat position c (row-major)."""
     cells = math.prod(shape)
     if len(shape) == 2:
         rows, cols = shape
-        units = (Matrix._exact([[int(r * cols + q == c) for q in range(cols)] for r in range(rows)])
-                 for c in range(cells))
-    else:
-        units = (Tensor3(*shape, basis_vec(cells, c)) for c in range(cells))
+        return [Matrix._exact([[int(r * cols + q == c) for q in range(cols)] for r in range(rows)])
+                for c in range(cells)]
+    return [Tensor3(*shape, basis_vec(cells, c)) for c in range(cells)]
+
+
+def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, basis: Sequence) -> Matrix:
+    """The constraint matrix of laws that are linear in ``unknown``: column
+    c holds lhs - rhs of every law at every basis tuple, in law, lexicographic
+    tuple and coordinate order, with basis[c] bound to ``unknown``.  Over
+    ``unit_basis(shape)`` its kernel is the set of unknowns on which the laws
+    hold, written row-major."""
     with certification_scope():
-        columns = [_residuals(laws, {**env, unknown: unit}) for unit in units]
+        columns = [_residuals(laws, {**env, unknown: unit}) for unit in basis]
     return Matrix.from_columns(columns)
 
 
@@ -872,14 +875,9 @@ def _epsilon_mul_rows(b: EpsilonHomBialgebra) -> list[AxiomResult]:
             for s in _specs("epsilon-product", {"mul": b.mul, "alpha": b.alpha})]
 
 
-def _epsilon_delta_rows(b: EpsilonHomBialgebra, until_failure: bool = False) -> list[AxiomResult]:
-    """Prerequisites involving the coproduct, to the first failure if ``until_failure``."""
-    rows = []
-    for s in _specs("epsilon-coproduct", b.env):
-        rows.append(check_identity(s))
-        if until_failure and not rows[-1].passed:
-            break
-    return rows
+def _epsilon_delta_rows(b: EpsilonHomBialgebra) -> list[AxiomResult]:
+    """Prerequisites involving the coproduct."""
+    return [check_identity(s) for s in _specs("epsilon-coproduct", b.env)]
 
 
 def epsilon_prerequisites(b: EpsilonHomBialgebra) -> CertReport:
@@ -892,7 +890,7 @@ def commuting_endomorphism_basis(alpha: Matrix) -> list[Matrix]:
     the kernel of the declared ``commutes-with-twist`` row, linear in f."""
     n = alpha.rows
     laws = _declare_identities()["commutes-with-twist"]
-    system = linear_rows(laws, {"alpha": alpha}, "r", (n, n))
+    system = linear_rows(laws, {"alpha": alpha}, "r", unit_basis((n, n)))
     return [Matrix([v.column(0)[p * n:(p + 1) * n] for p in range(n)]) for v in nullspace(system)]
 
 
@@ -909,7 +907,7 @@ def _end_alpha_rows(b: EpsilonHomBialgebra, basis: Sequence[Matrix]) -> list[Axi
     composition algebra is Hom-associative with twist alpha.f, and the
     convolution R maps it into End_alpha as a weight-0 Rota-Baxter operator."""
     n, cells, one = b.dim, b.dim ** 2, Matrix.identity(b.dim)
-    conv = linear_rows(_declare_identities()["convolution"], b.env, "f", (n, n))
+    conv = linear_rows(_declare_identities()["convolution"], b.env, "f", unit_basis((n, n)))
     env = {"E": Matrix.from_columns([sum(f.data, ()) for f in basis]),
            # e_pq . e_qs = e_ps, matrix units flattened row-major
            "comp": Tensor3.from_basis_products(cells, cells, cells, lambda u, w: basis_vec(

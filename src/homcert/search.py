@@ -1,14 +1,15 @@
 """Searching for Hom-post-Lie products, plus the instance generators and
 box searches the test corpus is built from.
 
-Every search takes two steps.  The linear step solves the certification
-rows that are linear in the unknown (for a post-Lie product, the
-bracket-compatibility identity) exactly, as a kernel basis.  The quadratic
-step is one enumerator, ``kernel_points``: it walks the bounded integer
-combinations of that basis and prunes them with a remaining row of degree
-at most 2 in the unknown (the twisted left-symmetry identity, or
-Hom-coassociativity for coproducts), as exact quadratic forms.  Whatever
-survives is certified in full.
+Every search takes two steps, and one enumerator, ``kernel_points``, takes
+both as a list of exact forms in integer coefficients that must vanish.
+The linear step: the post-Lie search walks the coefficients of a kernel
+basis of its bracket-compatibility rows; a box search walks the unknown's
+own entries, and each row of the reduced echelon form of its linear rows is
+a form.  The quadratic step: a remaining row of degree at most 2 in the
+unknown (the twisted left-symmetry identity, or Hom-coassociativity for
+coproducts) is polarized into forms.  Whatever survives is certified in
+full.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetError, CertificationError, InputError, UnsupportedError
@@ -27,7 +27,7 @@ from .exactlin import ONE, ZERO, Matrix, Tensor3, nullspace, rat, rref
 from .homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, Identity, _declare_identities,
                       _epsilon_delta_rows, _epsilon_mul_rows, certification_scope, check_axioms,
                       check_identity, check_rota_baxter, linear_rows, quadratic_rows,
-                      require_certified, yau_twist)
+                      require_certified, unit_basis, yau_twist)
 from .functors import FunctorResult
 from .hommod import OOP_LAWS, HomModule, check_oop
 
@@ -58,7 +58,7 @@ def postlie_linear_system(l: HomAlgebra) -> Matrix:
     laws = [law for law in _declare_identities()["hom-postlie"]
             if law.name == "postlie-bracket-compatibility"]
     env = {"bracket": l.op("bracket"), "alpha": l.alpha}
-    rows = linear_rows(laws, env, "mul", (n, n, n)).data
+    rows = linear_rows(laws, env, "mul", unit_basis((n, n, n))).data
     return Matrix([rows[((i * n + j) * n + k) * n + q]
                    for k, i, j, q in itertools.product(range(n), repeat=4)])
 
@@ -94,20 +94,20 @@ def postlie_candidate_space(l: HomAlgebra) -> PostLieCandidateSpace:
     return PostLieCandidateSpace(l, tuple(basis), ambient, ambient - len(basis))
 
 
-def _candidate_space(l: HomAlgebra, combo_bound: int,
-                     max_candidates: int) -> PostLieCandidateSpace:
-    """The kernel basis of a bound-``combo_bound`` candidate box, or BudgetError
-    when the whole box holds more than ``max_candidates`` points."""
+def _require_box(what: str, cells: int, bound: int, max_candidates: int,
+                 directions: str = "") -> None:
+    total = (2 * bound + 1) ** cells
+    if total > max_candidates:
+        raise BudgetError(f"{what} box has {total} points{directions}, budget is "
+                          f"{max_candidates}", needed=total, budget=max_candidates)
+
+
+def _require_candidates(space: PostLieCandidateSpace, combo_bound: int,
+                        max_candidates: int) -> None:
     if combo_bound < 0:
         raise InputError("combo_bound must be non-negative")
-    space = postlie_candidate_space(l)
     d = len(space.basis)
-    total = (2 * combo_bound + 1) ** d
-    if total > max_candidates:
-        raise BudgetError(
-            f"candidate box has {total} points over {d} kernel directions, "
-            f"budget is {max_candidates}", needed=total, budget=max_candidates)
-    return space
+    _require_box("candidate", d, combo_bound, max_candidates, f" over {d} kernel directions")
 
 
 def iter_postlie_candidates(l: HomAlgebra, combo_bound: int,
@@ -116,7 +116,8 @@ def iter_postlie_candidates(l: HomAlgebra, combo_bound: int,
     """All bounded integer combinations of the kernel basis, in lexicographic
     coefficient order; raises BudgetError before enumerating too many.  The
     unfiltered box, kept as the oracle ``postlie_search`` is checked against."""
-    space = _candidate_space(l, combo_bound, max_candidates)
+    space = postlie_candidate_space(l)
+    _require_candidates(space, combo_bound, max_candidates)
     for coeffs in itertools.product(range(-combo_bound, combo_bound + 1),
                                     repeat=len(space.basis)):
         yield coeffs, _combination(l.dim, space.basis, coeffs)
@@ -136,17 +137,26 @@ def postlie_search(l: HomAlgebra, combo_bound: int,
                    max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> list[FunctorResult]:
     """Every bounded-box candidate product satisfying both defining identities,
     each returned as a fully certified Hom-post-Lie algebra."""
-    space = _candidate_space(l, combo_bound, max_candidates)
+    return search_candidate_space(postlie_candidate_space(l), combo_bound, max_candidates)
+
+
+def search_candidate_space(space: PostLieCandidateSpace, combo_bound: int,
+                           max_candidates: int = DEFAULT_CANDIDATE_BUDGET
+                           ) -> list[FunctorResult]:
+    """``postlie_search`` over the candidate space of ``space.homlie``,
+    already computed by the caller."""
+    _require_candidates(space, combo_bound, max_candidates)
+    l, basis = space.homlie, space.basis
     n = l.dim
     law, = (law for law in _declare_identities()["hom-postlie"]
             if law.name == TWISTED_LEFT_SYMMETRY)
     env = {"bracket": l.op("bracket"), "alpha": l.alpha, "mul": Tensor3.zeros(n)}
     survivors = []
     with certification_scope():
-        for coeffs in kernel_points(len(space.basis), combo_bound,
-                                    quadratic=([law], env, "mul", space.basis)):
+        forms = quadratic_rows([law], env, "mul", basis if combo_bound else ())
+        for coeffs in kernel_points(len(basis), combo_bound, forms):
             out = HomAlgebra(n, "hom-postlie", {"bracket": l.op("bracket"),
-                                                "mul": _combination(n, space.basis, coeffs)},
+                                                "mul": _combination(n, basis, coeffs)},
                              l.alpha)
             cert = check_axioms(out)
             if not cert.passed:
@@ -160,57 +170,47 @@ def postlie_search(l: HomAlgebra, combo_bound: int,
 # ---------------------------------------------------------------------------
 # the enumerator: the linear step, then the quadratic step
 #
-# Every search's unknown is an integer point of a box in the kernel of its
-# linear certification rows, written over a kernel basis with coefficients c.
-# A remaining row of degree at most 2 in the unknown is an exact quadratic
-# form in c (homcore.quadratic_rows).  A depth-first walk sets c_0, c_1, ...
+# A search's unknown is an integer vector c of a box: the coefficients of a
+# post-Lie candidate over its kernel basis, or a box search's own entries.
+# Every certification row of degree at most 2 in the unknown is an exact
+# form in c: the reduced rows of the linear system, or the forms
+# homcore.quadratic_rows polarizes.  A depth-first walk sets c_0, c_1, ...
 # in the order itertools.product visits them, keeps each form's running sum,
 # and checks a form as soon as the last coefficient it involves is set, so a
 # failing prefix cuts its whole subtree.
 
-def kernel_points(d: int, bound: int, pivots: Sequence[dict] = (),
-                  quadratic: tuple = None) -> list[tuple[int, ...]]:
+def kernel_points(d: int, bound: int, forms: Sequence[tuple]) -> list[tuple[int, ...]]:
     """Every integer vector c in [-bound, bound]^d, in ``itertools.product``
-    order, at which each pivot (a linear form {i: coefficient}) is an integer
-    inside the bound and, when ``quadratic`` is (laws, env, unknown, basis),
-    the laws hold with env[unknown] + sum_i c_i basis[i] bound to
-    ``unknown``; each c is returned followed by its pivots' values.  The
-    quadratic forms are built only over coordinates that move: at bound 0
-    the box is one point and only env[unknown] is bound."""
-    rows = [(ZERO, pivot, {}, -bound, bound) for pivot in pivots]
-    if quadratic is not None:
-        laws, env, unknown, basis = quadratic
-        rows += [(const, lin, quad, 0, 0) for const, lin, quad
-                 in quadratic_rows(laws, env, unknown, basis if bound else ())]
-    # Row f is scaled to integers by scales[f]: its running sum must be a
-    # multiple of scales[f] inside scales[f] * [lo, hi], checked once the
-    # row's last coordinate is set.  The pivots hold the first len(pivots).
-    start, scales, moves, checks, seen = [], [], [[] for _ in range(d)], [[] for _ in range(d)], set()
-    for const, lin, quad, lo, hi in rows:
+    order, at which each form (const, linear, quadratic) vanishes:
+
+        const + sum_i c_i linear[i] + sum_{i<=j} c_i c_j quadratic[i, j],
+
+    the type ``homcore.quadratic_rows`` returns."""
+    # Each form is scaled to integers and kept once, up to a factor; its
+    # running sum must be 0 once its last coordinate is set.
+    start, moves, checks, seen = [], [[] for _ in range(d)], [[] for _ in range(d)], set()
+    for const, lin, quad in forms:
         terms = [(None, const), *lin.items(), *quad.items()]
         scale = math.lcm(*(a.denominator for _, a in terms))
         terms = [(key, int(a * scale)) for key, a in terms]
-        if len(start) >= len(pivots):  # a row that must vanish: kept once, up to a factor
-            first = next((a for _, a in terms if a), 0)
-            unit = math.gcd(*(a for _, a in terms)) * (1 if first > 0 else -1)
-            if not unit or (terms := tuple((key, a // unit) for key, a in terms)) in seen:
-                continue
-            seen.add(terms)
+        first = next((a for _, a in terms if a), 0)
+        unit = math.gcd(*(a for _, a in terms)) * (1 if first > 0 else -1)
+        if not unit or (terms := tuple((key, a // unit) for key, a in terms)) in seen:
+            continue
+        seen.add(terms)
         (_, const), *terms = terms
         lin = {k: a for k, a in terms if type(k) is int}
         quad = {k: a for k, a in terms if type(k) is tuple}
         moving = set(lin).union(*quad)
-        if not moving and (const % scale or not lo * scale <= const <= hi * scale):
+        if not moving:  # a nonzero constant
             return []
         f = len(start)
         start.append(const)
-        scales.append(scale)
         for k in moving:
             moves[k].append((f, lin.get(k, 0), quad.get((k, k), 0),
                              [(j, a) for (j, i), a in quad.items() if i == k and j < k]))
-        if moving:
-            checks[max(moving)].append((f, scale, lo * scale, hi * scale))
-    # past the last level a row moves at, every combination survives
+        checks[max(moving)].append(f)
+    # past the last level a form moves at, every combination survives
     depth = max((k + 1 for k in range(d) if moves[k]), default=0)
     values = range(-bound, bound + 1)
     tails = list(itertools.product(values, repeat=d - depth))
@@ -218,10 +218,9 @@ def kernel_points(d: int, bound: int, pivots: Sequence[dict] = (),
 
     def descend(k: int, sums: list) -> None:
         if k == depth:
-            pivot_values = tuple(a // scale for a, scale in zip(sums, scales[:len(pivots)]))
-            points.extend((*c, *tail, *pivot_values) for tail in tails)
+            points.extend((*c, *tail) for tail in tails)
             return
-        # each row's coefficient of c_k, given c_0..c_{k-1}
+        # each form's coefficient of c_k, given c_0..c_{k-1}
         slopes = [(f, a + sum(b * c[j] for j, b in cross) if cross else a, square)
                   for f, a, square, cross in moves[k]]
         for v in values:
@@ -231,9 +230,8 @@ def kernel_points(d: int, bound: int, pivots: Sequence[dict] = (),
                 s = sums.copy()
                 for f, slope, square in slopes:
                     s[f] += v * (slope + v * square)
-            for f, scale, lo, hi in checks[k]:
-                x = s[f]
-                if x % scale or not lo <= x <= hi:
+            for f in checks[k]:
+                if s[f]:
                     break
             else:
                 descend(k + 1, s)
@@ -246,54 +244,34 @@ def kernel_points(d: int, bound: int, pivots: Sequence[dict] = (),
 # brute-force oracles: box searches through the enumerator
 #
 # Each search returns the integer points of a box [-bound, bound]^cells that
-# pass its certification: the same list, in the same row-major lexicographic
-# order, as a certified walk of the whole box.  Only the points the
-# enumerator finds are certified.
+# pass its certification: the same list, in the same lexicographic order, as
+# a certified walk of the whole box.  Only the points the enumerator finds
+# are certified.
 
-def _box_points(system: Matrix, cells: int, bound: int,
-                quadratic: tuple = None) -> list[tuple[int, ...]]:
-    """The integer points of [-bound, bound]^cells in the kernel of the
-    constraint matrix ``system`` (``cells`` columns; it may have no rows),
-    sorted as ``itertools.product`` would visit them.  When ``quadratic`` is
-    (laws, env, unknown), only points on which the laws hold are kept, each
-    point bound to ``unknown`` as a matrix of env[unknown]'s shape, row-major.
-
-    The reduced echelon form writes each pivot coordinate in terms of the
-    free ones, so the free coordinates are the enumerator's coefficients and
-    each pivot must be an integer inside the bound.  That form is unique for
-    the row space, so the points do not depend on row order."""
-    reduced, pivots = rref(system)
-    free = [c for c in range(cells) if c not in pivots]
-    solve = [{k: -reduced[r, f] for k, f in enumerate(free) if reduced[r, f]}
-             for r in range(len(pivots))]
-    if quadratic is not None:
-        laws, env, unknown = quadratic
-        cols = env[unknown].cols
-        basis = []
-        for k, f in enumerate(free):
-            flat = [ZERO] * cells
-            flat[f] = ONE
-            for p, pivot in zip(pivots, solve):
-                flat[p] = pivot.get(k, ZERO)
-            basis.append(Matrix._exact(flat[r:r + cols] for r in range(0, cells, cols)))
-        quadratic = laws, env, unknown, basis
-    points = kernel_points(len(free), bound, solve, quadratic)
-    if cells > 1:  # each walk point lists the free values, then the pivot values
-        order = free + list(pivots)
-        points = list(map(itemgetter(*sorted(range(cells), key=order.__getitem__)), points))
-    points.sort()
-    return points
+def _linear_forms(system: Matrix) -> list[tuple]:
+    """The rows of the reduced echelon form of ``system``, as forms that
+    must vanish.  That form is unique for the row space, so the points do
+    not depend on row order."""
+    return [(ZERO, {c: a for c, a in enumerate(row) if a}, {}) for row in rref(system)[0].data]
 
 
-def _require_box(what: str, cells: int, bound: int, max_candidates: int) -> None:
-    total = (2 * bound + 1) ** cells
-    if total > max_candidates:
-        raise BudgetError(f"{what} box has {total} points, budget is {max_candidates}",
-                          needed=total, budget=max_candidates)
+def _box_entries(linear: Sequence, env: dict, unknown: str, units: Sequence, bound: int,
+                 quadratic: Sequence = ()) -> list[tuple[int, ...]]:
+    """The entries c in [-bound, bound]^len(units), in ``itertools.product``
+    order, on which sum_i c_i units[i], bound to ``unknown``, satisfies the
+    ``linear`` laws and the ``quadratic`` ones; the latter are polarized
+    about env[unknown], which must then be zero."""
+    forms = _linear_forms(linear_rows(linear, env, unknown, units))
+    if quadratic:
+        forms += quadratic_rows(quadratic, env, unknown, units if bound else ())
+    return kernel_points(len(units), bound, forms)
 
 
-def _matrices(points, rows: int, cols: int) -> list[Matrix]:
-    return [Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)]) for flat in points]
+def _box_matrices(linear: Sequence, env: dict, unknown: str, rows: int, cols: int,
+                  bound: int) -> list[Matrix]:
+    """``_box_entries`` over the rows x cols matrix units, as matrices."""
+    return [Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)])
+            for flat in _box_entries(linear, env, unknown, unit_basis((rows, cols)), bound)]
 
 
 def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
@@ -310,11 +288,10 @@ def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
     if m.kind not in OOP_LAWS:
         raise InputError(f"O-operators are not defined for module kind {m.kind!r}")
     _require_box("operator", a.dim * m.mdim, entry_bound, max_candidates)
-    system = linear_rows(_declare_identities()["oop-twist-compat"],
-                         {"alpha": a.alpha, "beta": m.beta}, "T", (a.dim, m.mdim))
-    points = _box_points(system, a.dim * m.mdim, entry_bound)
+    found = _box_matrices(_declare_identities()["oop-twist-compat"],
+                          {"alpha": a.alpha, "beta": m.beta}, "T", a.dim, m.mdim, entry_bound)
     with certification_scope():
-        return [t for t in _matrices(points, a.dim, m.mdim) if check_oop(t, m).passed]
+        return [t for t in found if check_oop(t, m).passed]
 
 
 def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
@@ -330,12 +307,10 @@ def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
     a.single_op()  # like a malformed weight, raises InputError before the box is counted
     weight = rat(weight)
     _require_box("operator", a.dim * a.dim, entry_bound, max_candidates)
-    system = linear_rows(_declare_identities()["commutes-with-twist"], {"alpha": a.alpha},
-                         "r", (a.dim, a.dim))
-    points = _box_points(system, a.dim * a.dim, entry_bound)
+    found = _box_matrices(_declare_identities()["commutes-with-twist"], {"alpha": a.alpha},
+                          "r", a.dim, a.dim, entry_bound)
     with certification_scope():
-        return [r for r in _matrices(points, a.dim, a.dim)
-                if check_rota_baxter(a, r, weight).passed]
+        return [r for r in found if check_rota_baxter(a, r, weight).passed]
 
 
 def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int = 1,
@@ -357,14 +332,13 @@ def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int
         return []
     _require_box("coproduct", n ** 3, entry_bound, max_candidates)
 
-    # the rows over the n^2 x n coproduct map: its cell r*n+i is delta's flat
-    # position i*n^2+r
+    # the rows are over the n^2 x n coproduct map, whose cell (r, i) is
+    # delta's flat position i*n^2+r: the transposed n x n^2 units walk delta
     coassociativity, *linear = _declare_identities()["epsilon-coproduct"]
     env = {"mul": mul, "alpha": alpha, "Delta": Matrix.zeros(n * n, n)}
-    points = _box_points(linear_rows(linear, env, "Delta", (n * n, n)), n ** 3, entry_bound,
-                         ([coassociativity], env, "Delta"))
-    found = [EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha) for flat in sorted(
-        tuple(point[r * n + i] for i in range(n) for r in range(n * n)) for point in points)]
+    units = [u.transpose() for u in unit_basis((n, n * n))]
+    found = [EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha) for flat in
+             _box_entries(linear, env, "Delta", units, entry_bound, [coassociativity])]
     with certification_scope():
         if not all(r.passed for b in found for r in _epsilon_delta_rows(b)):
             raise AssertionError("search enumerator and certifier disagree on a survivor")

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from homcert import docs
+from homcert import docs, search
 from homcert.cli import main
 from homcert.exactlin import Matrix, Tensor3
 from homcert.homcore import HomAlgebra
@@ -249,6 +249,20 @@ def test_search_postlie_command(workdir, affine_lie):
     assert len(files) == 23  # survivors + summary
     # survivors certify standalone
     assert main(["check", "found/survivor_0000.json"]) == 0
+
+
+def test_search_postlie_solves_the_linear_system_once(workdir, affine_lie, monkeypatch):
+    calls = []
+
+    def counted(l):
+        calls.append(l)
+        return solve(l)
+
+    solve = search.postlie_linear_system
+    monkeypatch.setattr(search, "postlie_linear_system", counted)
+    path = write_algebra("lie.json", affine_lie)
+    assert main(["search-postlie", path, "--bound", "1"]) == 0
+    assert calls == [affine_lie]
 
 
 def test_search_postlie_budget_exit(workdir):

@@ -18,9 +18,8 @@ from homcert import docs
 from homcert.cli import CHECKS, DERIVE_FLAGS, FUNCTORS, _input_digest, main
 from homcert.exactlin import Matrix, Tensor3, rat, rat_str
 from homcert.functors import adjoint_bimodule
-from homcert.homcore import EpsilonHomBialgebra, _epsilon_delta_rows
 from homcert.hommod import adjoint_postlie_module
-from homcert.search import brute_force_oop_search, sc_tensor
+from homcert.search import brute_force_oop_search
 
 from conftest import catalog_algebra
 
@@ -372,14 +371,3 @@ def test_mutated_documents_keep_the_exit_contract(data):
     assert code in (0, 1, 2, 3)
     if code == 0:
         assert _normal(doc) == _normal(_reserialized(doc))
-
-
-def test_epsilon_rows_until_failure():
-    swap = Matrix([[0, 1], [1, 0]])
-    grouplike = sc_tensor(2, {(0, 0): {0: 1}, (1, 1): {1: 1}})
-    b = EpsilonHomBialgebra(2, Tensor3.zeros(2), grouplike, swap)
-    rows = _epsilon_delta_rows(b)
-    first_failure = next(i for i, r in enumerate(rows) if not r.passed)
-    assert _epsilon_delta_rows(b, until_failure=True) == rows[:first_failure + 1]
-    passing = EpsilonHomBialgebra(2, Tensor3.zeros(2), Tensor3.zeros(2), Matrix.identity(2))
-    assert _epsilon_delta_rows(passing, until_failure=True) == _epsilon_delta_rows(passing)

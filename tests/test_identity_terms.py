@@ -24,7 +24,7 @@ from homcert.homcore import (KIND_OPS, PREDICATES, CertReport, EpsilonHomBialgeb
                              check_morphism, check_predicate, check_rota_baxter,
                              commuting_endomorphism_basis, convolution_operator,
                              convolution_rb, epsilon_prerequisites, kind_axioms,
-                             linear_rows, yau_twist)
+                             linear_rows, unit_basis, yau_twist)
 from homcert.homcore import check_identity
 from homcert.hommod import (MODULE_KINDS, HomModule, adjoint_postlie_module, check_module_axioms,
                             check_oop, module_axioms, twist_beta)
@@ -489,7 +489,8 @@ def test_linear_rows_match_hand_systems():
             return Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)])
 
         # the Rota-Baxter twist row, and commuting_endomorphism_basis
-        system = linear_rows(laws["commutes-with-twist"], {"alpha": alpha}, "r", (n, n))
+        system = linear_rows(laws["commutes-with-twist"], {"alpha": alpha}, "r",
+                             unit_basis((n, n)))
         hand = oracle.residual_system(lambda flat: flat_difference(
             oracle.rb_twist_sides(alpha, as_matrix(flat, n, n))), n * n)
         assert_same_kernel(system, hand)
@@ -501,7 +502,7 @@ def test_linear_rows_match_hand_systems():
         m = HomModule(a, mdim, beta, {"rho": (Matrix.zeros(mdim, mdim),) * n},
                       "lie-representation")
         system = linear_rows(laws["oop-twist-compat"], {"alpha": alpha, "beta": beta}, "T",
-                             (n, mdim))
+                             unit_basis((n, mdim)))
         hand = oracle.residual_system(lambda flat: flat_difference(
             oracle.oop_twist_sides(as_matrix(flat, n, mdim), m)), n * mdim)
         assert_same_kernel(system, hand)
@@ -509,7 +510,7 @@ def test_linear_rows_match_hand_systems():
         # cell r*n+i is the hand system's delta position i*n^2+r
         mul = Tensor3(n, n, n, [rng.choice(ENTRIES) for _ in range(n ** 3)])
         system = linear_rows(laws["epsilon-coproduct"][1:], {"mul": mul, "alpha": alpha},
-                             "Delta", (n * n, n))
+                             "Delta", unit_basis((n * n, n)))
         system = Matrix.from_columns([system.column(r * n + i)
                                       for i in range(n) for r in range(n * n)])
         hand = oracle.residual_system(lambda flat: oracle._epsilon_linear_residual(

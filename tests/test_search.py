@@ -16,7 +16,7 @@ from homcert.homcore import (EpsilonHomBialgebra, HomAlgebra, Identity, Law, Ter
                              epsilon_prerequisites, quadratic_rows, yau_twist)
 from homcert.hommod import HomModule, adjoint_postlie_module, check_oop
 from homcert.functors import adjoint_bimodule
-from homcert.search import (CATALOG, RandomInstanceSpec, _box_points,
+from homcert.search import (CATALOG, RandomInstanceSpec, _linear_forms,
                             brute_force_epsilon_bialgebras,
                             brute_force_oop_search, brute_force_rb_search,
                             corpus, iter_postlie_candidates, kernel_points,
@@ -275,14 +275,14 @@ def test_rb_search_random_twists_equal_naive_walk(entries, weight):
 
 def test_kernel_points_skip_fractional_pivots():
     # x0 = (x1 + x2) / 2 is the pivot; odd x1 + x2 gives no integer point
-    found = _box_points(Matrix([[2, -1, -1]]), 3, 2)
+    found = kernel_points(3, 2, _linear_forms(Matrix([[2, -1, -1]])))
     assert found == [p for p in _box(3, 2) if 2 * p[0] - p[1] - p[2] == 0]
     assert (0, 1, -1) in found and all(type(v) is int for p in found for v in p)
     # a pivot outside the bound is dropped too: x0 = 2 x1
-    assert _box_points(Matrix([[1, -2]]), 2, 1) == [(0, 0)]
-    assert _box_points(Matrix([]), 0, 1) == [()]
+    assert kernel_points(2, 1, _linear_forms(Matrix([[1, -2]]))) == [(0, 0)]
+    assert kernel_points(0, 1, _linear_forms(Matrix([]))) == [()]
     # a system with no rows keeps the whole box
-    assert _box_points(Matrix([]), 2, 1) == list(_box(2, 1))
+    assert kernel_points(2, 1, _linear_forms(Matrix([]))) == list(_box(2, 1))
 
 
 _twist_entry = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
@@ -362,13 +362,43 @@ def test_searches_validate_inputs_before_counting_the_box():
         brute_force_rb_search(a, 0, 20)
 
 
-def test_kernel_points_follow_each_point_with_its_pivots():
-    # two pivots, both c0 / 2: only even c0 survives, and a repeated pivot is kept
+def test_kernel_points_keep_the_points_where_every_form_vanishes():
     half = Fraction(1, 2)
-    assert kernel_points(1, 2, [{0: half}, {0: half}]) == [(-2, -1, -1), (0, 0, 0), (2, 1, 1)]
-    assert kernel_points(1, 0, [{0: half}, {0: half}]) == [(0, 0, 0)]
-    assert kernel_points(2, 1, [{}]) == [p + (0,) for p in _box(2, 1)]
-    assert kernel_points(0, 1) == [()]
+    assert kernel_points(0, 1, [(0, {}, {})]) == [()]
+    assert kernel_points(2, 1, []) == list(_box(2, 1))
+    # c0 / 2 - c1: only even c0 survives
+    assert kernel_points(2, 2, [(0, {0: half, 1: -1}, {})]) == [(-2, -1), (0, 0), (2, 1)]
+    assert kernel_points(2, 1, [(half, {}, {})]) == []
+    # c0 c1 - 1
+    assert kernel_points(2, 1, [(-1, {}, {(0, 1): 1})]) == [(-1, -1), (1, 1)]
+
+
+_coefficient = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def _forms(draw):
+    d = draw(st.integers(0, 3))
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    form = st.tuples(_coefficient, st.dictionaries(st.sampled_from(range(d)), _coefficient)
+                     if d else st.just({}),
+                     st.dictionaries(st.sampled_from(pairs), _coefficient) if d else st.just({}))
+    return d, draw(st.integers(0, 2)), draw(st.lists(form, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forms())
+def test_kernel_points_equal_a_filtered_box(case):
+    d, bound, forms = case
+
+    def value(c, form):
+        const, linear, quadratic = form
+        return (const + sum(a * c[i] for i, a in linear.items())
+                + sum(a * c[i] * c[j] for (i, j), a in quadratic.items()))
+
+    found = kernel_points(d, bound, forms)
+    assert found == [c for c in _box(d, bound) if all(value(c, f) == 0 for f in forms)]
+    assert all(type(v) is int for c in found for v in c)
 
 
 def test_rb_search_budget_needs_raw_box():
