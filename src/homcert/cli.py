@@ -152,10 +152,11 @@ def _check_document(loaded) -> CertReport:
         return check_module_axioms(docs.module_from_doc(doc, base_dir))
     if dtype == "operator":
         raise InputError("cannot check a document of type 'operator'")
-    report = check_axioms(docs.algebra_from_doc(doc))
+    algebra = docs.algebra_from_doc(doc)
+    report = check_axioms(algebra)
     if dtype == "bialgebra":  # the coproduct rows too, never a PASS that ignored delta
         report = CertReport.from_results(
-            report.axioms + tuple(_epsilon_delta_rows(docs.bialgebra_from_doc(doc))))
+            report.axioms + tuple(_epsilon_delta_rows(docs.bialgebra_over(algebra, doc))))
     return report
 
 

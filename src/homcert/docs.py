@@ -77,7 +77,11 @@ def algebra_from_doc(doc: dict) -> HomAlgebra:
 
 
 def bialgebra_from_doc(doc: dict) -> EpsilonHomBialgebra:
-    a = algebra_from_doc(doc)
+    return bialgebra_over(algebra_from_doc(doc), doc)
+
+
+def bialgebra_over(a: HomAlgebra, doc: dict) -> EpsilonHomBialgebra:
+    """The bialgebra of doc's coproduct on a, the algebra read from doc."""
     if "delta" not in doc:
         raise InputError("document has no coproduct (delta)")
     delta = _tensor_from_lists(doc["delta"], "delta")

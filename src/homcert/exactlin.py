@@ -7,13 +7,16 @@ and ints are an order of magnitude faster, which matters in the hot axiom
 grids.  Every operation is exact, so axiom residuals computed upstream are
 identically zero or honestly nonzero.
 
+Documents carry rationals as canonical strings ("p" or "p/q"); ``rat``
+reads those directly with ``int()`` at any length, past the int-to-str
+digit limit included, and hands only other spellings to ``Fraction``.
+
 Matrices act on column vectors: column ``j`` of a map's matrix is the image
 of the ``j``-th basis vector.  Vectors are plain tuples of scalars.
 """
 
 from __future__ import annotations
 
-import re
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -26,7 +29,6 @@ ZERO = 0
 ONE = 1
 
 _SHORT_DIGITS = 600  # int() converts this many digits under any int-to-str limit (least 640)
-_INTEGER_PARTS = re.compile(r"([-+]?)(\d+)(?:/(\d+))?")
 
 
 def _int_by_halves(digits: str) -> int:
@@ -38,16 +40,6 @@ def _int_by_halves(digits: str) -> int:
     return _int_by_halves(digits[:-k]) * 10 ** k + _int_by_halves(digits[-k:])
 
 
-def _fraction(text: str) -> Fraction:
-    """Fraction(text), reading a long "p" or "p/q" by halves."""
-    parts = _INTEGER_PARTS.fullmatch(text) if len(text) > _SHORT_DIGITS else None
-    if parts is None:
-        return Fraction(text)
-    sign, num, den = parts.groups()
-    n = _int_by_halves(num)
-    return Fraction(-n if sign == "-" else n, _int_by_halves(den or "1"))
-
-
 def _short_repr(value) -> str:
     """repr(value), cut short when it is long."""
     text = repr(value)
@@ -55,20 +47,37 @@ def _short_repr(value) -> str:
 
 
 def rat(value):
-    """Parse a rational from an int, Fraction, or canonical "p/q" string,
-    normalizing integral values to int."""
+    """Read a rational from an int, a Fraction or a string, normalizing
+    integral values to int.
+
+    A canonical string, "p" or "p/q" in decimal digits with an optional sign
+    on p (surrounding whitespace aside), is read directly at any length.
+    Any other string goes to Fraction(text), which also reads "0.5", "1e3"
+    or "1_000"; what neither reads raises InputError.
+    """
     if type(value) is int:
         return value
+    if type(value) is str:
+        text = value.strip()
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] in ("-", "+") else num
+        try:
+            if digits.isdecimal() and (den.isdecimal() or not slash):
+                n = -_int_by_halves(digits) if num[0] == "-" else _int_by_halves(digits)
+                if not slash:
+                    return n
+                d = _int_by_halves(den)
+                return Fraction(n, d) if n % d else n // d  # n % 0 raises
+            q = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"not a rational: {_short_repr(value)}") from exc
+        return q.numerator if q.denominator == 1 else q
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int) and not isinstance(value, bool):  # true is not a rational
         return int(value)
-    if isinstance(value, str):
-        try:
-            q = _fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational: {_short_repr(value)}") from exc
-        return q.numerator if q.denominator == 1 else q
+    if isinstance(value, str):  # a str subclass, read as its plain text
+        return rat(str(value))
     raise InputError(f"not a rational: {_short_repr(value)}")
 
 

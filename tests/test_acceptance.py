@@ -11,13 +11,11 @@ import sys
 
 import pytest
 
-from homcert.errors import BudgetError, PreconditionError
+from homcert.errors import BudgetError
 from homcert.exactlin import Matrix, Tensor3, vec_sub
 from homcert.homcore import (KIND_OPS, HomAlgebra, check_axioms, check_predicate,
-                             check_rota_baxter, convolution_rb)
-from homcert.hommod import (adjoint_postlie_module, check_module_axioms,
-                            check_oop, direct_sum, tensor_product, twist_0k,
-                            twist_beta, twist_beta_data, twist_n0)
+                             convolution_rb)
+from homcert.hommod import adjoint_postlie_module, twist_0k, twist_beta, twist_n0
 from homcert.functors import (adjoint_bimodule, commutator_lie,
                               ldend_transpose, novikov_to_postlie,
                               oop_assoc_to_dendriform,

@@ -5,14 +5,17 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homcert import docs, search
 from homcert.cli import main
 from homcert.exactlin import Matrix, Tensor3
-from homcert.homcore import HomAlgebra
-from homcert.hommod import HomModule
+from homcert.homcore import KIND_OPS, HomAlgebra
+from homcert.hommod import MODULE_KINDS, HomModule
 from homcert.functors import adjoint_bimodule
 from homcert.search import sc_tensor
 
@@ -47,6 +50,73 @@ def test_module_doc_round_trip_inline_and_reference(dual_numbers, tmp_path):
     write_algebra(alg_path, dual_numbers)
     ref_doc = docs.module_to_doc(m, algebra_ref="alg.json")
     assert docs.module_from_doc(ref_doc, str(tmp_path)) == m
+
+
+# mostly proper fractions, some ints, and entries of 600 to 700 digits
+_entries = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.integers(-9, 9),
+    st.builds(lambda k, sign, den: Fraction(sign * (10 ** k + 7), den),
+              st.integers(600, 700), st.sampled_from([1, -1]), st.sampled_from([1, 3, 10 ** 640 + 1])))
+
+
+def _matrices(rows, cols):
+    return st.lists(st.lists(_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def _algebras(draw, kind=None, dim=None):
+    kind = kind or draw(st.sampled_from(sorted(KIND_OPS)))
+    n = dim or draw(st.integers(1, 3))
+    ops = {name: Tensor3(n, n, n, draw(st.lists(_entries, min_size=n ** 3, max_size=n ** 3)))
+           for name in KIND_OPS[kind] or draw(st.sampled_from([("mul",), ("p", "q")]))}
+    return HomAlgebra(n, kind, ops, Matrix(draw(_matrices(n, n))))
+
+
+@st.composite
+def _modules(draw):
+    kind = draw(st.sampled_from(sorted(MODULE_KINDS)))
+    alg_kind, names = MODULE_KINDS[kind]
+    algebra = draw(_algebras(alg_kind, draw(st.integers(1, 3))))
+    m = draw(st.integers(1, 3))
+    actions = {name: tuple(Matrix(draw(_matrices(m, m))) for _ in range(algebra.dim))
+               for name in names}
+    return HomModule(algebra, m, Matrix(draw(_matrices(m, m))), actions, kind)
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+def _algebra_entries(a):
+    return _typed([v for row in a.alpha.data for v in row]
+                  + [v for name in sorted(a.ops) for v in a.ops[name].data])
+
+
+def _module_entries(m):
+    return _algebra_entries(m.algebra) + _typed(
+        [v for row in m.beta.data for v in row]
+        + [v for name in sorted(m.actions) for mat in m.actions[name]
+           for row in mat.data for v in row])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_algebras())
+def test_algebra_doc_round_trip_keeps_entries_and_types(tmp_path_factory, a):
+    path = tmp_path_factory.getbasetemp() / "algebra.json"
+    path.write_text(docs.dumps(docs.algebra_to_doc(a)), encoding="utf-8")
+    again = docs.algebra_from_doc(docs.load_json(str(path)))
+    assert again == a and _algebra_entries(again) == _algebra_entries(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_modules())
+def test_module_doc_round_trip_keeps_entries_and_types(tmp_path_factory, m):
+    path = tmp_path_factory.getbasetemp() / "module.json"
+    path.write_text(docs.dumps(docs.module_to_doc(m)), encoding="utf-8")
+    again = docs.module_from_doc(docs.load_json(str(path)))
+    assert again == m and _module_entries(again) == _module_entries(m)
 
 
 def test_operator_doc_round_trip():
@@ -139,6 +209,15 @@ def test_check_bialgebra_certifies_the_coproduct(workdir, capsys):
     for row in ("hom-coassociativity", "cocentroid-left", "cocentroid-right"):
         assert f"FAIL  {row}  witness at (1,)" in out
     assert main(["check", write_algebra("zero.json", swap, delta=Tensor3.zeros(2))]) == 0
+
+
+def test_check_bialgebra_reads_its_algebra_once(workdir, dual_numbers, monkeypatch):
+    calls = []
+    read = docs.algebra_from_doc
+    monkeypatch.setattr(docs, "algebra_from_doc", lambda doc: calls.append(doc) or read(doc))
+    assert main(["check", write_algebra("bialg.json", dual_numbers,
+                                        delta=Tensor3.zeros(2))]) == 0
+    assert len(calls) == 1
 
 
 def test_check_bialgebra_needs_a_single_product(workdir, capsys):

@@ -1,6 +1,7 @@
 """Exact linear algebra kernel: frozen examples plus randomized properties."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from homcert.errors import InputError
 from homcert.exactlin import (Matrix, Tensor3, basis_index, basis_vec,
                               bilinear_eval, exact_div, mat_mul, nullspace,
                               rank, rat, rat_str, rref, vec_add, vec_scale)
+
+import rat_oracle
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -41,6 +44,69 @@ def test_rationals_past_the_str_digit_limit_are_read_exactly():
         with pytest.raises(InputError) as err:
             rat(bad)
         assert len(str(err.value)) < 100
+
+
+def _read(reader, value):
+    """What reader makes of value: (type, value), or the InputError message."""
+    try:
+        q = reader(value)
+    except InputError as exc:
+        return ("InputError", str(exc))
+    return (type(q), q)
+
+
+_DIGITS = "0123456789" "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669" "\uff10\uff11\uff15\uff19"
+_ALPHABET = _DIGITS + "+-/._e "
+# runs of digits from 560 to 640 long, across the 600 characters int() reads at once
+_long_runs = st.builds(lambda unit, k: (unit * k)[:k],
+                       st.text(_DIGITS, min_size=1, max_size=6), st.integers(560, 640))
+_numbers = st.one_of(st.text(_DIGITS, min_size=1, max_size=8), _long_runs)
+_canonical = st.builds(lambda sign, num, den, pad: pad + sign + num + den + pad,
+                       st.sampled_from(["", "+", "-"]), _numbers,
+                       st.one_of(st.just(""), _numbers.map("/".__add__)),
+                       st.sampled_from(["", " "]))
+_joined = st.lists(st.one_of(st.text(_ALPHABET, max_size=4), _long_runs), max_size=4).map("".join)
+_huge_exponent = re.compile(r"e[-+]?[\d_]{5,}")  # Fraction would build 10**exponent
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(_ALPHABET, max_size=24), _canonical, _joined)
+       .filter(lambda text: not _huge_exponent.search(text)))
+def test_rat_reads_strings_as_the_fraction_reader_did(text):
+    assert _read(rat, text) == _read(rat_oracle.rat, text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("-0", 0), ("+5", 5), ("0/7", 0), ("4/2", 2), ("-3/6", Fraction(-1, 2)),
+    ("1_0", 10), ("0.5", Fraction(1, 2)), ("1e3", 1000), (" 7 ", 7),
+    ("\u0663/\u0664", Fraction(3, 4))])
+def test_rat_reads_each_spelling(text, expected):
+    assert _read(rat, text) == _read(rat_oracle.rat, text) == (type(expected), expected)
+
+
+@pytest.mark.parametrize("text", ["3/0", "1/-2", "", "/", "5/", "-", "3 / 4", "1/2/3"])
+def test_rat_rejects_what_the_fraction_reader_rejected(text):
+    assert _read(rat, text)[0] == "InputError"
+    assert _read(rat, text) == _read(rat_oracle.rat, text)
+
+
+def test_rat_reads_values_past_the_str_digit_limit_as_the_fraction_reader_did():
+    nines = "9" * 5000  # 10**5000 - 1, a multiple of 3 and of 9
+    for text, expected in (("-" + nines + "/3", -(10 ** 5000 - 1) // 3),
+                           (" +" + nines + "/" + nines, 1),
+                           ("2/" + nines + "0", Fraction(2, 10 ** 5001 - 10))):
+        assert _read(rat, text) == _read(rat_oracle.rat, text) == (type(expected), expected)
+    for text in (nines + ".5", "1_" + nines, nines + "/0", nines + "/-1"):
+        assert _read(rat, text)[0] == "InputError"
+        assert _read(rat, text) == _read(rat_oracle.rat, text)
+
+
+def test_rat_reads_a_str_subclass_as_its_text():
+    class Text(str):
+        pass
+
+    assert _read(rat, Text(" 6/4")) == _read(rat_oracle.rat, Text(" 6/4")) == (
+        Fraction, Fraction(3, 2))
 
 
 def test_exact_div():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from homcert.errors import InputError, PreconditionError
-from homcert.exactlin import (Matrix, Tensor3, basis_vec, vec_scale, vec_sub)
+from homcert.exactlin import Matrix, Tensor3, basis_vec, vec_sub
 from homcert.homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, check_axioms,
                              check_identity, check_morphism, check_predicate,
                              check_rota_baxter, commuting_endomorphism_basis,

@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from homcert.errors import CertificationError, InputError, PreconditionError
-from homcert.exactlin import Matrix, Tensor3, mat_mul
+from homcert.errors import InputError, PreconditionError
+from homcert.exactlin import Matrix, Tensor3
 from homcert.homcore import HomAlgebra, check_axioms, yau_twist
 from homcert.hommod import (HomModule, adjoint_postlie_module,
                             bimodule_to_lie_module, check_module_axioms,

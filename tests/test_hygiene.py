@@ -1,5 +1,5 @@
-"""Source hygiene: every name a homcert module imports is used in it, no
-function imports in the package or its tests, and every private top-level
+"""Source hygiene: every name a homcert module or a test imports is used in
+it, no function imports in the package or its tests, and every private top-level
 function or class is used somewhere in the package.
 
 Standard library only: each ``src/homcert/*.py`` and ``tests/*.py`` is parsed
@@ -49,6 +49,12 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert unused_imports(fh.read()) == []
+
+
+@pytest.mark.parametrize("module", TEST_SOURCES)
+def test_no_unused_imports_in_tests(module):
+    with open(os.path.join(TESTS, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from homcert.errors import (BudgetError, InputError, PreconditionError,
                             UnsupportedError)
-from homcert.exactlin import Matrix, Tensor3, mat_mul, rank
+from homcert.exactlin import Matrix, Tensor3, rank
 from homcert.harness import _build_epsilon
 from homcert.exactlin import vec_sub
 from homcert.homcore import (EpsilonHomBialgebra, HomAlgebra, Identity, Law, Term,
