@@ -57,7 +57,7 @@ def rat(value):
     """
     if type(value) is int:
         return value
-    if type(value) is str:
+    if isinstance(value, str):
         text = value.strip()
         num, slash, den = text.partition("/")
         digits = num[1:] if num[:1] in ("-", "+") else num
@@ -76,8 +76,6 @@ def rat(value):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int) and not isinstance(value, bool):  # true is not a rational
         return int(value)
-    if isinstance(value, str):  # a str subclass, read as its plain text
-        return rat(str(value))
     raise InputError(f"not a rational: {_short_repr(value)}")
 
 
