@@ -5,7 +5,8 @@ integral rational (denominator 1), and ``fractions.Fraction`` carries the
 rest.  The two interoperate exactly under arithmetic, equality, and hashing,
 and ints are an order of magnitude faster, which matters in the hot axiom
 grids.  Every operation is exact, so axiom residuals computed upstream are
-identically zero or honestly nonzero.
+identically zero or honestly nonzero.  Stored entries are canonical
+(``Matrix``, ``Matrix._exact`` and ``Tensor3`` make integral values ints).
 
 Documents carry rationals as canonical strings ("p" or "p/q"); ``rat``
 reads those directly with ``int()`` at any length, past the int-to-str
@@ -120,19 +121,6 @@ def vec_scale(k, x):
     return tuple(k * a for a in x)
 
 
-def basis_index(v):
-    """i when v is the basis vector e_i with the int 1 as its entry, else None.
-
-    Products by that 1 return the other factor unchanged, type included, so
-    the kernels may look the result up instead of computing it.
-    """
-    if v.count(ZERO) != len(v) - 1:
-        return None
-    for i, b in enumerate(v):
-        if b:
-            return i if type(b) is int and b == 1 else None
-
-
 class Matrix:
     """Immutable dense matrix of Fractions, row-major."""
 
@@ -218,9 +206,6 @@ class Matrix:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise InputError(f"vector length {len(v)} != cols {self.cols}")
-        j = basis_index(v)
-        if j is not None:
-            return self.column(j)  # no arithmetic on the image of e_j
         out = []
         for row in self.data:
             s = ZERO
@@ -463,12 +448,6 @@ def bilinear_eval(t: Tensor3, x: Sequence, y: Sequence) -> tuple:
             f"bilinear_eval dimension mismatch: ({len(x)},{len(y)}) vs {t.dims}")
     d2, d3 = t.d2, t.d3
     data = t.data
-    i = basis_index(x)
-    if i is not None:
-        j = basis_index(y)
-        if j is not None:
-            base = (i * d2 + j) * d3
-            return tuple(data[base:base + d3])  # e_i * e_j, no arithmetic
     out = [ZERO] * d3
     for i, xi in enumerate(x):
         if not xi:

@@ -4,7 +4,9 @@ A HomAlgebra is pure data: dimension, one or two product tensors, and a
 twisting map.  Whether it satisfies the axioms of its declared kind is never
 assumed; ``check_axioms`` evaluates every axiom on all basis tuples (exact
 arithmetic plus multilinearity make that sufficient) and reports a minimal
-witness on failure.
+witness on failure.  Every identity is a declared law evaluated by one sparse
+interpreter; the sides of a witness, like stored rationals, are canonical:
+an int exactly when integral.
 """
 
 from __future__ import annotations
@@ -156,22 +158,19 @@ class CertReport:
 #
 # Each identity is declared once, as a Law between two terms; an Identity binds
 # its names to one structure's tensors, matrices and scalars.  Vectors are sparse
-# (coordinate, value) pairs under the arithmetic of the dense kernels
-# (bilinear_eval, Matrix.apply, vec_add, vec_scale): products and maps skip
-# falsy coordinates, sums keep every coordinate they touch, and a first term is
-# stored as is (0 + a has a's value and type), so both sides get the values and
-# entry types (int or Fraction) of dense evaluation.  A normalized term is what
-# matrix arithmetic (Matrix._exact) leaves: integral Fractions become ints.  A
-# tensor node adds up (a * e) * e2 over the nonzero coordinates a of its
-# argument and e, e2 of the two images.
+# (coordinate, value) pairs: products and maps skip falsy coordinates, and sums
+# keep every coordinate they touch.  A tensor node adds up (a * e) * e2 over the
+# nonzero coordinates a of its argument and e, e2 of the two images.  Inside the
+# interpreter an integral value may be a Fraction; a side that leaves it (a
+# witness, or a dense side of Identity.__call__) is canonical, as stored
+# rationals are: an int exactly when integral.
 
 class Term:
     """("var", index) for a variable (index -1 is the law's last variable),
     ("op", name, u, v) for a bilinear product, ("map", name, u) for a linear
     map, ("scaled", name, u) for a named scalar times u (a zero scalar drops
     u), ("sum", signs, *terms) for a sum of sign * term with signs +-1
-    (nested sums are flattened), ("normalized", None, u) for u normalized
-    as matrix arithmetic normalizes, or ("tensor", None, f, g, u) for
+    (nested sums are flattened), or ("tensor", None, f, g, u) for
     (f (x) g)(u).  There u lies in V (x) V, coordinate i * dim V + j on
     e_i (x) e_j, and f and g are one-argument templates over V, terms in
     which ("hole", None) stands for the basis vector they are applied to;
@@ -213,10 +212,6 @@ def _tensor_shape(t: Term, env: Mapping, dims: Sequence[int]) -> tuple[int, int]
     """(dim V, len(g)) for a tensor node (f (x) g)(u) with u in V (x) V."""
     n = math.isqrt(_length(t.args[2], env, dims))
     return n, _length(t.args[1], env, dims, n)
-
-
-def _exact(a):
-    return a if type(a) is int or a.denominator != 1 else a.numerator
 
 
 def _compile(t: Term, basis: bool):
@@ -283,17 +278,10 @@ def _compile(t: Term, basis: bool):
 
         return tensor
     fu = fns[0]
-    if t.kind == "normalized":
-        return lambda v, T: [(k, _exact(a)) for k, a in fu(v, T)]
     if t.kind == "scaled":
         def scaled(v, T):
-            c, dim = T[name]
-            if not c:
-                return ()
-            if type(c) is int:
-                return [(k, c * a) for k, a in fu(v, T)]
-            d = dict(fu(v, T))  # c * 0 is a Fraction zero: every coordinate
-            return [(k, c * d.get(k, 0)) for k in range(dim)]
+            c = T[name]
+            return [(k, c * a) for k, a in fu(v, T)] if c else ()
 
         return scaled
     if t.kind == "map":
@@ -409,8 +397,8 @@ class Identity:
                 tables[t] = (*_tensor_shape(t, env, dims), {}, {})
                 continue
             obj, held = env[t.name], self.tables.get(t.name)
-            if t.kind == "scaled":  # the scalar and the length of its term
-                tables[t.name] = (obj, _length(t.args[0], env, dims))
+            if t.kind == "scaled":
+                tables[t.name] = obj
                 continue
             if held is None or held[0] is not obj:
                 held = self.tables[t.name] = (obj, (
@@ -423,7 +411,7 @@ class Identity:
     def __call__(self, *vectors):
         tables, _, m = self.bind()
         v = [tuple(enumerate(x)) for x in vectors]
-        return tuple(_dense(_compile(side, False)(v, tables), m)
+        return tuple(tuple(map(rat, _dense(_compile(side, False)(v, tables), m)))
                      for side in (self.law.lhs, self.law.rhs))
 
     def basis_sides(self):
@@ -479,10 +467,6 @@ def _degree(t: Term, unknown: str) -> int:
         _degree(u, unknown) for u in t.args)
 
 
-def _half(a):
-    return _exact(Fraction(a, 2))
-
-
 def quadratic_rows(laws: Sequence[Law], env: Mapping, unknown: str,
                    basis: Sequence) -> list[tuple]:
     """The residuals lhs - rhs of laws of degree at most 2 in ``unknown``,
@@ -511,8 +495,8 @@ def quadratic_rows(laws: Sequence[Law], env: Mapping, unknown: str,
                  for i, j in itertools.combinations(range(len(basis)), 2)}
     rows = []
     for r, k in enumerate(const):
-        linear = {i: _half(p[r] - m[r]) for i, (p, m) in enumerate(zip(plus, minus))}
-        quadratic = {(i, i): _half(p[r] + m[r]) - k for i, (p, m) in enumerate(zip(plus, minus))}
+        linear = {i: Fraction(p[r] - m[r], 2) for i, (p, m) in enumerate(zip(plus, minus))}
+        quadratic = {(i, i): Fraction(p[r] + m[r], 2) - k for i, (p, m) in enumerate(zip(plus, minus))}
         quadratic.update({(i, j): f[r] - plus[i][r] - plus[j][r] + k
                           for (i, j), f in cross.items()})
         rows.append((k, {i: a for i, a in linear.items() if a},
@@ -536,6 +520,7 @@ def _first_failure(sides) -> tuple:
     """(passed, witness): the first (indices, lhs, rhs) with lhs != rhs."""
     for idx, lhs, rhs in sides:
         if lhs != rhs:
+            lhs, rhs = (tuple(map(rat, side)) for side in (lhs, rhs))
             return False, Witness(tuple(i + 1 for i in idx), lhs, rhs)
     return True, None
 
@@ -557,8 +542,7 @@ def _declare_identities():
     (end-alpha, see _end_alpha_rows).
 
     A matrix equation A = B is declared column by column, as an arity-1 law
-    A(x) = B(x) with both sides normalized as matrix arithmetic leaves
-    them, so its first failing basis index and sides are the first
+    A(x) = B(x), so its first failing basis index and sides are the first
     differing column of the two matrices."""
     x, y, z = (Term("var", i) for i in range(3))
     al, r, f, tal = (lambda u, name=name: Term("map", name, u)
@@ -566,12 +550,6 @@ def _declare_identities():
     mul, br, op, source, target, lt, rt, tl, tr = (
         lambda u, v, name=name: Term("op", name, u, v) for name in (
             "mul", "bracket", "op", "source", "target", "left", "right", "tleft", "tright"))
-
-    def normalized(u):  # as matrix arithmetic leaves it: integral Fractions become ints
-        return Term("normalized", None, u)
-
-    def matrix_laws(*decls):  # matrix identities, read column by column
-        return tuple((name, normalized(u), normalized(w)) for name, u, w in decls)
 
     def assoc(u, v, w):  # (u.v).alpha(w) = alpha(u).(v.w)
         return mul(mul(u, v), al(w)), mul(al(u), mul(v, w))
@@ -612,16 +590,16 @@ def _declare_identities():
         "left-commutative": (("left-commutativity",
                               mul(mul(x, y), al(z)), mul(mul(y, x), al(z))),),
         "lie-admissible": (("lie-admissibility",) + jacobi,),
-        "intertwines-twists": matrix_laws(("intertwines-twists", f(al(x)), tal(f(x)))),
+        "intertwines-twists": (("intertwines-twists", f(al(x)), tal(f(x))),),
         "preserves": (("preserves", f(source(x, y)), target(f(x), f(y))),),
         # r(x).r(y) = r(r(x).y + x.r(y) + weight x.y)
         "rota-baxter": (("rota-baxter", mul(r(x), r(y)),
                          r(mul(r(x), y) + mul(x, r(y)) + Term("scaled", "weight", mul(x, y)))),),
-        "commutes-with-twist": matrix_laws(("commutes-with-twist", r(al(x)), al(r(x)))),
+        "commutes-with-twist": (("commutes-with-twist", r(al(x)), al(r(x))),),
         "epsilon-product": (("hom-associativity",) + assoc(x, y, z),
                             ("centroid-left", mul(al(x), y), al(mul(x, y))),
-                            ("centroid-right", mul(x, al(y)), al(mul(x, y))))
-                           + matrix_laws(("involutive-twist", al(al(x)), x)),
+                            ("centroid-right", mul(x, al(y)), al(mul(x, y))),
+                            ("involutive-twist", al(al(x)), x)),
     }
 
     # module laws: v is the carrier basis vector; an action family acts as
@@ -651,7 +629,7 @@ def _declare_identities():
         ("postlie-module-product", D(mul(x, y), be(v)), U(al(x), D(y, v)) - D(al(y), U(x, v))),
         ("postlie-module-bracket-bullet", U(br(x, y), be(v)),
          U(al(x), U(y, v)) - U(al(y), U(x, v)) - U(mul(x, y), be(v)) + U(mul(y, x), be(v))))
-    groups.update({name: matrix_laws(*decls) for name, decls in {
+    groups.update({
         "assoc-bimodule": (
             ("bimodule-left", L(mul(x, y), be(v)), L(al(x), L(y, v))),
             ("bimodule-mixed", R(al(y), L(x, v)), L(al(x), R(y, v))),
@@ -683,16 +661,15 @@ def _declare_identities():
         # bM.act(e_i) = act(b(e_i)).bM, a precondition of the beta twist
         "intertwines-action": (("intertwines-action", bM(Act(x, v)), Act(b(x), bM(v))),),
         "oop-twist-compat": (("oop-twist-compat", al(T(x)), T(be(x))),),
-    }.items()})
+    })
 
-    # O-operators T: carrier -> algebra, over two carrier variables x, y; the
-    # action of T(x) is a matrix, so its columns are normalized
-    assoc_oop = T(normalized(L(T(x), y)) + normalized(R(T(y), x)))
+    # O-operators T: carrier -> algebra, over two carrier variables x, y
+    assoc_oop = T(L(T(x), y) + R(T(y), x))
     groups.update({
         "o-operator-associative": (("o-operator-associative", mul(T(x), T(y)), assoc_oop),),
         "o-operator-prelie": (("o-operator-prelie", mul(T(x), T(y)), assoc_oop),),
         "o-operator-lie": (("o-operator-lie", br(T(x), T(y)),
-                            T(normalized(rho(T(x), y)) - normalized(rho(T(y), x)))),),
+                            T(rho(T(x), y) - rho(T(y), x))),),
     })
 
     # epsilon-bialgebras: "Delta" the coproduct as a map A -> A (x) A, "M" the
@@ -723,7 +700,7 @@ def _declare_identities():
             ("cocentroid-right", tensor(ident, al, D(x)), D(al(x)))),
         # R(f)(x) = M((alpha (x) f)(Delta x)): the left side is column x of R(f)
         "convolution": (("convolution", M(tensor(al, f, D(x))), Term("sum", ())),),
-        "end-alpha": matrix_laws(
+        "end-alpha": (
             ("endalg-hom-associative", comp(comp(f1, f2), left_al(f3)),
              comp(left_al(f1), comp(f2, f3))),
             ("convolution-closed", right_al(conv(f1)), left_al(conv(f1))),

@@ -7,11 +7,12 @@ import pytest
 
 from homcert.errors import InputError, PreconditionError
 from homcert.exactlin import Matrix, Tensor3, basis_vec, vec_sub
-from homcert.homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, check_axioms,
-                             check_identity, check_morphism, check_predicate,
-                             check_rota_baxter, commuting_endomorphism_basis,
-                             convolution_rb, epsilon_prerequisites,
-                             hom_associator, kind_axioms, yau_twist)
+from homcert.homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, Witness,
+                             check_axioms, check_identity, check_morphism,
+                             check_predicate, check_rota_baxter,
+                             commuting_endomorphism_basis, convolution_rb,
+                             epsilon_prerequisites, hom_associator, kind_axioms,
+                             predicate_axioms, yau_twist)
 from homcert.search import brute_force_epsilon_bialgebras, sc_tensor
 
 from conftest import catalog_algebra
@@ -73,6 +74,19 @@ def test_witness_reproducible():
     vectors = [basis_vec(2, i - 1) for i in row.witness.indices]
     lhs, rhs = spec(*vectors)
     assert (lhs, rhs) == (row.witness.lhs, row.witness.rhs)
+
+
+def test_witness_sides_are_canonical():
+    # alpha(e1.e1) = 4 * 1/2 = 2 and alpha(e1).alpha(e1) = 16 * 1/2 = 8:
+    # integral values computed through Fractions leave as ints
+    a = HomAlgebra(1, "hom-associative", {"mul": Tensor3.from_nested([[["1/2"]]])},
+                   Matrix([["4"]]))
+    row, = check_predicate(a, "multiplicative").axioms
+    assert row.witness == Witness(indices=(1, 1), lhs=(2,), rhs=(8,))
+    spec, = predicate_axioms(a, "multiplicative")
+    for sides in ((row.witness.lhs, row.witness.rhs), spec((Fraction(1),), (1,))):
+        assert sides == ((2,), (8,))
+        assert [type(q) for side in sides for q in side] == [int, int]
 
 
 def test_check_axioms_kind_ops_mismatch():
