@@ -180,7 +180,7 @@ class Matrix:
         return tuple(row[j] for row in self.data)
 
     def is_zero(self) -> bool:
-        return all(not v for row in self.data for v in row)
+        return not any(map(any, self.data))
 
     def __add__(self, other):
         self._same_shape(other)
@@ -395,7 +395,7 @@ class Tensor3:
         return self.data[base:base + self.d3]
 
     def is_zero(self) -> bool:
-        return all(not v for v in self.data)
+        return not any(self.data)
 
     def __add__(self, other):
         self._same_dims(other)

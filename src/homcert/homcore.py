@@ -163,7 +163,8 @@ class CertReport:
 # nonzero coordinates a of its argument and e, e2 of the two images.  Inside the
 # interpreter an integral value may be a Fraction; a side that leaves it (a
 # witness, or a dense side of Identity.__call__) is canonical, as stored
-# rationals are: an int exactly when integral.
+# rationals are: an int exactly when integral.  A law one of whose annihilators
+# (see Law) is bound to zero passes in check_identity without a walk.
 
 class Term:
     """("var", index) for a variable (index -1 is the law's last variable),
@@ -174,7 +175,10 @@ class Term:
     (f (x) g)(u).  There u lies in V (x) V, coordinate i * dim V + j on
     e_i (x) e_j, and f and g are one-argument templates over V, terms in
     which ("hole", None) stands for the basis vector they are applied to;
-    the image of e_i (x) e_j is f(e_i) (x) g(e_j), coordinate p * len(g) + q."""
+    the image of e_i (x) e_j is f(e_i) (x) g(e_j), coordinate p * len(g) + q.
+    With the op or map n bound to zero, a sum vanishes when every term does
+    (the empty sum always does), any other node when it is n itself or one
+    of its arguments or templates vanishes; a variable or hole never does."""
 
     __slots__ = ("kind", "name", "args")
 
@@ -192,6 +196,13 @@ class Term:
 
 def _nodes(t: Term) -> list[Term]:
     return [t] + [u for arg in t.args for u in _nodes(arg)]
+
+
+def _vanishes(t: Term, zero: str) -> bool:
+    """Whether t is identically zero with the op or map ``zero`` at zero (see Term)."""
+    if t.kind == "sum":
+        return all(_vanishes(u, zero) for u in t.args)
+    return t.kind in ("op", "map") and t.name == zero or any(_vanishes(u, zero) for u in t.args)
 
 
 def _length(t: Term, env: Mapping, dims: Sequence[int], hole=None):
@@ -316,9 +327,10 @@ def _compile(t: Term, basis: bool):
 
 class Law:
     """A declared identity lhs == rhs: its arity, the space each variable
-    ranges over, one node per name a structure must bind, and both sides
-    compiled for basis tuples on first use (a process that never evaluates
-    a law holds no closures for it).
+    ranges over, one node per name a structure must bind, its annihilators
+    (the products and maps whose zero makes both sides zero), and both sides
+    compiled for basis tuples and for vectors, each on first use (a process
+    that never evaluates a law holds no closures for it).
 
     Variables are typed by use: each ranges over the domain of the first
     product slot or map it is an argument of, so algebra and carrier
@@ -340,10 +352,16 @@ class Law:
         self.bound = tuple({t if t.kind == "tensor" else t.name: t for t in nodes
                             if t.kind in ("op", "map", "scaled", "tensor")}.values())
         self.names = tuple(t.name for t in self.bound if t.kind != "tensor")
+        self.annihilators = tuple(t.name for t in self.bound if t.kind in ("op", "map")
+                                  and _vanishes(lhs, t.name) and _vanishes(rhs, t.name))
 
     @functools.cached_property
     def on_basis(self):
         return _compile(self.lhs, True), _compile(self.rhs, True)
+
+    @functools.cached_property
+    def on_vectors(self):
+        return _compile(self.lhs, False), _compile(self.rhs, False)
 
 
 def _pairs(values) -> tuple:
@@ -411,8 +429,7 @@ class Identity:
     def __call__(self, *vectors):
         tables, _, m = self.bind()
         v = [tuple(enumerate(x)) for x in vectors]
-        return tuple(tuple(map(rat, _dense(_compile(side, False)(v, tables), m)))
-                     for side in (self.law.lhs, self.law.rhs))
+        return tuple(tuple(map(rat, _dense(side(v, tables), m))) for side in self.law.on_vectors)
 
     def basis_sides(self):
         """(indices, lhs, rhs) at every basis tuple, 0-based indices in
@@ -507,12 +524,20 @@ def quadratic_rows(laws: Sequence[Law], env: Mapping, unknown: str,
 def check_identity(ident: Identity) -> AxiomResult:
     """Evaluate an identity on all basis tuples, lexicographic order, each
     variable over its own space, unless its law's last binding in the scope
-    had equal canonical data.  The first failing tuple (minimal in lex
-    order) becomes the witness."""
-    key = [_canonical(ident.env[name]) for name in ident.law.names]
-    held = ident.results.get(ident.law)
+    had equal canonical data, or one of its annihilators is bound to zero
+    (then it passes).  The first failing tuple (minimal in lex order)
+    becomes the witness."""
+    law, env = ident.law, ident.env
+    key = [_canonical(env[name]) for name in law.names]
+    held = ident.results.get(law)
     if held is None or held[0] != key:
-        held = ident.results[ident.law] = key, *_first_failure(ident.basis_sides())
+        for name in law.annihilators:
+            if env[name].is_zero():  # both sides vanish at every tuple
+                verdict = True, None
+                break
+        else:
+            verdict = _first_failure(ident.basis_sides())
+        held = ident.results[law] = key, *verdict
     return AxiomResult(ident.name, *held[1:])
 
 

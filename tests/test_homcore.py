@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from homcert import homcore
 from homcert.errors import InputError, PreconditionError
 from homcert.exactlin import Matrix, Tensor3, basis_vec, vec_sub
 from homcert.homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, Witness,
-                             check_axioms, check_identity, check_morphism,
+                             _declare_identities, check_axioms, check_identity, check_morphism,
                              check_predicate, check_rota_baxter,
                              commuting_endomorphism_basis, convolution_rb,
                              epsilon_prerequisites, hom_associator, kind_axioms,
@@ -87,6 +88,35 @@ def test_witness_sides_are_canonical():
     for sides in ((row.witness.lhs, row.witness.rhs), spec((Fraction(1),), (1,))):
         assert sides == ((2,), (8,))
         assert [type(q) for side in sides for q in side] == [int, int]
+
+
+def test_identity_compiles_its_sides_once(monkeypatch):
+    """An identity called on vectors compiles its law's sides once: a second
+    call compiles nothing and gives the same values and entry types."""
+    t = sc_tensor(2, {(0, 0): {1: 1}, (0, 1): {0: Fraction(1, 2)}})
+    a = HomAlgebra(2, "hom-associative", {"mul": t}, Matrix([[1, 0], [1, 2]]))
+    x, y, z = (1, Fraction(1, 2)), (1, 1), (2, -1)
+    first = hom_associator(a, x, y, z)
+    compiled = []
+    real = homcore._compile
+    monkeypatch.setattr(homcore, "_compile", lambda *args: compiled.append(args) or real(*args))
+    again = hom_associator(a, x, y, z)
+    assert compiled == []
+    # (x.y).alpha(z) - alpha(x).(y.z), expanded by hand
+    assert first == again == (-1, Fraction(3, 2))
+    assert [type(q) for q in again] == [int, Fraction]
+
+
+def test_law_annihilators():
+    """The products and maps that, bound to zero, make both sides vanish."""
+    laws = {law.name: law for group in _declare_identities().values() for law in group}
+    assert laws["postlie-bracket-compatibility"].annihilators == ("mul", "alpha", "bracket")
+    assert laws["rota-baxter"].annihilators == ("mul", "r")
+    assert laws["involutive-twist"].annihilators == ()
+    assert laws["ldend-bimodule-4"].annihilators == ()
+    for name in ("o-operator-associative", "o-operator-prelie", "o-operator-lie",
+                 "oop-twist-compat"):
+        assert laws[name].annihilators == ("T",)
 
 
 def test_check_axioms_kind_ops_mismatch():

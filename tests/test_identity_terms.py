@@ -378,6 +378,77 @@ def test_random_oop_match_oracle(data):
     same(outcome(check_oop, t, m), outcome(oracle.check_oop, t, m))
 
 
+# -- products, maps and operators bound to zero --------------------------------------
+
+@st.composite
+def zero_bound_inputs(draw):
+    """An algebra of any kind at dims 1-3 and an operator r on it, and an
+    O-operator module whose products, twists and actions are each zero or
+    random, with an operator T into its algebra."""
+    n = draw(st.sampled_from((1, 2, 3)))
+
+    def tensor(zero=False):
+        return (Tensor3.zeros(n) if zero else
+                Tensor3(n, n, n, draw(st.lists(entries, min_size=n ** 3, max_size=n ** 3))))
+
+    def matrix(rows, cols, zero=False):
+        return (Matrix.zeros(rows, cols) if zero else
+                Matrix([draw(st.lists(entries, min_size=cols, max_size=cols))
+                        for _ in range(rows)]))
+
+    kind = draw(st.sampled_from([k for k in KIND_OPS if k != "generic"]))
+    a = HomAlgebra(n, kind, {name: tensor() for name in KIND_OPS[kind]}, matrix(n, n))
+    module_kind = draw(st.sampled_from(sorted(hommod.OOP_LAWS)))
+    alg_kind, names = MODULE_KINDS[module_kind]
+    mdim = draw(st.integers(1, 2))
+    base = HomAlgebra(n, alg_kind, {name: tensor(draw(st.booleans()))
+                                    for name in KIND_OPS[alg_kind]},
+                      matrix(n, n, draw(st.booleans())))
+    actions = {name: tuple(matrix(mdim, mdim, draw(st.booleans())) for _ in range(n))
+               for name in names}
+    m = HomModule(base, mdim, matrix(mdim, mdim, draw(st.booleans())), actions, module_kind)
+    return a, matrix(n, n), m, matrix(n, mdim)
+
+
+def zeroed(a, names):
+    """a with each product or twist named in ``names`` bound to zero."""
+    ops = {name: Tensor3.zeros(a.dim) if name in names else t for name, t in a.ops.items()}
+    return HomAlgebra(a.dim, a.kind, ops,
+                      Matrix.zeros(a.dim, a.dim) if "alpha" in names else a.alpha)
+
+
+ZERO_PRODUCT = HomAlgebra(2, "hom-associative", {"mul": Tensor3.zeros(2)},
+                          Matrix([[1, 2], [0, -1]]))
+# with tright zeroed, only the left side of l-dendriform-left vanishes
+LDEND = HomAlgebra(2, "hom-l-dendriform", {name: Tensor3(2, 2, 2, [1, 2, 0, 1, 1, 0, 0, 3])
+                                          for name in ("tleft", "tright")}, Matrix.identity(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_bound_inputs())
+@example((ZERO_PRODUCT, Matrix.identity(2), adjoint_bimodule(ZERO_PRODUCT),
+          Matrix.identity(2)))
+@example((LDEND, Matrix.identity(2), adjoint_bimodule(ZERO_PRODUCT), Matrix.identity(2)))
+def test_zero_bound_structures_match_oracle(data):
+    """Rows whose law a zero-bound product or map annihilates pass without a
+    walk; every report still equals the oracle's, witnesses included.  The
+    algebra is checked with every subset of its products and twist zeroed,
+    and r and T also as zero."""
+    a, r, m, t = data
+    names = [*a.ops, "alpha"]
+    for zeros in itertools.chain.from_iterable(
+            itertools.combinations(names, k) for k in range(len(names) + 1)):
+        b = zeroed(a, zeros)
+        assert_algebra_matches(b)
+        if len(b.ops) == 1:
+            for op in (r, Matrix.zeros(b.dim, b.dim)):
+                for weight in (0, Fraction(1, 2)):
+                    same(check_rota_baxter(b, op, weight),
+                         oracle.check_rota_baxter(b, op, weight))
+    for op in (t, Matrix.zeros(t.rows, t.cols)):
+        same(check_oop(op, m), oracle.check_oop(op, m))
+
+
 def involution_like(rng, n):
     """A random twist, half of the time an involution: +-1 on the diagonal
     and blocks [[0, q], [1/q, 0]]."""

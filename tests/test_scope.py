@@ -122,13 +122,16 @@ def test_fraction_entries_reuse_identical_witnesses(evaluations):
 
 def test_action_tables_persist_across_operators():
     """A module binds the same action tensors on every call, so within one
-    scope two O-operators on it share one lookup table per action family."""
+    scope two O-operators on it share one lookup table per action family.
+    A zero operator annihilates both of its rows, so it binds no table."""
     m = functors.adjoint_bimodule(catalog_algebra("hom-prelie", "left-shift"))
     with certification_scope():
         tables, _ = homcore._SCOPE.get()
-        hommod.check_oop(Matrix.zeros(2, 2), m)
-        _, held = tables["l"]
+        assert hommod.check_oop(Matrix.zeros(2, 2), m).passed
+        assert not tables
         hommod.check_oop(Matrix.identity(2), m)
+        _, held = tables["l"]
+        hommod.check_oop(Matrix([[1, 0], [0, 2]]), m)
         assert tables["l"][1] is held
 
 
@@ -136,12 +139,13 @@ UNIT = Tensor3(2, 2, 2, [1, 0, 0, 1, 0, 0, 0, 0])  # e1.e1 = e1, e1.e2 = e2
 
 
 @pytest.mark.parametrize("bracket, mul, evaluated", [
-    (Tensor3.zeros(2), Tensor3.zeros(2), 1), (UNIT, UNIT, 1), (Tensor3.zeros(2), UNIT, 2)])
+    (Tensor3.zeros(2), Tensor3.zeros(2), 0), (UNIT, UNIT, 1), (Tensor3.zeros(2), UNIT, 1)])
 def test_reused_row_is_renamed(evaluations, bracket, mul, evaluated):
     """Equal bracket and product: ``multiplicative:mul`` is the reused
     ``multiplicative:bracket`` row under its own name (the zero post-Lie
     algebras of the corpus, and a failing pair with a witness); a product
-    that differs from the bracket is evaluated."""
+    that differs from the bracket is evaluated, unless it is zero, which
+    makes both sides vanish without a walk."""
     a = HomAlgebra(2, "hom-postlie", {"bracket": bracket, "mul": Tensor3(2, 2, 2, mul.data)},
                    Matrix([[2, 0], [0, 1]]))
     fresh = check_predicate(a, "multiplicative")
@@ -189,3 +193,40 @@ def test_consecutive_runs_evaluate_alike(evaluations, quick_properties):
     assert harness.run_corpus_certification(4, 3, 2) == first
     counts.append(len(evaluations))
     assert counts[0] == counts[1] > 0
+
+
+# -- laws that vanish -------------------------------------------------------------
+
+def test_vanishing_rows_pass_the_full_walk(monkeypatch, quick_properties):
+    """Every row a corpus pass certifies without a walk, because a product or
+    map that annihilates both sides of its law is bound to zero, also passes
+    the walk over every basis tuple."""
+    vanished, mismatched = [], []
+    real = homcore.check_identity
+
+    def checked(ident):
+        row = real(ident)
+        if any(ident.env[name].is_zero() for name in ident.law.annihilators):
+            vanished.append(ident.law.name)
+            if not row.passed or homcore._first_failure(ident.basis_sides()) != (True, None):
+                mismatched.append(ident.name)
+        return row
+
+    for namespace in (homcore, hommod, search):
+        monkeypatch.setattr(namespace, "check_identity", checked)
+    harness.run_corpus_certification(4, 3, 2)
+    assert mismatched == []
+    assert len(set(vanished)) >= 10
+
+
+def test_abelian_search_never_walks_bracket_compatibility(evaluations, monkeypatch):
+    """With a zero bracket, postlie-bracket-compatibility holds for every
+    candidate product without a walk, while the other laws are walked.  The
+    linear step, which needs the law's residual values, is computed first."""
+    abelian = catalog_algebra("hom-lie", "abelian-2")
+    system = search.postlie_linear_system(abelian)
+    monkeypatch.setattr(search, "postlie_linear_system", lambda lie: system)
+    evaluations.clear()
+    assert harness._eval_search_consistency(("abelian-2", abelian, 0)).ok
+    assert "postlie-bracket-compatibility" not in evaluations
+    assert "postlie-twisted-left-symmetry" in evaluations
