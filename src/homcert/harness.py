@@ -34,7 +34,8 @@ from .functors import (adjoint_bimodule, commutator_lie, ldend_brackets,
                        reassemble_ldendriform)
 from .search import (CATALOG, brute_force_epsilon_bialgebras,
                      brute_force_oop_search, brute_force_rb_search, corpus,
-                     iter_postlie_candidates, postlie_search, sc_tensor)
+                     iter_space_candidates, postlie_candidate_space,
+                     search_candidate_space, sc_tensor)
 
 
 @dataclass
@@ -222,10 +223,11 @@ def _build_search(trials, max_dim, seed):
 
 def _eval_search_consistency(item) -> ItemResult:
     name, lie, bound = item
-    survivors = {r.output.op("mul") for r in postlie_search(lie, bound)}
+    space = postlie_candidate_space(lie)
+    survivors = {r.output.op("mul") for r in search_candidate_space(space, bound)}
     abelian = lie.op("bracket").is_zero()
     checked = 0
-    for _, mul in iter_postlie_candidates(lie, bound):
+    for _, mul in iter_space_candidates(space, bound):
         candidate = HomAlgebra(lie.dim, "hom-postlie",
                                {"bracket": lie.op("bracket"), "mul": mul}, lie.alpha)
         full = check_axioms(candidate).passed

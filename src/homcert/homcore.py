@@ -464,15 +464,144 @@ def unit_basis(shape: tuple) -> list:
     return [Tensor3(*shape, basis_vec(cells, c)) for c in range(cells)]
 
 
-def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, basis: Sequence) -> Matrix:
-    """The constraint matrix of laws that are linear in ``unknown``: column
-    c holds lhs - rhs of every law at every basis tuple, in law, lexicographic
-    tuple and coordinate order, with basis[c] bound to ``unknown``.  Over
-    ``unit_basis(shape)`` its kernel is the set of unknowns on which the laws
-    hold, written row-major."""
-    with certification_scope():
-        columns = [_residuals(laws, {**env, unknown: unit}) for unit in basis]
-    return Matrix.from_columns(columns)
+# ---------------------------------------------------------------------------
+# laws over a symbolic unknown
+#
+# A matrix or tensor unknown = base + sum_i c_i basis[i] is bound once, with
+# entries that are polynomials of degree at most 2 in the coefficients c
+# (_Poly), and each law runs through the same interpreter: a residual
+# coordinate of a law of degree at most 2 in the unknown comes out as the
+# exact form const + sum_i c_i linear[i] + sum_{i<=j} c_i c_j quadratic[i, j].
+
+@functools.cache
+def _monomials(d: int) -> tuple[tuple, tuple]:
+    """(products, keys) for monomials of degree at most 2 in c_0..c_{d-1}:
+    monomial 0 is 1, 1 + i is c_i, and the pairs i <= j follow in
+    lexicographic order.  products[k][k2] is the monomial k * k2, an
+    IndexError above degree 2; keys[k] is None, i or (i, j)."""
+    keys = (None, *range(d), *itertools.combinations_with_replacement(range(d), 2))
+    pair = {key: k for k, key in enumerate(keys) if type(key) is tuple}
+    products = (tuple(range(len(keys))),
+                *((1 + i, *(pair[min(i, j), max(i, j)] for j in range(d))) for i in range(d)),
+                *((k,) for k in range(1 + d, len(keys))))
+    return products, keys
+
+
+class _Poly:
+    """A polynomial of degree at most 2 in the coefficients c, the scalar a
+    symbolic unknown's entries are: sum_m terms[m] c^m / den over the
+    monomials m of _monomials, with nonzero int ``terms`` and a positive int
+    ``den``, so a zero polynomial is falsy and the arithmetic stays in ints
+    (the fractions are reduced once, when a form is read).  Times a rational
+    1 it is itself, times 0 it is int 0."""
+
+    __slots__ = ("terms", "den", "products")
+
+    def __init__(self, terms: dict, den: int, products: tuple):
+        self.terms, self.den, self.products = terms, den, products
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __neg__(self):
+        return _Poly({k: -a for k, a in self.terms.items()}, self.den, self.products)
+
+    def __add__(self, other):
+        if type(other) is not _Poly:
+            if not other:
+                return self
+            other = _Poly({0: other.numerator}, other.denominator, self.products)
+        den = self.den
+        if den == other.den:
+            out, scale = self.terms.copy(), 1
+        else:
+            den = math.lcm(den, other.den)
+            mine, scale = den // self.den, den // other.den
+            out = {k: a * mine for k, a in self.terms.items()}
+        for k, a in other.terms.items():
+            a *= scale
+            if k in out:
+                a += out[k]
+                if not a:
+                    del out[k]
+                    continue
+            out[k] = a
+        return _Poly(out, den, self.products)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if type(other) is not _Poly:
+            if other == 1:
+                return self
+            if not other:
+                return ZERO
+            num = other.numerator
+            return _Poly({k: a * num for k, a in self.terms.items()},
+                         self.den * other.denominator, self.products)
+        products, out = self.products, {}
+        for k, a in self.terms.items():
+            row = products[k]
+            for k2, b in other.terms.items():
+                m, ab = row[k2], a * b
+                if m in out:
+                    ab += out[m]
+                    if not ab:
+                        del out[m]
+                        continue
+                out[m] = ab
+        return _Poly(out, self.den * other.den, products)
+
+    __rmul__ = __mul__
+
+    @staticmethod
+    def of(coefficients: dict, products: tuple):
+        """The polynomial with the given nonzero rational coefficients."""
+        den = math.lcm(*(a.denominator for a in coefficients.values()))
+        return _Poly({k: a.numerator * (den // a.denominator) for k, a in coefficients.items()},
+                     den, products)
+
+    def coefficients(self) -> dict:
+        """Each monomial's rational coefficient, canonical."""
+        den = self.den
+        return {k: a // den if a % den == 0 else Fraction(a, den)
+                for k, a in self.terms.items()}
+
+
+def _cells(obj) -> tuple:
+    """The entries of a matrix or tensor, row-major."""
+    return obj.data if isinstance(obj, Tensor3) else tuple(itertools.chain(*obj.data))
+
+
+def _shape(obj) -> tuple:
+    return obj.dims if isinstance(obj, Tensor3) else (obj.rows, obj.cols)
+
+
+def _symbolic(base, basis: Sequence):
+    """base + sum_i c_i basis[i] (base None: zero) with _Poly entries, a
+    matrix or tensor shaped like basis[0]; InputError if the shapes differ."""
+    products, _ = _monomials(len(basis))
+    like = basis[0]
+    if any(_shape(b) != _shape(like) for b in (base, *basis) if b is not None):
+        raise InputError("the base point and the basis of an unknown differ in shape")
+    terms = [{} for _ in _cells(like)]
+    for monomial, b in ((0, base), *enumerate(basis, 1)):
+        for pos, a in enumerate(_cells(b) if b is not None else ()):
+            if a:
+                terms[pos][monomial] = a
+    flat = tuple(_Poly.of(t, products) if t else ZERO for t in terms)
+    out = object.__new__(type(like))
+    for slot in type(like).__slots__:
+        setattr(out, slot, getattr(like, slot))
+    out.data = flat if isinstance(like, Tensor3) else tuple(
+        flat[r * like.cols:(r + 1) * like.cols] for r in range(like.rows))
+    return out
 
 
 def _degree(t: Term, unknown: str) -> int:
@@ -484,6 +613,47 @@ def _degree(t: Term, unknown: str) -> int:
         _degree(u, unknown) for u in t.args)
 
 
+@functools.cache
+def _law_degree(law: Law, unknown: str) -> int:
+    return max(_degree(law.lhs, unknown), _degree(law.rhs, unknown))
+
+
+def _symbolic_residuals(laws: Sequence[Law], env: Mapping, unknown: str, base,
+                        basis: Sequence) -> list:
+    """_residuals with base + sum_i c_i basis[i] bound to ``unknown``, each
+    a _Poly or a rational.  Raises InputError for a law of degree above 2
+    in ``unknown``, whose residuals are not such forms."""
+    for law in laws:
+        if _law_degree(law, unknown) > 2:
+            raise InputError(f"law {law.name!r} has degree above 2 in {unknown!r}")
+    with certification_scope():
+        return _residuals(laws, {**env, unknown: _symbolic(base, basis) if basis else base})
+
+
+def _terms(value) -> dict:
+    """A residual's nonzero monomial coefficients, canonical rationals."""
+    return value.coefficients() if type(value) is _Poly else {0: rat(value)} if value else {}
+
+
+def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, basis: Sequence) -> Matrix:
+    """The constraint matrix of laws that are linear in ``unknown``: column
+    c holds lhs - rhs of every law at every basis tuple, in law, lexicographic
+    tuple and coordinate order, at basis[c] bound to ``unknown``.  Over
+    ``unit_basis(shape)`` its kernel is the set of unknowns on which the laws
+    hold, written row-major.  One walk binds sum_i c_i basis[i] (see
+    quadratic_rows); column c is the value of each form at c = e_c."""
+    if not basis:
+        return Matrix.zeros(0, 0)
+    products, _ = _monomials(len(basis))
+    monomials = [(1 + c, products[1 + c][1 + c]) for c in range(len(basis))]  # c_c, c_c^2
+    rows = []
+    for residual in _symbolic_residuals(laws, env, unknown, None, basis):
+        terms = _terms(residual)
+        const = terms.get(0, ZERO)
+        rows.append([const + terms.get(c, ZERO) + terms.get(cc, ZERO) for c, cc in monomials])
+    return Matrix._exact(rows)
+
+
 def quadratic_rows(laws: Sequence[Law], env: Mapping, unknown: str,
                    basis: Sequence) -> list[tuple]:
     """The residuals lhs - rhs of laws of degree at most 2 in ``unknown``,
@@ -492,32 +662,23 @@ def quadratic_rows(laws: Sequence[Law], env: Mapping, unknown: str,
 
         const + sum_i c_i linear[i] + sum_{i<=j} c_i c_j quadratic[i, j],
 
-    returned as (const, linear, quadratic), dicts keeping nonzero entries.
-    Polarization reads them from bindings of the laws at the base point f(0),
-    at f(+-basis[i]) and at f(basis[i] + basis[j]).  Raises InputError for a
+    returned as (const, linear, quadratic), dicts keeping nonzero entries,
+    each an int exactly when integral.  One walk of the laws reads them,
+    with the unknown's entries polynomials in c.  Raises InputError for a
     law of higher degree, on which these forms would not be exact."""
-    for law in laws:
-        if max(_degree(law.lhs, unknown), _degree(law.rhs, unknown)) > 2:
-            raise InputError(f"law {law.name!r} has degree above 2 in {unknown!r}")
-    base = env[unknown]
-
-    def at(point):
-        return _residuals(laws, {**env, unknown: point})
-
-    with certification_scope():
-        const = at(base)
-        plus = [at(base + b) for b in basis]
-        minus = [at(base - b) for b in basis]
-        cross = {(i, j): at(base + basis[i] + basis[j])
-                 for i, j in itertools.combinations(range(len(basis)), 2)}
+    _, keys = _monomials(len(basis))
     rows = []
-    for r, k in enumerate(const):
-        linear = {i: Fraction(p[r] - m[r], 2) for i, (p, m) in enumerate(zip(plus, minus))}
-        quadratic = {(i, i): Fraction(p[r] + m[r], 2) - k for i, (p, m) in enumerate(zip(plus, minus))}
-        quadratic.update({(i, j): f[r] - plus[i][r] - plus[j][r] + k
-                          for (i, j), f in cross.items()})
-        rows.append((k, {i: a for i, a in linear.items() if a},
-                     {ij: a for ij, a in quadratic.items() if a}))
+    for residual in _symbolic_residuals(laws, env, unknown, env[unknown], basis):
+        const, linear, quadratic = ZERO, {}, {}
+        for k, a in sorted(_terms(residual).items()):
+            key = keys[k]
+            if key is None:
+                const = a
+            elif type(key) is int:
+                linear[key] = a
+            else:
+                quadratic[key] = a
+        rows.append((const, linear, quadratic))
     return rows
 
 

@@ -3,13 +3,15 @@ box searches the test corpus is built from.
 
 Every search takes two steps, and one enumerator, ``kernel_points``, takes
 both as a list of exact forms in integer coefficients that must vanish.
-The linear step: the post-Lie search walks the coefficients of a kernel
-basis of its bracket-compatibility rows; a box search walks the unknown's
-own entries, and each row of the reduced echelon form of its linear rows is
-a form.  The quadratic step: a remaining row of degree at most 2 in the
-unknown (the twisted left-symmetry identity, or Hom-coassociativity for
-coproducts) is polarized into forms.  Whatever survives is certified in
-full.
+The forms come from one walk of the declared laws with the unknown bound to
+a matrix or tensor of polynomials in the coefficients
+(``homcore.quadratic_rows``).  The linear step: the post-Lie search walks
+the coefficients of a kernel basis of its bracket-compatibility rows; a box
+search walks the unknown's own entries, and each row of the reduced echelon
+form of its linear rows is a form.  The quadratic step: the rows of degree
+2 in the unknown (the twisted left-symmetry identity; the Rota-Baxter,
+O-operator or Hom-coassociativity law of a box search) are forms as they
+are.  Whatever survives is certified in full.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, Identity, _decl
                       check_identity, check_rota_baxter, linear_rows, quadratic_rows,
                       require_certified, unit_basis, yau_twist)
 from .functors import FunctorResult
-from .hommod import OOP_LAWS, HomModule, check_oop
+from .hommod import OOP_LAWS, HomModule, _module_env, check_oop
 
 DEFAULT_CANDIDATE_BUDGET = 200_000
 TWISTED_LEFT_SYMMETRY = "postlie-twisted-left-symmetry"  # the quadratic step
@@ -116,11 +118,18 @@ def iter_postlie_candidates(l: HomAlgebra, combo_bound: int,
     """All bounded integer combinations of the kernel basis, in lexicographic
     coefficient order; raises BudgetError before enumerating too many.  The
     unfiltered box, kept as the oracle ``postlie_search`` is checked against."""
-    space = postlie_candidate_space(l)
+    yield from iter_space_candidates(postlie_candidate_space(l), combo_bound, max_candidates)
+
+
+def iter_space_candidates(space: PostLieCandidateSpace, combo_bound: int,
+                          max_candidates: int = DEFAULT_CANDIDATE_BUDGET
+                          ) -> Iterator[tuple[tuple[int, ...], Tensor3]]:
+    """``iter_postlie_candidates`` over the candidate space of
+    ``space.homlie``, already computed by the caller."""
     _require_candidates(space, combo_bound, max_candidates)
     for coeffs in itertools.product(range(-combo_bound, combo_bound + 1),
                                     repeat=len(space.basis)):
-        yield coeffs, _combination(l.dim, space.basis, coeffs)
+        yield coeffs, _combination(space.homlie.dim, space.basis, coeffs)
 
 
 def _combination(n: int, basis: Sequence[Tensor3], coeffs) -> Tensor3:
@@ -174,10 +183,10 @@ def search_candidate_space(space: PostLieCandidateSpace, combo_bound: int,
 # post-Lie candidate over its kernel basis, or a box search's own entries.
 # Every certification row of degree at most 2 in the unknown is an exact
 # form in c: the reduced rows of the linear system, or the forms
-# homcore.quadratic_rows polarizes.  A depth-first walk sets c_0, c_1, ...
-# in the order itertools.product visits them, keeps each form's running sum,
-# and checks a form as soon as the last coefficient it involves is set, so a
-# failing prefix cuts its whole subtree.
+# homcore.quadratic_rows reads from its symbolic walk.  A depth-first walk
+# sets c_0, c_1, ... in the order itertools.product visits them, keeps each
+# form's running sum, and checks a form as soon as the last coefficient it
+# involves is set, so a failing prefix cuts its whole subtree.
 
 def kernel_points(d: int, bound: int, forms: Sequence[tuple]) -> list[tuple[int, ...]]:
     """Every integer vector c in [-bound, bound]^d, in ``itertools.product``
@@ -192,7 +201,7 @@ def kernel_points(d: int, bound: int, forms: Sequence[tuple]) -> list[tuple[int,
     for const, lin, quad in forms:
         terms = [(None, const), *lin.items(), *quad.items()]
         scale = math.lcm(*(a.denominator for _, a in terms))
-        terms = [(key, int(a * scale)) for key, a in terms]
+        terms = [(key, a.numerator * (scale // a.denominator)) for key, a in terms]
         first = next((a for _, a in terms if a), 0)
         unit = math.gcd(*(a for _, a in terms)) * (1 if first > 0 else -1)
         if not unit or (terms := tuple((key, a // unit) for key, a in terms)) in seen:
@@ -252,26 +261,33 @@ def _linear_forms(system: Matrix) -> list[tuple]:
     """The rows of the reduced echelon form of ``system``, as forms that
     must vanish.  That form is unique for the row space, so the points do
     not depend on row order."""
-    return [(ZERO, {c: a for c, a in enumerate(row) if a}, {}) for row in rref(system)[0].data]
+    return [(ZERO, {c: a for c, a in enumerate(row) if a}, {})
+            for row in rref(system)[0].data if any(row)]
 
 
-def _box_entries(linear: Sequence, env: dict, unknown: str, units: Sequence, bound: int,
-                 quadratic: Sequence = ()) -> list[tuple[int, ...]]:
+def _box_entries(laws: Sequence, env: dict, unknown: str, units: Sequence,
+                 bound: int) -> list[tuple[int, ...]]:
     """The entries c in [-bound, bound]^len(units), in ``itertools.product``
     order, on which sum_i c_i units[i], bound to ``unknown``, satisfies the
-    ``linear`` laws and the ``quadratic`` ones; the latter are polarized
-    about env[unknown], which must then be zero."""
-    forms = _linear_forms(linear_rows(linear, env, unknown, units))
-    if quadratic:
-        forms += quadratic_rows(quadratic, env, unknown, units if bound else ())
-    return kernel_points(len(units), bound, forms)
+    ``laws``, each of degree at most 2 in it; env[unknown] must be zero.
+    One walk gives every residual as a form: those with neither a constant
+    nor a quadratic part are reduced to echelon form, the rest are kept."""
+    forms = quadratic_rows(laws, env, unknown, units if bound else ())
+    system = Matrix._exact([[lin.get(c, ZERO) for c in range(len(units))]
+                            for const, lin, quad in forms if lin and not const and not quad])
+    return kernel_points(len(units), bound, _linear_forms(system)
+                         + [f for f in forms if f[0] or f[2]])
 
 
-def _box_matrices(linear: Sequence, env: dict, unknown: str, rows: int, cols: int,
-                  bound: int) -> list[Matrix]:
-    """``_box_entries`` over the rows x cols matrix units, as matrices."""
-    return [Matrix([flat[r * cols:(r + 1) * cols] for r in range(rows)])
-            for flat in _box_entries(linear, env, unknown, unit_basis((rows, cols)), bound)]
+def _certified_survivors(found: list, passes: Callable) -> list:
+    """``found``, once every point of it passes its full certification."""
+    if not all(map(passes, found)):
+        raise AssertionError("search enumerator and certifier disagree on a survivor")
+    return found
+
+
+def _matrix(flat: Sequence, cols: int) -> Matrix:
+    return Matrix._exact([flat[r:r + cols] for r in range(0, len(flat), cols)])
 
 
 def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
@@ -279,8 +295,9 @@ def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
     """All integer matrices T with entries in [-bound, bound] passing the
     O-operator certification, in row-major lexicographic order.
 
-    The enumerator solves the linear ``oop-twist-compat`` row, and each
-    point it finds is certified."""
+    The enumerator solves the linear ``oop-twist-compat`` rows and the
+    quadratic O-operator law of the module's kind, and each point it finds
+    is certified."""
     if entry_bound < 0:
         raise InputError("entry_bound must be non-negative")
     if m.algebra != a:
@@ -288,10 +305,13 @@ def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
     if m.kind not in OOP_LAWS:
         raise InputError(f"O-operators are not defined for module kind {m.kind!r}")
     _require_box("operator", a.dim * m.mdim, entry_bound, max_candidates)
-    found = _box_matrices(_declare_identities()["oop-twist-compat"],
-                          {"alpha": a.alpha, "beta": m.beta}, "T", a.dim, m.mdim, entry_bound)
+    laws = _declare_identities()
     with certification_scope():
-        return [t for t in found if check_oop(t, m).passed]
+        found = _box_entries(laws["oop-twist-compat"] + laws[OOP_LAWS[m.kind]],
+                             {**_module_env(m), "T": Matrix.zeros(a.dim, m.mdim)}, "T",
+                             unit_basis((a.dim, m.mdim)), entry_bound)
+        return _certified_survivors([_matrix(flat, m.mdim) for flat in found],
+                                    lambda t: check_oop(t, m).passed)
 
 
 def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
@@ -300,17 +320,21 @@ def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
     the given weight (including the twist-commutation requirement), in
     row-major lexicographic order.
 
-    The enumerator solves the linear ``commutes-with-twist`` row, and each
-    point it finds is certified."""
+    The enumerator solves the linear ``commutes-with-twist`` rows and the
+    quadratic ``rota-baxter`` law, and each point it finds is certified."""
     if entry_bound < 0:
         raise InputError("entry_bound must be non-negative")
-    a.single_op()  # like a malformed weight, raises InputError before the box is counted
+    mul = a.single_op()  # like a malformed weight, raises InputError before the box is counted
     weight = rat(weight)
-    _require_box("operator", a.dim * a.dim, entry_bound, max_candidates)
-    found = _box_matrices(_declare_identities()["commutes-with-twist"], {"alpha": a.alpha},
-                          "r", a.dim, a.dim, entry_bound)
+    n = a.dim
+    _require_box("operator", n * n, entry_bound, max_candidates)
+    laws = _declare_identities()
     with certification_scope():
-        return [r for r in found if check_rota_baxter(a, r, weight).passed]
+        found = _box_entries(laws["commutes-with-twist"] + laws["rota-baxter"],
+                             {"mul": mul, "weight": weight, "alpha": a.alpha,
+                              "r": Matrix.zeros(n, n)}, "r", unit_basis((n, n)), entry_bound)
+        return _certified_survivors([_matrix(flat, n) for flat in found],
+                                    lambda r: check_rota_baxter(a, r, weight).passed)
 
 
 def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int = 1,
@@ -334,15 +358,14 @@ def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int
 
     # the rows are over the n^2 x n coproduct map, whose cell (r, i) is
     # delta's flat position i*n^2+r: the transposed n x n^2 units walk delta
-    coassociativity, *linear = _declare_identities()["epsilon-coproduct"]
     env = {"mul": mul, "alpha": alpha, "Delta": Matrix.zeros(n * n, n)}
     units = [u.transpose() for u in unit_basis((n, n * n))]
-    found = [EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha) for flat in
-             _box_entries(linear, env, "Delta", units, entry_bound, [coassociativity])]
     with certification_scope():
-        if not all(r.passed for b in found for r in _epsilon_delta_rows(b)):
-            raise AssertionError("search enumerator and certifier disagree on a survivor")
-    return found
+        found = _box_entries(_declare_identities()["epsilon-coproduct"], env, "Delta", units,
+                             entry_bound)
+        return _certified_survivors(
+            [EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha) for flat in found],
+            lambda b: all(r.passed for r in _epsilon_delta_rows(b)))
 
 
 # ---------------------------------------------------------------------------

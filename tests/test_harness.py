@@ -3,7 +3,7 @@ and the worker pool it asks for."""
 
 import pytest
 
-from homcert import harness
+from homcert import harness, search
 
 
 def test_reported_documents_match_files_with_duplicate_items(tmp_path, monkeypatch):
@@ -63,3 +63,17 @@ def test_pool_is_capped_at_the_work_items(monkeypatch, jobs, expected):
 def test_nonpositive_jobs_rejected(jobs):
     with pytest.raises(harness.InputError, match="jobs"):
         harness.run_corpus_certification(1, 1, 0, jobs=jobs)
+
+
+def test_search_consistency_builds_each_candidate_space_once(monkeypatch):
+    calls = []
+    real = search.postlie_linear_system
+    monkeypatch.setattr(search, "postlie_linear_system", lambda l: calls.append(l) or real(l))
+    # the items with 81 candidates or fewer; the abelian dim-2 ones have 6561
+    items = [item for item in harness._build_search(1, 1, 0)
+             if not item[0].startswith("abelian-2")]
+    assert len(items) == 3
+    for item in items:
+        calls.clear()
+        assert harness._eval_search_consistency(item).ok
+        assert calls == [item[1]]

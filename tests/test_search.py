@@ -11,12 +11,14 @@ from homcert.errors import (BudgetError, InputError, PreconditionError,
 from homcert.exactlin import Matrix, Tensor3, rank
 from homcert.harness import _build_epsilon
 from homcert.exactlin import vec_sub
-from homcert.homcore import (EpsilonHomBialgebra, HomAlgebra, Identity, Law, Term,
-                             _declare_identities, check_axioms, check_rota_baxter,
-                             epsilon_prerequisites, quadratic_rows, yau_twist)
-from homcert.hommod import HomModule, adjoint_postlie_module, check_oop
+from homcert.homcore import (KINDS, AxiomResult, CertReport, EpsilonHomBialgebra, HomAlgebra,
+                             Identity, Law, Term, _declare_identities, _monomials, _Poly,
+                             certification_scope, check_axioms, check_rota_baxter,
+                             epsilon_prerequisites, linear_rows, quadratic_rows, yau_twist)
+from homcert.hommod import OOP_LAWS, HomModule, _module_env, adjoint_postlie_module, check_oop
 from homcert.functors import adjoint_bimodule
-from homcert.search import (CATALOG, RandomInstanceSpec, _linear_forms,
+from homcert.search import (CATALOG, GENERATORS, RandomInstanceSpec, _catalog_entries,
+                            _linear_forms,
                             brute_force_epsilon_bialgebras,
                             brute_force_oop_search, brute_force_rb_search,
                             corpus, iter_postlie_candidates, kernel_points,
@@ -302,35 +304,177 @@ def test_postlie_search_equals_certified_candidate_walk(entries):
     assert [(dict(r.provenance[1])["coeffs"], r.output.op("mul")) for r in found] == expected
 
 
+# Random dim-1/2 inputs from every generator that yields them: the (kind,
+# dim, generator) combinations random_instance supports, at any seed.
+SPECS = [(kind, dim, generator) for kind in KINDS if kind != "generic" for dim in (1, 2)
+         for generator in GENERATORS
+         if generator == "zero-product"
+         or generator == "nullspace-sample" and kind == "hom-postlie" and dim == 2
+         or generator.endswith("catalog") and _catalog_entries(kind, dim)]
+OOP_KINDS = ("hom-associative", "hom-prelie", "hom-lie")  # with an adjoint O-operator module
+
+
+@st.composite
+def _instances(draw, kinds=KINDS):
+    kind, dim, generator = draw(st.sampled_from([spec for spec in SPECS if spec[0] in kinds]))
+    return random_instance(RandomInstanceSpec(kind, dim, draw(st.integers(0, 2 ** 16)),
+                                              generator))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_instances(), st.data(), st.integers(0, 1), st.sampled_from([0, -1, 1]))
+def test_rb_search_equals_naive_walk_on_random_instances(instance, data, bound, weight):
+    # the Rota-Baxter operators of any one product of the instance
+    name = data.draw(st.sampled_from(sorted(instance.ops)))
+    a = HomAlgebra(instance.dim, "generic", {"mul": instance.op(name)}, instance.alpha)
+    same_matrices(brute_force_rb_search(a, weight, bound), naive_rb(a, weight, bound))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_instances(OOP_KINDS), st.integers(0, 1))
+def test_oop_search_equals_naive_walk_on_random_instances(a, bound):
+    try:
+        m = adjoint_bimodule(a)
+    except PreconditionError:  # the adjoint module needs a multiplicative twist
+        assume(False)
+    same_matrices(brute_force_oop_search(a, m, bound), naive_oop(a, m, bound))
+
+
+@settings(max_examples=8, deadline=None)
+@given(_instances(), st.data(), st.integers(0, 1))
+def test_epsilon_search_equals_naive_walk_on_random_instances(instance, data, bound):
+    # any one product, under the instance's twist or an involution; one scope
+    # keeps the product rows' results over the walk (6561 points at dim 2)
+    mul = instance.op(data.draw(st.sampled_from(sorted(instance.ops))))
+    one = Matrix.identity(instance.dim)
+    alpha = data.draw(st.sampled_from([instance.alpha, one, -one]))
+    found = brute_force_epsilon_bialgebras(mul, alpha, bound)
+    with certification_scope():
+        expected = naive_epsilon(mul, alpha, bound)
+    assert [typed(b.delta.data) for b in found] == [typed(b.delta.data) for b in expected]
+
+
 @pytest.mark.parametrize("alpha", [1, -1, 2])
 @pytest.mark.parametrize("product", [-2, -1, 0, 1, 2])
 def test_epsilon_search_equals_naive_walk_on_dim_one(product, alpha):
+    # bound 2, beyond the random draws above
     mul, twist = sc_tensor(1, {(0, 0): {0: product}}), Matrix([[alpha]])
     found = brute_force_epsilon_bialgebras(mul, twist, 2)
     expected = naive_epsilon(mul, twist, 2)
     assert [typed(b.delta.data) for b in found] == [typed(b.delta.data) for b in expected]
 
 
-def test_quadratic_rows_are_exact_forms():
-    # the residual of rota-baxter at r0 + sum c_i B_i, fractional data throughout
-    law, = _declare_identities()["rota-baxter"]
+@pytest.mark.parametrize("weight, count", [(0, 9), (1, 4)])
+def test_rb_search_equals_naive_walk_on_dim_three(weight, count):
+    # commuting with the identity twist is no constraint: the quadratic law prunes
+    a = ASSOC["truncated-poly-3"]
+    found = brute_force_rb_search(a, weight, 1)
+    assert len(found) == count
+    same_matrices(found, naive_rb(a, weight, 1))
+
+
+def test_oop_search_equals_naive_walk_on_dim_three():
+    a = ASSOC["truncated-poly-3"]
+    m = adjoint_bimodule(a)
+    found = brute_force_oop_search(a, m, 1)
+    assert len(found) == 9
+    same_matrices(found, naive_oop(a, m, 1))
+
+
+@pytest.mark.parametrize("certifier, search", [
+    ("check_rota_baxter", lambda a: brute_force_rb_search(a, 0, 1)),
+    ("check_oop", lambda a: brute_force_oop_search(a, adjoint_bimodule(a), 1)),
+    ("_epsilon_delta_rows", lambda a: brute_force_epsilon_bialgebras(a.op("mul"), I2, 1))])
+def test_box_searches_certify_every_survivor(monkeypatch, dual_numbers, certifier, search):
+    # a certifier that rejects every point: each survivor is refused loudly
+    failing = CertReport(False, ())
+    monkeypatch.setattr(f"homcert.search.{certifier}", lambda *args: (
+        [AxiomResult("rejected", False)] if certifier == "_epsilon_delta_rows" else failing))
+    with pytest.raises(AssertionError, match="disagree on a survivor"):
+        search(dual_numbers)
+
+
+def _canonical(v):
+    return type(v) is int or type(v) is Fraction and v.denominator != 1
+
+
+def _residual(laws, env):
+    return [d for law in laws for _, lhs, rhs in Identity(law, env).basis_sides()
+            for d in vec_sub(lhs, rhs)]
+
+
+def _forms_cases():
+    """(name, laws, env, unknown, basis) for every law the searches walk
+    symbolically, with fractional data and a nonzero base point."""
+    laws = _declare_identities()
+    half, third = Fraction(1, 2), Fraction(1, 3)
     a = RB_INPUTS["twisted-dual"]
-    env = {"mul": a.op("mul"), "weight": Fraction(1, 2), "alpha": a.alpha,
-           "r": Matrix([[1, 0], [Fraction(1, 3), 0]])}
-    basis = [Matrix([[1, 2], [0, -1]]), Matrix([[0, Fraction(1, 2)], [1, 0]]),
-             Matrix([[3, 0], [0, 0]])]
-    rows = quadratic_rows([law], env, "r", basis)
-    for c in _box(3, 2):
-        point = env["r"]
-        for ci, b in zip(c, basis):
-            point = point + b.scale(ci)
-        residual = [d for _, lhs, rhs in Identity(law, {**env, "r": point}).basis_sides()
-                    for d in vec_sub(lhs, rhs)]
-        assert [const + sum(c[i] * v for i, v in linear.items())
-                + sum(c[i] * c[j] * v for (i, j), v in quadratic.items())
-                for const, linear, quadratic in rows] == residual
-    assert all(type(v) in (int, Fraction) for const, linear, quadratic in rows
-               for v in (const, *linear.values(), *quadratic.values()))
+    yield "rota-baxter", laws["rota-baxter"], {
+        "mul": a.op("mul"), "weight": half, "alpha": a.alpha,
+        "r": Matrix([[1, 0], [third, 0]])}, "r", [
+        Matrix([[1, 2], [0, -1]]), Matrix([[0, half], [1, 0]]), Matrix([[3, 0], [0, 0]])]
+    for name in ("assoc-twisted", "prelie-vector-fields", "lie-affine"):
+        m = adjoint_bimodule(OOP_INPUTS[name])
+        yield OOP_LAWS[m.kind], laws[OOP_LAWS[m.kind]], {
+            **_module_env(m), "T": Matrix([[half, 0], [1, -1]])}, "T", [
+            Matrix([[1, 0], [third, 2]]), Matrix([[0, -half], [1, 0]]), Matrix([[0, 0], [0, 1]])]
+    b = EpsilonHomBialgebra(2, ASSOC["truncated-poly-2"].op("mul"),
+                            Tensor3(2, 2, 2, [0, 1, 0, half, 0, 0, 1, 0]),
+                            Matrix([[1, 0], [0, -1]]))
+    coassociativity, = (law for law in laws["epsilon-coproduct"]
+                        if law.name == "hom-coassociativity")
+    yield "hom-coassociativity", [coassociativity], b.env, "Delta", [
+        Matrix([[1, 0], [0, third], [0, 0], [2, 0]]),
+        Matrix([[0, 0], [half, 0], [1, 0], [0, 1]]), Matrix([[0, -1], [0, 0], [0, 0], [0, 0]])]
+    lie = HomAlgebra(2, "hom-lie", dict(OOP_INPUTS["lie-affine"].ops), Matrix([[1, 0], [0, 2]]))
+    basis = postlie_candidate_space(lie).basis
+    law, = (law for law in laws["hom-postlie"] if law.name == "postlie-twisted-left-symmetry")
+    yield "postlie-twisted-left-symmetry", [law], {
+        "bracket": lie.op("bracket"), "alpha": lie.alpha, "mul": basis[3].scale(half)}, "mul", \
+        list(basis[:3])
+
+
+def test_polynomial_scalar_keeps_only_nonzero_coefficients():
+    products, keys = _monomials(2)
+    assert keys == (None, 0, 1, (0, 0), (0, 1), (1, 1))
+    p = _Poly.of({1: 1, 2: Fraction(1, 2)}, products)  # c0 + c1 / 2
+    q = _Poly.of({1: 1, 2: Fraction(-1, 2)}, products)  # c0 - c1 / 2
+    assert (p * q).coefficients() == {3: 1, 5: Fraction(-1, 4)}  # the c0 c1 terms cancel
+    assert (p + q).coefficients() == {1: 2} and type((p + q).coefficients()[1]) is int
+    assert not p - p and p * 1 is p and p * 0 == 0 and p + 0 is p
+    with pytest.raises(IndexError):  # above degree 2
+        p * q * p
+
+
+def test_quadratic_rows_are_exact_forms():
+    # the residuals at env[unknown] + sum c_i B_i, against binding that point
+    for name, laws, env, unknown, basis in _forms_cases():
+        rows = quadratic_rows(laws, env, unknown, basis)
+        for c in _box(len(basis), 2):
+            point = env[unknown]
+            for ci, b in zip(c, basis):
+                point = point + b.scale(ci)
+            assert [const + sum(c[i] * v for i, v in linear.items())
+                    + sum(c[i] * c[j] * v for (i, j), v in quadratic.items())
+                    for const, linear, quadratic in rows] == \
+                _residual(laws, {**env, unknown: point}), name
+        assert any(quadratic for _, _, quadratic in rows), name
+        assert all(_canonical(v) for const, linear, quadratic in rows
+                   for v in (const, *linear.values(), *quadratic.values())), name
+        assert all(all(linear.values()) and all(quadratic.values())
+                   for _, linear, quadratic in rows), name
+        # over no basis, the residuals at the base point
+        assert quadratic_rows(laws, env, unknown, []) == [
+            (d, {}, {}) for d in _residual(laws, env)], name
+
+
+def test_linear_rows_are_the_residuals_at_each_basis_element():
+    for name, laws, env, unknown, basis in _forms_cases():
+        system = linear_rows(laws, env, unknown, basis)
+        assert system == Matrix.from_columns(
+            [_residual(laws, {**env, unknown: b}) for b in basis]), name
+        assert all(_canonical(v) for row in system.data for v in row), name
+        assert linear_rows(laws, env, unknown, []) == Matrix.zeros(0, 0)
 
 
 def test_quadratic_rows_reject_a_cubic_law():
@@ -342,6 +486,16 @@ def test_quadratic_rows_reject_a_cubic_law():
     cubic = Law("cubic", r(r(r(x))), Term("sum", ()))
     with pytest.raises(InputError, match="degree above 2"):
         quadratic_rows([cubic], {"r": Matrix.zeros(2, 2)}, "r", [])
+
+
+def test_forms_reject_a_basis_of_another_shape():
+    law, = _declare_identities()["rota-baxter"]
+    env = {"mul": ASSOC["truncated-poly-2"].op("mul"), "weight": 0, "r": Matrix.zeros(2, 2)}
+    for basis in ([Matrix.zeros(3, 3)], [Matrix.identity(2), Matrix.zeros(2, 1)]):
+        with pytest.raises(InputError, match="differ in shape"):
+            quadratic_rows([law], env, "r", basis)
+    with pytest.raises(InputError, match="differ in shape"):
+        linear_rows([law], env, "r", [Matrix.identity(2), Tensor3.zeros(2)])
 
 
 def test_searches_validate_inputs_before_counting_the_box():
