@@ -18,15 +18,15 @@ from . import docs
 from .errors import BudgetError, CertificationError, InputError, PreconditionError
 from .exactlin import Matrix, rat, rat_str
 from .homcore import (PREDICATES, CertReport, _digest, _epsilon_delta_rows,
-                      check_axioms, check_predicate, check_rota_baxter, convolution_rb,
-                      epsilon_prerequisites, yau_twist)
+                      certification_scope, check_axioms, check_predicate, check_rota_baxter,
+                      convolution_rb, epsilon_prerequisites, yau_twist)
 from .hommod import (HomModule, adjoint_postlie_module, bimodule_to_lie_module,
                      check_module_axioms, direct_sum, tensor_product,
                      twist_0k, twist_beta, twist_n0)
 from . import functors
 from .functors import FunctorResult
 from .harness import run_corpus_certification
-from .search import postlie_candidate_space, search_candidate_space
+from .search import postlie_candidate_space, postlie_search
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -246,8 +246,9 @@ def cmd_derive(args) -> int:
 
 def cmd_search_postlie(args) -> int:
     lie = docs.algebra_from_doc(docs.load_json(args.path))
-    space = postlie_candidate_space(lie)
-    survivors = search_candidate_space(space, args.bound)
+    with certification_scope():  # the summary and the search share one candidate space
+        space = postlie_candidate_space(lie)
+        survivors = postlie_search(lie, args.bound)
     bound = args.bound
     tested = (2 * bound + 1) ** len(space.basis)
     summary = {

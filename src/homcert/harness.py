@@ -34,8 +34,7 @@ from .functors import (adjoint_bimodule, commutator_lie, ldend_brackets,
                        reassemble_ldendriform)
 from .search import (CATALOG, brute_force_epsilon_bialgebras,
                      brute_force_oop_search, brute_force_rb_search, corpus,
-                     iter_space_candidates, postlie_candidate_space,
-                     search_candidate_space, sc_tensor)
+                     iter_postlie_candidates, postlie_search, sc_tensor)
 
 
 @dataclass
@@ -223,21 +222,21 @@ def _build_search(trials, max_dim, seed):
 
 def _eval_search_consistency(item) -> ItemResult:
     name, lie, bound = item
-    space = postlie_candidate_space(lie)
-    survivors = {r.output.op("mul") for r in search_candidate_space(space, bound)}
-    abelian = lie.op("bracket").is_zero()
-    checked = 0
-    for _, mul in iter_space_candidates(space, bound):
-        candidate = HomAlgebra(lie.dim, "hom-postlie",
-                               {"bracket": lie.op("bracket"), "mul": mul}, lie.alpha)
-        full = check_axioms(candidate).passed
-        if full != (mul in survivors):
-            return _ok(False)
-        if abelian:
-            prelie = HomAlgebra(lie.dim, "hom-prelie", {"mul": mul}, lie.alpha)
-            if check_axioms(prelie).passed != full:
+    with certification_scope():  # the search and the walk share one candidate space
+        survivors = {r.output.op("mul") for r in postlie_search(lie, bound)}
+        abelian = lie.op("bracket").is_zero()
+        checked = 0
+        for _, mul in iter_postlie_candidates(lie, bound):
+            candidate = HomAlgebra(lie.dim, "hom-postlie",
+                                   {"bracket": lie.op("bracket"), "mul": mul}, lie.alpha)
+            full = check_axioms(candidate).passed
+            if full != (mul in survivors):
                 return _ok(False)
-        checked += 1
+            if abelian:
+                prelie = HomAlgebra(lie.dim, "hom-prelie", {"mul": mul}, lie.alpha)
+                if check_axioms(prelie).passed != full:
+                    return _ok(False)
+            checked += 1
     return ItemResult(True, tally=((f"{name}-candidates", len(survivors), checked),))
 
 

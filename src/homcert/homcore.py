@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .exactlin import (ONE, ZERO, Matrix, Tensor3, basis_vec, mat_mul, nullspace, rat,
@@ -380,13 +380,26 @@ _SCOPE = contextvars.ContextVar("certification scope", default=None)
 
 class certification_scope:
     """Join the active scope, or open one for the block (never for the process):
-    each name's table while its object stays bound, each Law's last result."""
+    each name's table while its object stays bound, each Law's last result
+    and each held_in_scope function's last value."""
 
     def __enter__(self):
         self.token = _SCOPE.set(_SCOPE.get() or ({}, {}))
 
     def __exit__(self, *exc):
         _SCOPE.reset(self.token)
+
+
+def held_in_scope(fn: Callable) -> Callable:
+    """fn of one argument, its value kept in the active scope for the last
+    argument and returned again for an equal one; outside any scope, fn."""
+    @functools.wraps(fn)
+    def held(key):
+        results = (_SCOPE.get() or ({}, {}))[1]
+        if (last := results.get(fn)) is None or last[0] != key:
+            last = results[fn] = key, fn(key)
+        return last[1]
+    return held
 
 
 def _canonical(obj):
@@ -444,13 +457,6 @@ def _specs(group: str, env: Mapping, suffix: str = "") -> list[Identity]:
     """The group's declared laws bound to env, in one scope."""
     with certification_scope():
         return [Identity(law, env, suffix) for law in _declare_identities()[group]]
-
-
-def _residuals(laws: Sequence[Law], env: Mapping) -> list:
-    """lhs - rhs of every law at every basis tuple, in law, lexicographic
-    tuple and coordinate order."""
-    return [d for law in laws for _, lhs, rhs in Identity(law, env).basis_sides()
-            for d in vec_sub(lhs, rhs)]
 
 
 def unit_basis(shape: tuple) -> list:
@@ -613,21 +619,53 @@ def _degree(t: Term, unknown: str) -> int:
         _degree(u, unknown) for u in t.args)
 
 
-@functools.cache
-def _law_degree(law: Law, unknown: str) -> int:
-    return max(_degree(law.lhs, unknown), _degree(law.rhs, unknown))
+def _fit(t: Term, shapes: Mapping, dims: Sequence[int], unknown: str, hole=None):
+    """_length, once every product slot, map and sum in t meets vectors of
+    its own lengths; else InputError naming the unknown and the two shapes."""
+    if t.kind in ("var", "hole"):
+        return dims[t.name] if t.kind == "var" else hole
+    if t.kind == "tensor":
+        n = math.isqrt(_fit(t.args[2], shapes, dims, unknown, hole))
+        return _fit(t.args[0], shapes, dims, unknown, n) * _fit(t.args[1], shapes, dims, unknown, n)
+    got = [_fit(u, shapes, dims, unknown, hole) for u in t.args]
+    shape = shapes[t.name] if t.kind in ("op", "map") else None
+    if shape:  # an op (d1, d2, d3) or a map (rows, cols)
+        want, out = (shape[:2], shape[2]) if t.kind == "op" else (shape[1:], shape[0])
+    else:  # a sum, or a scaled term
+        out = next((g for g in got if g is not None), None)
+        want = (out,) * len(got)
+    if any(g not in (None, w) for g, w in zip(got, want)):
+        place = f"{t.name!r} of shape {shape}" if shape else "a sum"
+        raise InputError(f"the unknown {unknown!r} of shape {shapes[unknown]} does not fit "
+                         f"{place}: lengths {tuple(got)} where {want} are due")
+    return out
+
+
+@functools.cache  # a search repeats its laws and shapes
+def _require_forms(laws: tuple, unknown: str, shapes: tuple) -> None:
+    """InputError for a law of degree above 2 in ``unknown``, whose residuals
+    are not exact forms, or one that does not _fit the bound names' shapes,
+    given as (name, shape) pairs."""
+    shapes = dict(shapes)
+    for law in laws:
+        if max(_degree(law.lhs, unknown), _degree(law.rhs, unknown)) > 2:
+            raise InputError(f"law {law.name!r} has degree above 2 in {unknown!r}")
+        _fit(law.lhs - law.rhs, shapes, [shapes[name][0 if attr == "d1" else 1]
+                                         for name, attr in law.domains], unknown)
 
 
 def _symbolic_residuals(laws: Sequence[Law], env: Mapping, unknown: str, base,
                         basis: Sequence) -> list:
-    """_residuals with base + sum_i c_i basis[i] bound to ``unknown``, each
-    a _Poly or a rational.  Raises InputError for a law of degree above 2
-    in ``unknown``, whose residuals are not such forms."""
-    for law in laws:
-        if _law_degree(law, unknown) > 2:
-            raise InputError(f"law {law.name!r} has degree above 2 in {unknown!r}")
+    """lhs - rhs of every law at every basis tuple, in law, lexicographic
+    tuple and coordinate order, each a _Poly or a rational, with base +
+    sum_i c_i basis[i] bound to ``unknown`` (see _require_forms)."""
+    shaped = {**env, unknown: basis[0] if base is None else base}
+    _require_forms(tuple(laws), unknown, tuple((name, _shape(obj)) for name, obj in shaped.items()
+                                               if isinstance(obj, (Matrix, Tensor3))))
+    env = {**env, unknown: _symbolic(base, basis) if basis else base}
     with certification_scope():
-        return _residuals(laws, {**env, unknown: _symbolic(base, basis) if basis else base})
+        return [d for law in laws for _, lhs, rhs in Identity(law, env).basis_sides()
+                for d in vec_sub(lhs, rhs)]
 
 
 def _terms(value) -> dict:

@@ -1,17 +1,17 @@
 """Searching for Hom-post-Lie products, plus the instance generators and
 box searches the test corpus is built from.
 
-Every search takes two steps, and one enumerator, ``kernel_points``, takes
-both as a list of exact forms in integer coefficients that must vanish.
-The forms come from one walk of the declared laws with the unknown bound to
-a matrix or tensor of polynomials in the coefficients
-(``homcore.quadratic_rows``).  The linear step: the post-Lie search walks
-the coefficients of a kernel basis of its bracket-compatibility rows; a box
-search walks the unknown's own entries, and each row of the reduced echelon
-form of its linear rows is a form.  The quadratic step: the rows of degree
-2 in the unknown (the twisted left-symmetry identity; the Rota-Baxter,
-O-operator or Hom-coassociativity law of a box search) are forms as they
-are.  Whatever survives is certified in full.
+Every search is one call of ``_box_search``, which walks the integer
+coefficients c of a basis: the kernel basis of the bracket-compatibility
+rows for the post-Lie search, the unknown's own units for an operator or
+coproduct box.  One walk of the declared laws, with the unknown bound to a
+matrix or tensor of polynomials in c (``homcore.quadratic_rows``), gives
+every residual as an exact form.  The linear step: each row of the reduced
+echelon form of the purely linear forms is a form.  The quadratic step: the
+forms of degree 2 (the twisted left-symmetry identity; the Rota-Baxter,
+O-operator or Hom-coassociativity law) are kept as they are.  One
+enumerator, ``kernel_points``, takes both, and whatever survives is
+certified in full.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .errors import BudgetError, CertificationError, InputError, UnsupportedErro
 from .exactlin import ONE, ZERO, Matrix, Tensor3, nullspace, rat, rref
 from .homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, Identity, _declare_identities,
                       _epsilon_delta_rows, _epsilon_mul_rows, certification_scope, check_axioms,
-                      check_identity, check_rota_baxter, linear_rows, quadratic_rows,
-                      require_certified, unit_basis, yau_twist)
+                      check_identity, check_rota_baxter, held_in_scope, linear_rows,
+                      quadratic_rows, require_certified, unit_basis, yau_twist)
 from .functors import FunctorResult
 from .hommod import OOP_LAWS, HomModule, _module_env, check_oop
 
@@ -57,10 +57,9 @@ def postlie_linear_system(l: HomAlgebra) -> Matrix:
         raise InputError("postlie_linear_system expects a hom-lie algebra")
     require_certified(l)
     n = l.dim
-    laws = [law for law in _declare_identities()["hom-postlie"]
-            if law.name == "postlie-bracket-compatibility"]
     env = {"bracket": l.op("bracket"), "alpha": l.alpha}
-    rows = linear_rows(laws, env, "mul", unit_basis((n, n, n))).data
+    rows = linear_rows([_postlie_law("postlie-bracket-compatibility")], env, "mul",
+                       unit_basis((n, n, n))).data
     return Matrix([rows[((i * n + j) * n + k) * n + q]
                    for k, i, j, q in itertools.product(range(n), repeat=4)])
 
@@ -70,19 +69,26 @@ class PostLieCandidateSpace:
     """Kernel of the linear constraints: every integer combination of the
     basis tensors satisfies the bracket-compatibility identity exactly."""
 
-    homlie: HomAlgebra
     basis: tuple[Tensor3, ...]
     ambient_dim: int
     rank: int
 
 
+def _postlie_law(name: str):
+    law, = (law for law in _declare_identities()["hom-postlie"] if law.name == name)
+    return law
+
+
 def _postlie_spec(l: HomAlgebra, product: Tensor3, name: str) -> Identity:
     """The declared post-Lie axiom ``name`` alone, for l and a candidate product."""
-    law, = (law for law in _declare_identities()["hom-postlie"] if law.name == name)
-    return Identity(law, {"bracket": l.op("bracket"), "mul": product, "alpha": l.alpha})
+    return Identity(_postlie_law(name), {"bracket": l.op("bracket"), "mul": product,
+                                          "alpha": l.alpha})
 
 
+@held_in_scope
 def postlie_candidate_space(l: HomAlgebra) -> PostLieCandidateSpace:
+    """The kernel of ``postlie_linear_system(l)``, each basis tensor
+    re-checked; one solve per equal algebra in a certification scope."""
     n = l.dim
     system = postlie_linear_system(l)
     basis = []
@@ -93,23 +99,24 @@ def postlie_candidate_space(l: HomAlgebra) -> PostLieCandidateSpace:
                 "nullspace tensor fails re-evaluation of the linear identity")
         basis.append(t)
     ambient = n ** 3
-    return PostLieCandidateSpace(l, tuple(basis), ambient, ambient - len(basis))
+    return PostLieCandidateSpace(tuple(basis), ambient, ambient - len(basis))
 
 
 def _require_box(what: str, cells: int, bound: int, max_candidates: int,
-                 directions: str = "") -> None:
+                 name: str = "entry_bound", directions: str = "") -> None:
+    if bound < 0:
+        raise InputError(f"{name} must be non-negative")
     total = (2 * bound + 1) ** cells
     if total > max_candidates:
         raise BudgetError(f"{what} box has {total} points{directions}, budget is "
                           f"{max_candidates}", needed=total, budget=max_candidates)
 
 
-def _require_candidates(space: PostLieCandidateSpace, combo_bound: int,
-                        max_candidates: int) -> None:
-    if combo_bound < 0:
-        raise InputError("combo_bound must be non-negative")
-    d = len(space.basis)
-    _require_box("candidate", d, combo_bound, max_candidates, f" over {d} kernel directions")
+def _kernel_basis(l: HomAlgebra, combo_bound: int, max_candidates: int) -> tuple:
+    basis = postlie_candidate_space(l).basis
+    _require_box("candidate", len(basis), combo_bound, max_candidates, "combo_bound",
+                 f" over {len(basis)} kernel directions")
+    return basis
 
 
 def iter_postlie_candidates(l: HomAlgebra, combo_bound: int,
@@ -118,18 +125,9 @@ def iter_postlie_candidates(l: HomAlgebra, combo_bound: int,
     """All bounded integer combinations of the kernel basis, in lexicographic
     coefficient order; raises BudgetError before enumerating too many.  The
     unfiltered box, kept as the oracle ``postlie_search`` is checked against."""
-    yield from iter_space_candidates(postlie_candidate_space(l), combo_bound, max_candidates)
-
-
-def iter_space_candidates(space: PostLieCandidateSpace, combo_bound: int,
-                          max_candidates: int = DEFAULT_CANDIDATE_BUDGET
-                          ) -> Iterator[tuple[tuple[int, ...], Tensor3]]:
-    """``iter_postlie_candidates`` over the candidate space of
-    ``space.homlie``, already computed by the caller."""
-    _require_candidates(space, combo_bound, max_candidates)
-    for coeffs in itertools.product(range(-combo_bound, combo_bound + 1),
-                                    repeat=len(space.basis)):
-        yield coeffs, _combination(space.homlie.dim, space.basis, coeffs)
+    basis = _kernel_basis(l, combo_bound, max_candidates)
+    for coeffs in itertools.product(range(-combo_bound, combo_bound + 1), repeat=len(basis)):
+        yield coeffs, _combination(l.dim, basis, coeffs)
 
 
 def _combination(n: int, basis: Sequence[Tensor3], coeffs) -> Tensor3:
@@ -145,35 +143,20 @@ def _combination(n: int, basis: Sequence[Tensor3], coeffs) -> Tensor3:
 def postlie_search(l: HomAlgebra, combo_bound: int,
                    max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> list[FunctorResult]:
     """Every bounded-box candidate product satisfying both defining identities,
-    each returned as a fully certified Hom-post-Lie algebra."""
-    return search_candidate_space(postlie_candidate_space(l), combo_bound, max_candidates)
+    each returned as a fully certified Hom-post-Lie algebra: the box over
+    the kernel basis, with the twisted left-symmetry law as its quadratic step."""
+    basis = _kernel_basis(l, combo_bound, max_candidates)
+    n, bracket = l.dim, l.op("bracket")
 
+    def build(coeffs):
+        out = HomAlgebra(n, "hom-postlie", {"bracket": bracket,
+                                            "mul": _combination(n, basis, coeffs)}, l.alpha)
+        prov = ("postlie-search", (("bound", combo_bound), ("coeffs", coeffs)), (l.digest(),))
+        return FunctorResult(out, check_axioms(out), prov)
 
-def search_candidate_space(space: PostLieCandidateSpace, combo_bound: int,
-                           max_candidates: int = DEFAULT_CANDIDATE_BUDGET
-                           ) -> list[FunctorResult]:
-    """``postlie_search`` over the candidate space of ``space.homlie``,
-    already computed by the caller."""
-    _require_candidates(space, combo_bound, max_candidates)
-    l, basis = space.homlie, space.basis
-    n = l.dim
-    law, = (law for law in _declare_identities()["hom-postlie"]
-            if law.name == TWISTED_LEFT_SYMMETRY)
-    env = {"bracket": l.op("bracket"), "alpha": l.alpha, "mul": Tensor3.zeros(n)}
-    survivors = []
-    with certification_scope():
-        forms = quadratic_rows([law], env, "mul", basis if combo_bound else ())
-        for coeffs in kernel_points(len(basis), combo_bound, forms):
-            out = HomAlgebra(n, "hom-postlie", {"bracket": l.op("bracket"),
-                                                "mul": _combination(n, basis, coeffs)},
-                             l.alpha)
-            cert = check_axioms(out)
-            if not cert.passed:
-                raise AssertionError("search enumerator and axiom checker disagree on a survivor")
-            prov = ("postlie-search",
-                    (("bound", combo_bound), ("coeffs", coeffs)), (l.digest(),))
-            survivors.append(FunctorResult(out, cert, prov))
-    return survivors
+    return _box_search([_postlie_law(TWISTED_LEFT_SYMMETRY)],
+                       {"bracket": bracket, "alpha": l.alpha, "mul": Tensor3.zeros(n)},
+                       "mul", basis, combo_bound, build, lambda r: r.cert.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +232,6 @@ def kernel_points(d: int, bound: int, forms: Sequence[tuple]) -> list[tuple[int,
     return points
 
 
-# ---------------------------------------------------------------------------
-# brute-force oracles: box searches through the enumerator
-#
-# Each search returns the integer points of a box [-bound, bound]^cells that
-# pass its certification: the same list, in the same lexicographic order, as
-# a certified walk of the whole box.  Only the points the enumerator finds
-# are certified.
-
 def _linear_forms(system: Matrix) -> list[tuple]:
     """The rows of the reduced echelon form of ``system``, as forms that
     must vanish.  That form is unique for the row space, so the points do
@@ -265,26 +240,29 @@ def _linear_forms(system: Matrix) -> list[tuple]:
             for row in rref(system)[0].data if any(row)]
 
 
-def _box_entries(laws: Sequence, env: dict, unknown: str, units: Sequence,
-                 bound: int) -> list[tuple[int, ...]]:
-    """The entries c in [-bound, bound]^len(units), in ``itertools.product``
-    order, on which sum_i c_i units[i], bound to ``unknown``, satisfies the
-    ``laws``, each of degree at most 2 in it; env[unknown] must be zero.
-    One walk gives every residual as a form: those with neither a constant
-    nor a quadratic part are reduced to echelon form, the rest are kept."""
-    forms = quadratic_rows(laws, env, unknown, units if bound else ())
-    system = Matrix._exact([[lin.get(c, ZERO) for c in range(len(units))]
-                            for const, lin, quad in forms if lin and not const and not quad])
-    return kernel_points(len(units), bound, _linear_forms(system)
-                         + [f for f in forms if f[0] or f[2]])
+def _box_search(laws: Sequence, env: dict, unknown: str, basis: Sequence, bound: int,
+                build: Callable, passes: Callable) -> list:
+    """build(c) for every c in [-bound, bound]^len(basis), in product order,
+    at which env[unknown] + sum_i c_i basis[i] satisfies the ``laws`` (each
+    of degree at most 2 in it), once each passes its full certification."""
+    with certification_scope():
+        forms = quadratic_rows(laws, env, unknown, basis if bound else ())
+        system = Matrix._exact([[lin.get(c, ZERO) for c in range(len(basis))]
+                                for const, lin, quad in forms if lin and not const and not quad])
+        found = [build(c) for c in kernel_points(len(basis), bound, _linear_forms(system)
+                                                 + [f for f in forms if f[0] or f[2]])]
+        if not all(map(passes, found)):
+            raise AssertionError("search enumerator and certifier disagree on a survivor")
+        return found
 
 
-def _certified_survivors(found: list, passes: Callable) -> list:
-    """``found``, once every point of it passes its full certification."""
-    if not all(map(passes, found)):
-        raise AssertionError("search enumerator and certifier disagree on a survivor")
-    return found
-
+# ---------------------------------------------------------------------------
+# brute-force oracles: box searches through the enumerator
+#
+# Each search returns the integer points of a box [-bound, bound]^cells that
+# pass its certification: the same list, in the same lexicographic order, as
+# a certified walk of the whole box.  Only the points the enumerator finds
+# are certified.
 
 def _matrix(flat: Sequence, cols: int) -> Matrix:
     return Matrix._exact([flat[r:r + cols] for r in range(0, len(flat), cols)])
@@ -298,20 +276,16 @@ def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
     The enumerator solves the linear ``oop-twist-compat`` rows and the
     quadratic O-operator law of the module's kind, and each point it finds
     is certified."""
-    if entry_bound < 0:
-        raise InputError("entry_bound must be non-negative")
     if m.algebra != a:
         raise InputError("the module is not over the given algebra")
     if m.kind not in OOP_LAWS:
         raise InputError(f"O-operators are not defined for module kind {m.kind!r}")
     _require_box("operator", a.dim * m.mdim, entry_bound, max_candidates)
     laws = _declare_identities()
-    with certification_scope():
-        found = _box_entries(laws["oop-twist-compat"] + laws[OOP_LAWS[m.kind]],
-                             {**_module_env(m), "T": Matrix.zeros(a.dim, m.mdim)}, "T",
-                             unit_basis((a.dim, m.mdim)), entry_bound)
-        return _certified_survivors([_matrix(flat, m.mdim) for flat in found],
-                                    lambda t: check_oop(t, m).passed)
+    return _box_search(laws["oop-twist-compat"] + laws[OOP_LAWS[m.kind]],
+                       {**_module_env(m), "T": Matrix.zeros(a.dim, m.mdim)}, "T",
+                       unit_basis((a.dim, m.mdim)), entry_bound,
+                       lambda flat: _matrix(flat, m.mdim), lambda t: check_oop(t, m).passed)
 
 
 def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
@@ -322,19 +296,15 @@ def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
 
     The enumerator solves the linear ``commutes-with-twist`` rows and the
     quadratic ``rota-baxter`` law, and each point it finds is certified."""
-    if entry_bound < 0:
-        raise InputError("entry_bound must be non-negative")
     mul = a.single_op()  # like a malformed weight, raises InputError before the box is counted
     weight = rat(weight)
     n = a.dim
     _require_box("operator", n * n, entry_bound, max_candidates)
     laws = _declare_identities()
-    with certification_scope():
-        found = _box_entries(laws["commutes-with-twist"] + laws["rota-baxter"],
-                             {"mul": mul, "weight": weight, "alpha": a.alpha,
-                              "r": Matrix.zeros(n, n)}, "r", unit_basis((n, n)), entry_bound)
-        return _certified_survivors([_matrix(flat, n) for flat in found],
-                                    lambda r: check_rota_baxter(a, r, weight).passed)
+    return _box_search(laws["commutes-with-twist"] + laws["rota-baxter"],
+                       {"mul": mul, "weight": weight, "alpha": a.alpha, "r": Matrix.zeros(n, n)},
+                       "r", unit_basis((n, n)), entry_bound, lambda flat: _matrix(flat, n),
+                       lambda r: check_rota_baxter(a, r, weight).passed)
 
 
 def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int = 1,
@@ -343,7 +313,7 @@ def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int
     """All coproducts with entries in [-bound, bound] making (mul, delta,
     alpha) satisfy the bialgebra prerequisites, in lexicographic order of
     the flat coproduct.  Returns [] when the fixed product-side prerequisites
-    already fail.
+    already fail, but refuses a negative bound first.
 
     The enumerator solves the linear compatibility and cocentroid rows and
     the quadratic ``hom-coassociativity`` row; each point it finds must pass
@@ -355,17 +325,13 @@ def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int
     if not all(r.passed for r in _epsilon_mul_rows(probe)):
         return []
     _require_box("coproduct", n ** 3, entry_bound, max_candidates)
-
     # the rows are over the n^2 x n coproduct map, whose cell (r, i) is
     # delta's flat position i*n^2+r: the transposed n x n^2 units walk delta
-    env = {"mul": mul, "alpha": alpha, "Delta": Matrix.zeros(n * n, n)}
-    units = [u.transpose() for u in unit_basis((n, n * n))]
-    with certification_scope():
-        found = _box_entries(_declare_identities()["epsilon-coproduct"], env, "Delta", units,
-                             entry_bound)
-        return _certified_survivors(
-            [EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha) for flat in found],
-            lambda b: all(r.passed for r in _epsilon_delta_rows(b)))
+    return _box_search(_declare_identities()["epsilon-coproduct"],
+                       {"mul": mul, "alpha": alpha, "Delta": Matrix.zeros(n * n, n)}, "Delta",
+                       [u.transpose() for u in unit_basis((n, n * n))], entry_bound,
+                       lambda flat: EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha),
+                       lambda b: all(r.passed for r in _epsilon_delta_rows(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +407,6 @@ def _truncated_endo(n: int):
 def _build_catalog() -> dict[str, tuple[CatalogEntry, ...]]:
     I2, I3 = Matrix.identity(2), Matrix.identity(3)
 
-    def alg(dim, kind, ops, alpha):
-        return HomAlgebra(dim, kind, ops, alpha)
-
     catalog: dict[str, list[CatalogEntry]] = {k: [] for k in (
         "hom-associative", "hom-lie", "hom-prelie", "hom-novikov",
         "hom-postlie", "hom-dendriform", "hom-l-dendriform")}
@@ -452,85 +415,85 @@ def _build_catalog() -> dict[str, tuple[CatalogEntry, ...]]:
     for n in (1, 2, 3, 4):
         catalog["hom-associative"].append(CatalogEntry(
             f"truncated-poly-{n}",
-            alg(n, "hom-associative", {"mul": _unit_like(n)}, Matrix.identity(n)),
+            HomAlgebra(n, "hom-associative", {"mul": _unit_like(n)}, Matrix.identity(n)),
             _truncated_endo(n)))
     null_square = sc_tensor(2, {(0, 0): {1: 1}})
     catalog["hom-associative"].append(CatalogEntry(
         "null-square",
-        alg(2, "hom-associative", {"mul": null_square}, I2),
+        HomAlgebra(2, "hom-associative", {"mul": null_square}, I2),
         lambda rng: (lambda s: _diag(s, s * s))(_rnd_rat(rng))))
 
     # lie: abelian, the nonabelian 2-dim algebra, heisenberg, a solvable 3-dim
     catalog["hom-lie"].append(CatalogEntry(
-        "abelian-2", alg(2, "hom-lie", {"bracket": Tensor3.zeros(2)}, I2),
+        "abelian-2", HomAlgebra(2, "hom-lie", {"bracket": Tensor3.zeros(2)}, I2),
         lambda rng: Matrix([[_rnd_rat(rng) for _ in range(2)] for _ in range(2)])))
     catalog["hom-lie"].append(CatalogEntry(
-        "abelian-3", alg(3, "hom-lie", {"bracket": Tensor3.zeros(3)}, I3),
+        "abelian-3", HomAlgebra(3, "hom-lie", {"bracket": Tensor3.zeros(3)}, I3),
         lambda rng: Matrix([[_rnd_rat(rng) for _ in range(3)] for _ in range(3)])))
     affine = sc_tensor(2, {(0, 1): {1: 1}, (1, 0): {1: -1}})
     catalog["hom-lie"].append(CatalogEntry(
-        "affine-line", alg(2, "hom-lie", {"bracket": affine}, I2),
+        "affine-line", HomAlgebra(2, "hom-lie", {"bracket": affine}, I2),
         lambda rng: Matrix([[ONE, ZERO], [_rnd_rat(rng), _rnd_rat(rng)]])))
     heis = sc_tensor(3, {(0, 1): {2: 1}, (1, 0): {2: -1}})
     catalog["hom-lie"].append(CatalogEntry(
-        "heisenberg", alg(3, "hom-lie", {"bracket": heis}, I3),
+        "heisenberg", HomAlgebra(3, "hom-lie", {"bracket": heis}, I3),
         lambda rng: (lambda a, b: _diag(a, b, a * b))(_rnd_rat(rng), _rnd_rat(rng))))
     solv = sc_tensor(3, {(0, 1): {1: 1}, (1, 0): {1: -1},
                          (0, 2): {2: 2}, (2, 0): {2: -2}})
     catalog["hom-lie"].append(CatalogEntry(
-        "solvable-3", alg(3, "hom-lie", {"bracket": solv}, I3),
+        "solvable-3", HomAlgebra(3, "hom-lie", {"bracket": solv}, I3),
         lambda rng: _diag(1, _rnd_rat(rng), _rnd_rat(rng))))
 
     # prelie: non-associative instances plus the associative family
     left_shift = sc_tensor(2, {(0, 1): {1: 1}})
     catalog["hom-prelie"].append(CatalogEntry(
-        "left-shift", alg(2, "hom-prelie", {"mul": left_shift}, I2),
+        "left-shift", HomAlgebra(2, "hom-prelie", {"mul": left_shift}, I2),
         lambda rng: _diag(1, _rnd_rat(rng))))
     vector_fields = sc_tensor(2, {(0, 1): {0: 1}, (1, 1): {1: 1}})
     catalog["hom-prelie"].append(CatalogEntry(
-        "vector-fields", alg(2, "hom-prelie", {"mul": vector_fields}, I2),
+        "vector-fields", HomAlgebra(2, "hom-prelie", {"mul": vector_fields}, I2),
         lambda rng: _diag(_rnd_rat(rng), 1)))
     for n in (1, 2, 3):
         catalog["hom-prelie"].append(CatalogEntry(
             f"truncated-poly-{n}",
-            alg(n, "hom-prelie", {"mul": _unit_like(n)}, Matrix.identity(n)),
+            HomAlgebra(n, "hom-prelie", {"mul": _unit_like(n)}, Matrix.identity(n)),
             _truncated_endo(n)))
     catalog["hom-prelie"].append(CatalogEntry(
-        "null-square", alg(2, "hom-prelie", {"mul": null_square}, I2),
+        "null-square", HomAlgebra(2, "hom-prelie", {"mul": null_square}, I2),
         lambda rng: (lambda s: _diag(s, s * s))(_rnd_rat(rng))))
 
     # novikov: all left-commutative
     null_shift = sc_tensor(2, {(1, 1): {0: 1}})
     catalog["hom-novikov"].append(CatalogEntry(
-        "null-shift", alg(2, "hom-novikov", {"mul": null_shift}, I2),
+        "null-shift", HomAlgebra(2, "hom-novikov", {"mul": null_shift}, I2),
         lambda rng: (lambda s: _diag(s * s, s))(_rnd_rat(rng))))
     skew_pair = sc_tensor(3, {(1, 2): {0: 1}, (2, 1): {0: -1}})
     catalog["hom-novikov"].append(CatalogEntry(
-        "skew-pair", alg(3, "hom-novikov", {"mul": skew_pair}, I3),
+        "skew-pair", HomAlgebra(3, "hom-novikov", {"mul": skew_pair}, I3),
         lambda rng: (lambda b, c: _diag(b * c, b, c))(_rnd_rat(rng), _rnd_rat(rng))))
     for n in (2, 3):
         catalog["hom-novikov"].append(CatalogEntry(
             f"truncated-poly-{n}",
-            alg(n, "hom-novikov", {"mul": _unit_like(n)}, Matrix.identity(n)),
+            HomAlgebra(n, "hom-novikov", {"mul": _unit_like(n)}, Matrix.identity(n)),
             _truncated_endo(n)))
 
     # postlie: preLie instances with zero bracket, plus a nonzero-bracket one
     catalog["hom-postlie"].append(CatalogEntry(
         "left-shift-trivial",
-        alg(2, "hom-postlie", {"bracket": Tensor3.zeros(2), "mul": left_shift}, I2),
+        HomAlgebra(2, "hom-postlie", {"bracket": Tensor3.zeros(2), "mul": left_shift}, I2),
         lambda rng: _diag(1, _rnd_rat(rng))))
     catalog["hom-postlie"].append(CatalogEntry(
         "dual-numbers-trivial",
-        alg(2, "hom-postlie", {"bracket": Tensor3.zeros(2), "mul": _unit_like(2)}, I2),
+        HomAlgebra(2, "hom-postlie", {"bracket": Tensor3.zeros(2), "mul": _unit_like(2)}, I2),
         _truncated_endo(2)))
     skew_bracket = sc_tensor(3, {(1, 2): {0: 2}, (2, 1): {0: -2}})
     catalog["hom-postlie"].append(CatalogEntry(
         "skew-pair-postlie",
-        alg(3, "hom-postlie", {"bracket": skew_bracket, "mul": skew_pair}, I3),
+        HomAlgebra(3, "hom-postlie", {"bracket": skew_bracket, "mul": skew_pair}, I3),
         lambda rng: (lambda b, c: _diag(b * c, b, c))(_rnd_rat(rng), _rnd_nonzero(rng))))
     catalog["hom-postlie"].append(CatalogEntry(
         "truncated-poly-1-trivial",
-        alg(1, "hom-postlie",
+        HomAlgebra(1, "hom-postlie",
             {"bracket": Tensor3.zeros(1), "mul": _unit_like(1)}, Matrix.identity(1)),
         lambda rng: _diag(rng.choice((0, 1)))))
 
@@ -539,31 +502,26 @@ def _build_catalog() -> dict[str, tuple[CatalogEntry, ...]]:
     split = sc_tensor(2, {(0, 0): {1: 1}})
     catalog["hom-dendriform"].append(CatalogEntry(
         "split-dual",
-        alg(2, "hom-dendriform", {"left": split, "right": split}, I2),
+        HomAlgebra(2, "hom-dendriform", {"left": split, "right": split}, I2),
         lambda rng: (lambda s: _diag(s, s * s))(_rnd_rat(rng))))
     catalog["hom-dendriform"].append(CatalogEntry(
         "double-dual",
-        alg(2, "hom-dendriform",
+        HomAlgebra(2, "hom-dendriform",
             {"left": Tensor3.zeros(2), "right": _unit_like(2).scale(2)}, I2),
         _truncated_endo(2)))
     catalog["hom-l-dendriform"].append(CatalogEntry(
         "split-dual-ld",
-        alg(2, "hom-l-dendriform", {"tleft": split, "tright": split}, I2),
+        HomAlgebra(2, "hom-l-dendriform", {"tleft": split, "tright": split}, I2),
         lambda rng: (lambda s: _diag(s, s * s))(_rnd_rat(rng))))
     catalog["hom-l-dendriform"].append(CatalogEntry(
         "split-dual-ld-transpose",
-        alg(2, "hom-l-dendriform", {"tleft": -split, "tright": split}, I2),
+        HomAlgebra(2, "hom-l-dendriform", {"tleft": -split, "tright": split}, I2),
         lambda rng: (lambda s: _diag(s, s * s))(_rnd_rat(rng))))
 
     return {k: tuple(v) for k, v in catalog.items()}
 
 
 CATALOG = _build_catalog()
-
-
-def _zero_ops(kind: str, dim: int) -> dict[str, Tensor3]:
-    names = KIND_OPS[kind] or ("mul",)
-    return {name: Tensor3.zeros(dim) for name in names}
 
 
 def _catalog_entries(kind: str, dim: int) -> list[CatalogEntry]:
@@ -583,7 +541,8 @@ def _generate(spec: RandomInstanceSpec) -> HomAlgebra:
     if gen == "zero-product":
         alpha = Matrix([[_rnd_rat(rng) for _ in range(spec.dim)]
                         for _ in range(spec.dim)])
-        out = HomAlgebra(spec.dim, spec.kind, _zero_ops(spec.kind, spec.dim), alpha)
+        zero = {name: Tensor3.zeros(spec.dim) for name in KIND_OPS[spec.kind] or ("mul",)}
+        out = HomAlgebra(spec.dim, spec.kind, zero, alpha)
 
     elif gen in ("hand-catalog", "yau-twist-catalog"):
         entries = _catalog_entries(spec.kind, spec.dim)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homcert import docs, search
+from homcert import cli, docs, harness, search
 from homcert.cli import main
 from homcert.exactlin import Matrix, Tensor3
 from homcert.homcore import KIND_OPS, HomAlgebra
@@ -342,6 +342,33 @@ def test_search_postlie_solves_the_linear_system_once(workdir, affine_lie, monke
     path = write_algebra("lie.json", affine_lie)
     assert main(["search-postlie", path, "--bound", "1"]) == 0
     assert calls == [affine_lie]
+
+
+def test_search_postlie_negative_bound_exit(workdir, affine_lie):
+    path = write_algebra("lie.json", affine_lie)
+    assert main(["search-postlie", path, "--bound", "-1"]) == 2
+
+
+def test_post_lie_searches_call_the_public_names(workdir, affine_lie, monkeypatch):
+    # the benchmark's tracer counts post-Lie searches by these bound names
+    calls = []
+    for module, name in ((harness, "postlie_search"), (harness, "iter_postlie_candidates"),
+                         (cli, "postlie_search")):
+        def counted(*args, real=getattr(module, name), key=f"{module.__name__}.{name}"):
+            calls.append(key)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    items = [item for item in harness._build_search(1, 1, 0)
+             if not item[0].startswith("abelian-2")]  # 6561 candidates each
+    for item in items:
+        calls.clear()
+        assert harness._eval_search_consistency(item).ok
+        assert sorted(calls) == ["homcert.harness.iter_postlie_candidates",
+                                 "homcert.harness.postlie_search"]
+    calls.clear()
+    assert main(["search-postlie", write_algebra("lie.json", affine_lie), "--bound", "1"]) == 0
+    assert calls == ["homcert.cli.postlie_search"]
 
 
 def test_search_postlie_budget_exit(workdir):

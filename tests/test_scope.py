@@ -230,3 +230,19 @@ def test_abelian_search_never_walks_bracket_compatibility(evaluations, monkeypat
     assert harness._eval_search_consistency(("abelian-2", abelian, 0)).ok
     assert "postlie-bracket-compatibility" not in evaluations
     assert "postlie-twisted-left-symmetry" in evaluations
+
+
+def test_scope_keeps_the_last_candidate_space(monkeypatch):
+    solves = []
+    real = search.postlie_linear_system
+    monkeypatch.setattr(search, "postlie_linear_system", lambda l: solves.append(l) or real(l))
+    lie = catalog_algebra("hom-lie", "affine-line")
+    twisted = HomAlgebra(2, "hom-lie", dict(lie.ops), Matrix([[1, 0], [0, 2]]))
+    with certification_scope():
+        space = search.postlie_candidate_space(lie)
+        assert search.postlie_candidate_space(lie) is space
+        assert solves == [lie]
+        assert search.postlie_candidate_space(twisted) is not space
+        assert solves == [lie, twisted]
+    assert search.postlie_candidate_space(lie) is not search.postlie_candidate_space(lie)
+    assert solves == [lie, twisted, lie, lie]

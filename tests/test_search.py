@@ -516,6 +516,18 @@ def test_searches_validate_inputs_before_counting_the_box():
         brute_force_rb_search(a, 0, 20)
 
 
+def test_forms_reject_an_unknown_that_does_not_fit_the_bound_names():
+    # a 3 x 3 operator on a dim-2 algebra: an InputError, not an IndexError
+    law, = _declare_identities()["rota-baxter"]
+    env = {"mul": ASSOC["truncated-poly-2"].op("mul"), "weight": 0}
+    misfit = r"unknown 'r' of shape \(3, 3\) does not fit 'mul' of shape \(2, 2, 2\)"
+    with pytest.raises(InputError, match=misfit):
+        linear_rows([law], env, "r", [Matrix.zeros(3, 3)])
+    for basis in ([], [Matrix.zeros(3, 3)]):
+        with pytest.raises(InputError, match=misfit):
+            quadratic_rows([law], {**env, "r": Matrix.zeros(3, 3)}, "r", basis)
+
+
 def test_kernel_points_keep_the_points_where_every_form_vanishes():
     half = Fraction(1, 2)
     assert kernel_points(0, 1, [(0, {}, {})]) == [()]
@@ -580,6 +592,14 @@ def test_negative_entry_bound_is_input_error(dual_numbers):
                 lambda: brute_force_epsilon_bialgebras(failing_mul, I2, -1)]
     for search in searches:
         with pytest.raises(InputError, match="entry_bound must be non-negative"):
+            search()
+
+
+def test_negative_combo_bound_is_input_error(affine_lie):
+    searches = [lambda: postlie_search(affine_lie, -1),
+                lambda: next(iter_postlie_candidates(affine_lie, -1))]
+    for search in searches:
+        with pytest.raises(InputError, match="combo_bound must be non-negative"):
             search()
 
 
