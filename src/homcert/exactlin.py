@@ -169,6 +169,10 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({[[str(v) for v in row] for row in self.data]})"
 
+    @property
+    def dims(self):
+        return (self.rows, self.cols)
+
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]

@@ -164,7 +164,8 @@ class CertReport:
 # interpreter an integral value may be a Fraction; a side that leaves it (a
 # witness, or a dense side of Identity.__call__) is canonical, as stored
 # rationals are: an int exactly when integral.  A law one of whose annihilators
-# (see Law) is bound to zero passes in check_identity without a walk.
+# (see Law) is bound to zero passes in check_identity without a walk.  Every
+# binding's shapes are measured and checked once, by _sizes.
 
 class Term:
     """("var", index) for a variable (index -1 is the law's last variable),
@@ -205,24 +206,13 @@ def _vanishes(t: Term, zero: str) -> bool:
     return t.kind in ("op", "map") and t.name == zero or any(_vanishes(u, zero) for u in t.args)
 
 
-def _length(t: Term, env: Mapping, dims: Sequence[int], hole=None):
-    """Length of the term's vector, variable i of length dims[i] and the
-    hole of length ``hole``; None if unknown (an empty sum)."""
-    if t.kind in ("op", "map"):
-        obj = env[t.name]
-        return obj.d3 if t.kind == "op" else obj.rows
-    if t.kind == "tensor":
-        n, m = _tensor_shape(t, env, dims)
-        return _length(t.args[0], env, dims, n) * m
-    if t.kind in ("var", "hole"):
-        return dims[t.name] if t.kind == "var" else hole
-    return _length(t.args[0], env, dims, hole) if t.args else None
-
-
-def _tensor_shape(t: Term, env: Mapping, dims: Sequence[int]) -> tuple[int, int]:
-    """(dim V, len(g)) for a tensor node (f (x) g)(u) with u in V (x) V."""
-    n = math.isqrt(_length(t.args[2], env, dims))
-    return n, _length(t.args[1], env, dims, n)
+def _degree(t: Term, name: str) -> int:
+    """The degree of a term in the bound name ``name``: every node is
+    linear in each of its arguments and in its own bound name."""
+    if t.kind == "sum":
+        return max((_degree(u, name) for u in t.args), default=0)
+    return (t.kind in ("op", "map", "scaled") and t.name == name) + sum(
+        _degree(u, name) for u in t.args)
 
 
 def _compile(t: Term, basis: bool):
@@ -327,33 +317,34 @@ def _compile(t: Term, basis: bool):
 
 class Law:
     """A declared identity lhs == rhs: its arity, the space each variable
-    ranges over, one node per name a structure must bind, its annihilators
-    (the products and maps whose zero makes both sides zero), and both sides
-    compiled for basis tuples and for vectors, each on first use (a process
-    that never evaluates a law holds no closures for it).
+    ranges over, one node per name a structure must bind, its degree in each
+    name, its annihilators (the products and maps whose zero makes both
+    sides zero), and both sides compiled for basis tuples and for vectors,
+    each on first use (a process that never evaluates a law holds no
+    closures for it).
 
     Variables are typed by use: each ranges over the domain of the first
-    product slot or map it is an argument of, so algebra and carrier
-    variables mix freely."""
+    product slot or map it is an argument of, (bound name, position in its
+    shape), so algebra and carrier variables mix freely."""
 
     def __init__(self, name: str, lhs: Term, rhs: Term):
         self.name, self.lhs, self.rhs = name, lhs, rhs
         nodes = [t for side in (lhs, rhs) for t in _nodes(side)]
         variables = {t.name for t in nodes if t.kind == "var"}
         self.arity = max((i + 1 for i in variables), default=0) + (-1 in variables)
-        domains = {}  # variable position -> (bound name, attribute giving its length)
+        domains = {}  # variable position -> (bound name, position in its shape)
         for t in nodes:
-            if t.kind in ("op", "map"):
-                for slot, u in enumerate(t.args):
+            if t.kind in ("op", "map"):  # a map's argument is its column: shape position 1
+                for slot, u in enumerate(t.args, t.kind == "map"):
                     if u.kind == "var":
-                        domains.setdefault(u.name % self.arity,
-                                           (t.name, "cols" if t.kind == "map" else ("d1", "d2")[slot]))
+                        domains.setdefault(u.name % self.arity, (t.name, slot))
         self.domains = tuple(domains[i] for i in range(self.arity))
         self.bound = tuple({t if t.kind == "tensor" else t.name: t for t in nodes
                             if t.kind in ("op", "map", "scaled", "tensor")}.values())
         self.names = tuple(t.name for t in self.bound if t.kind != "tensor")
-        self.annihilators = tuple(t.name for t in self.bound if t.kind in ("op", "map")
-                                  and _vanishes(lhs, t.name) and _vanishes(rhs, t.name))
+        self.shaped = tuple(t.name for t in self.bound if t.kind in ("op", "map"))
+        self.degrees = {name: max(_degree(lhs, name), _degree(rhs, name)) for name in self.names}
+        self.annihilators = tuple(n for n in self.shaped if _vanishes(lhs, n) and _vanishes(rhs, n))
 
     @functools.cached_property
     def on_basis(self):
@@ -362,6 +353,50 @@ class Law:
     @functools.cached_property
     def on_vectors(self):
         return _compile(self.lhs, False), _compile(self.rhs, False)
+
+
+@functools.cache  # a law is bound again and again to objects of the same shapes
+def _sizes(law: Law, shapes: tuple) -> tuple:
+    """(dims, m, tensors) for law.shaped bound to objects of these shapes
+    (their dims): each variable's length, both sides' length and each tensor
+    node's (dim V, len g).  InputError where a product slot, map, sum or
+    tensor node meets a vector of another length, naming what gave it."""
+    shape = dict(zip(law.shaped, shapes))
+    dims = tuple(shape[name][pos] for name, pos in law.domains)
+    tensors, named = {}, {name: f"{name!r} of shape {s}" for name, s in shape.items()}
+
+    def walk(t: Term, hole=None) -> tuple:  # (length, what gave it); None for an empty sum
+        if t.kind == "var":
+            return dims[t.name], (f"variable {t.name % law.arity + 1} over "
+                                  f"{named[law.domains[t.name][0]]}")
+        if t.kind == "hole":
+            return hole
+        if t.kind == "tensor":
+            n2, source = walk(t.args[2], hole)
+            n = math.isqrt(n2)
+            if n * n != n2:
+                raise InputError(f"a tensor node takes a square length, not {n2} from {source}")
+            (p, left), (q, right) = (walk(g, (n, f"a tensor factor of {source}"))
+                                     for g in t.args[:2])
+            tensors[t] = n, q
+            return p * q, f"the tensor of {left} and {right}"
+        got = [walk(u, hole) for u in t.args]
+        if t.kind in ("op", "map"):
+            s = shape[t.name]
+            for pos, (length, source) in enumerate(got, t.kind == "map"):
+                if length not in (None, s[pos]):
+                    raise InputError(f"{named[t.name]} takes length {s[pos]} in argument "
+                                     f"{pos + (t.kind == 'op')} where {source} gives "
+                                     f"length {length}")
+            return s[2] if t.kind == "op" else s[0], named[t.name]
+        known = [g for g in got if g[0] is not None]  # a sum's terms, or a scaled term
+        for length, source in known[1:]:
+            if length != known[0][0]:
+                raise InputError(f"a sum adds length {length} from {source} to length "
+                                 f"{known[0][0]} from {known[0][1]}")
+        return known[0] if known else (None, None)
+
+    return dims, walk(law.lhs - law.rhs)[0], tensors
 
 
 def _pairs(values) -> tuple:
@@ -416,31 +451,36 @@ class Identity:
     def __init__(self, law: Law, env: Mapping, suffix: str = ""):
         self.law, self.env, self.name = law, env, law.name + suffix
         self.tables, self.results = _SCOPE.get() or ({}, {})
+        self.measured = None
+
+    def sizes(self) -> tuple:
+        """(dims, m, tensors) for the shapes bound here, read once (see _sizes)."""
+        if self.measured is None:
+            self.measured = _sizes(self.law, tuple([self.env[n].dims for n in self.law.shaped]))
+        return self.measured
 
     def bind(self):
         """(tables, dims, m): lookup tables for the bound names, held in the
-        scope, the length of each variable, and the length m of both sides."""
-        law, env = self.law, self.env
-        dims = [getattr(env[name], attr) for name, attr in law.domains]
-        tables = {}
-        for t in law.bound:
-            if t.kind == "tensor":
-                tables[t] = (*_tensor_shape(t, env, dims), {}, {})
-                continue
-            obj, held = env[t.name], self.tables.get(t.name)
-            if t.kind == "scaled":
-                tables[t.name] = obj
-                continue
-            if held is None or held[0] is not obj:
-                held = self.tables[t.name] = (obj, (
-                    [[_pairs(obj.product_vec(i, j)) for j in range(obj.d2)] for i in range(obj.d1)]
-                    if t.kind == "op" else [_pairs(col) for col in zip(*obj.data)]))
-            tables[t.name] = held[1]
-        m = _length(law.lhs, env, dims)
-        return tables, dims, (_length(law.rhs, env, dims) if m is None else m)
+        scope, and the length of each variable and of both sides (_sizes)."""
+        dims, m, tensors = self.sizes()
+        tables = {t: (n, len_g, {}, {}) for t, (n, len_g) in tensors.items()}
+        for t in self.law.bound:
+            if t.kind in ("op", "map"):
+                obj, held = self.env[t.name], self.tables.get(t.name)
+                if held is None or held[0] is not obj:
+                    held = self.tables[t.name] = (obj, (
+                        [[_pairs(obj.product_vec(i, j)) for j in range(obj.d2)]
+                         for i in range(obj.d1)]
+                        if t.kind == "op" else [_pairs(col) for col in zip(*obj.data)]))
+                tables[t.name] = held[1]
+            elif t.kind == "scaled":
+                tables[t.name] = self.env[t.name]
+        return tables, dims, m
 
     def __call__(self, *vectors):
-        tables, _, m = self.bind()
+        tables, dims, m = self.bind()
+        if (lengths := tuple(map(len, vectors))) != dims:
+            raise InputError(f"{self.name!r} takes vectors of lengths {dims}, got {lengths}")
         v = [tuple(enumerate(x)) for x in vectors]
         return tuple(tuple(map(rat, _dense(side(v, tables), m))) for side in self.law.on_vectors)
 
@@ -585,16 +625,12 @@ def _cells(obj) -> tuple:
     return obj.data if isinstance(obj, Tensor3) else tuple(itertools.chain(*obj.data))
 
 
-def _shape(obj) -> tuple:
-    return obj.dims if isinstance(obj, Tensor3) else (obj.rows, obj.cols)
-
-
 def _symbolic(base, basis: Sequence):
     """base + sum_i c_i basis[i] (base None: zero) with _Poly entries, a
     matrix or tensor shaped like basis[0]; InputError if the shapes differ."""
     products, _ = _monomials(len(basis))
     like = basis[0]
-    if any(_shape(b) != _shape(like) for b in (base, *basis) if b is not None):
+    if any(b.dims != like.dims for b in (base, *basis) if b is not None):
         raise InputError("the base point and the basis of an unknown differ in shape")
     terms = [{} for _ in _cells(like)]
     for monomial, b in ((0, base), *enumerate(basis, 1)):
@@ -610,58 +646,15 @@ def _symbolic(base, basis: Sequence):
     return out
 
 
-def _degree(t: Term, unknown: str) -> int:
-    """The degree of a term in the bound name ``unknown``: every node is
-    linear in each of its arguments and in its own bound name."""
-    if t.kind == "sum":
-        return max((_degree(u, unknown) for u in t.args), default=0)
-    return (t.kind in ("op", "map", "scaled") and t.name == unknown) + sum(
-        _degree(u, unknown) for u in t.args)
-
-
-def _fit(t: Term, shapes: Mapping, dims: Sequence[int], unknown: str, hole=None):
-    """_length, once every product slot, map and sum in t meets vectors of
-    its own lengths; else InputError naming the unknown and the two shapes."""
-    if t.kind in ("var", "hole"):
-        return dims[t.name] if t.kind == "var" else hole
-    if t.kind == "tensor":
-        n = math.isqrt(_fit(t.args[2], shapes, dims, unknown, hole))
-        return _fit(t.args[0], shapes, dims, unknown, n) * _fit(t.args[1], shapes, dims, unknown, n)
-    got = [_fit(u, shapes, dims, unknown, hole) for u in t.args]
-    shape = shapes[t.name] if t.kind in ("op", "map") else None
-    if shape:  # an op (d1, d2, d3) or a map (rows, cols)
-        want, out = (shape[:2], shape[2]) if t.kind == "op" else (shape[1:], shape[0])
-    else:  # a sum, or a scaled term
-        out = next((g for g in got if g is not None), None)
-        want = (out,) * len(got)
-    if any(g not in (None, w) for g, w in zip(got, want)):
-        place = f"{t.name!r} of shape {shape}" if shape else "a sum"
-        raise InputError(f"the unknown {unknown!r} of shape {shapes[unknown]} does not fit "
-                         f"{place}: lengths {tuple(got)} where {want} are due")
-    return out
-
-
-@functools.cache  # a search repeats its laws and shapes
-def _require_forms(laws: tuple, unknown: str, shapes: tuple) -> None:
-    """InputError for a law of degree above 2 in ``unknown``, whose residuals
-    are not exact forms, or one that does not _fit the bound names' shapes,
-    given as (name, shape) pairs."""
-    shapes = dict(shapes)
-    for law in laws:
-        if max(_degree(law.lhs, unknown), _degree(law.rhs, unknown)) > 2:
-            raise InputError(f"law {law.name!r} has degree above 2 in {unknown!r}")
-        _fit(law.lhs - law.rhs, shapes, [shapes[name][0 if attr == "d1" else 1]
-                                         for name, attr in law.domains], unknown)
-
-
 def _symbolic_residuals(laws: Sequence[Law], env: Mapping, unknown: str, base,
                         basis: Sequence) -> list:
     """lhs - rhs of every law at every basis tuple, in law, lexicographic
     tuple and coordinate order, each a _Poly or a rational, with base +
-    sum_i c_i basis[i] bound to ``unknown`` (see _require_forms)."""
-    shaped = {**env, unknown: basis[0] if base is None else base}
-    _require_forms(tuple(laws), unknown, tuple((name, _shape(obj)) for name, obj in shaped.items()
-                                               if isinstance(obj, (Matrix, Tensor3))))
+    sum_i c_i basis[i] bound to ``unknown``.  InputError for a law of degree
+    above 2 in ``unknown``, whose residuals are not exact forms."""
+    for law in laws:
+        if law.degrees.get(unknown, 0) > 2:
+            raise InputError(f"law {law.name!r} has degree above 2 in {unknown!r}")
     env = {**env, unknown: _symbolic(base, basis) if basis else base}
     with certification_scope():
         return [d for law in laws for _, lhs, rhs in Identity(law, env).basis_sides()
@@ -702,8 +695,8 @@ def quadratic_rows(laws: Sequence[Law], env: Mapping, unknown: str,
 
     returned as (const, linear, quadratic), dicts keeping nonzero entries,
     each an int exactly when integral.  One walk of the laws reads them,
-    with the unknown's entries polynomials in c.  Raises InputError for a
-    law of higher degree, on which these forms would not be exact."""
+    with the unknown's entries polynomials in c and its shape checked by
+    _sizes.  InputError for a law of higher degree: its forms are not exact."""
     _, keys = _monomials(len(basis))
     rows = []
     for residual in _symbolic_residuals(laws, env, unknown, env[unknown], basis):
@@ -724,12 +717,13 @@ def check_identity(ident: Identity) -> AxiomResult:
     """Evaluate an identity on all basis tuples, lexicographic order, each
     variable over its own space, unless its law's last binding in the scope
     had equal canonical data, or one of its annihilators is bound to zero
-    (then it passes).  The first failing tuple (minimal in lex order)
-    becomes the witness."""
+    (then it passes, once _sizes has checked its shapes).  The first failing
+    tuple (minimal in lex order) becomes the witness."""
     law, env = ident.law, ident.env
     key = [_canonical(env[name]) for name in law.names]
     held = ident.results.get(law)
     if held is None or held[0] != key:
+        ident.sizes()  # InputError on a misfit, before a zero annihilator could pass it
         for name in law.annihilators:
             if env[name].is_zero():  # both sides vanish at every tuple
                 verdict = True, None

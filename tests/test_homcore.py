@@ -1,16 +1,19 @@
 """Algebra-level certification: frozen spec examples and random properties."""
 
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from homcert import homcore
 from homcert.errors import InputError, PreconditionError
 from homcert.exactlin import Matrix, Tensor3, basis_vec, vec_sub
-from homcert.homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, Witness,
-                             _declare_identities, check_axioms, check_identity, check_morphism,
-                             check_predicate, check_rota_baxter,
+from homcert.homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, Identity, Witness,
+                             _declare_identities, _specs, check_axioms, check_identity,
+                             check_morphism, check_predicate, check_rota_baxter,
                              commuting_endomorphism_basis, convolution_rb,
                              epsilon_prerequisites, hom_associator, kind_axioms,
                              predicate_axioms, yau_twist)
@@ -40,6 +43,13 @@ def test_hom_associator_counterexample():
     a = HomAlgebra(2, "hom-associative", {"mul": t}, I2)
     e1 = basis_vec(2, 0)
     assert hom_associator(a, e1, e1, e1) == (-1, 0)
+
+
+def test_hom_associator_refuses_vectors_of_other_lengths():
+    a = catalog_algebra("hom-associative", "truncated-poly-2")
+    for x in ((1,), (1, 0, 1)):
+        with pytest.raises(InputError, match=r"lengths \(2, 2, 2\), got \((1|3), 2, 2\)"):
+            hom_associator(a, x, (1, 0), (0, 1))
 
 
 def test_check_axioms_zero_products_all_kinds():
@@ -117,6 +127,108 @@ def test_law_annihilators():
     for name in ("o-operator-associative", "o-operator-prelie", "o-operator-lie",
                  "oop-twist-compat"):
         assert laws[name].annihilators == ("T",)
+
+
+def test_operator_of_another_size_is_refused_before_its_annihilator():
+    # a 3 x 3 operator on a dim-2 product: zero, it would pass through its
+    # annihilator; the identity would get a meaningless witness
+    mul = catalog_algebra("hom-associative", "truncated-poly-2").op("mul")
+    for r in (Matrix.zeros(3, 3), Matrix.identity(3)):
+        with pytest.raises(InputError, match=r"'mul' of shape \(2, 2, 2\) .* 'r' of shape"):
+            check_identity(*_specs("rota-baxter", {"mul": mul, "r": r, "weight": 0}))
+
+
+# Each bound name's shape over the spaces A (an algebra), B (a second
+# algebra), M (a carrier), C = A (x) A and K (a basis of End_alpha).  "r" as
+# a product is the right action; the convolution's "f" is an endomorphism.
+_SPACES = {**dict.fromkeys(("mul", "bracket", "op", "source", "left", "right", "tleft",
+                            "tright"), "AAA"),
+           **dict.fromkeys(("l", "rho", "diamond", "bullet", "lt", "rt", "lr", "rr", "act"),
+                           "AMM"),
+           "target": "BBB", "alpha": "AA", "b": "AA", "f": "BA", "target-alpha": "BB",
+           "beta": "MM", "bM": "MM", "T": "AM", "Delta": "CA", "M": "AC", "E": "CK",
+           "comp": "CCC", "left-alpha": "CC", "right-alpha": "CC", "R": "CC"}
+
+# (law, name, position) of a shape that no term of the law meets with
+# another length: any length there binds and evaluates
+_FREE = {("skew-symmetry", "bracket", 2), ("left-commutativity", "alpha", 1),
+         ("centroid-left", "mul", 1), ("centroid-right", "mul", 0),
+         ("literal-twist-commute-diamond", "diamond", 0),
+         ("literal-twist-commute-bullet", "bullet", 0), ("hom-coassociativity", "alpha", 0),
+         ("convolution", "M", 0), ("convolution", "Delta", 1), ("endalg-hom-associative", "E", 1),
+         ("convolution-closed", "E", 1), ("convolution-rota-baxter", "E", 1)}
+
+_LAWS = [law for laws in _declare_identities().values() for law in laws]
+
+
+def _fitting_shapes(law, dims):
+    """law.names -> the shape its _SPACES give over dims (None for a scalar)."""
+    dims = {**dims, "C": dims["A"] ** 2}
+    shapes = {}
+    for t in law.bound:
+        if t.kind in ("op", "map"):
+            spaces = ("AMM" if t.kind == "op" else "AA") if t.name == "r" else (
+                "AA" if t.name == "f" and law.name == "convolution" else _SPACES[t.name])
+            shapes[t.name] = tuple(dims[s] for s in spaces)
+        elif t.kind == "scaled":
+            shapes[t.name] = None
+    return shapes
+
+
+def _bind(shapes, rnd, zero=()):
+    """Random objects of these shapes, with small entries; the names in zero at zero."""
+    def entry(name):
+        return 0 if name in zero else rnd.choice((0, 1, -1, 2, Fraction(1, 2)))
+
+    return {name: entry(name) if shape is None else
+            Tensor3(*shape, [entry(name) for _ in range(shape[0] * shape[1] * shape[2])])
+            if len(shape) == 3 else
+            Matrix([[entry(name) for _ in range(shape[1])] for _ in range(shape[0])])
+            for name, shape in shapes.items()}
+
+
+def _representable(shapes):
+    """Whether every matrix shape is one a Matrix has: no rows means no columns."""
+    return all(len(s) != 2 or s[0] or not s[1] for s in shapes.values() if s)
+
+
+_SPACE_DIMS = st.fixed_dictionaries({s: st.integers(0, 3) for s in "ABKM"})
+
+
+@settings(max_examples=25, deadline=None)
+@given(_SPACE_DIMS, st.randoms(use_true_random=False))
+def test_sides_have_the_lengths_the_size_rule_reads(dims, rnd):
+    for law in _LAWS:
+        shapes = _fitting_shapes(law, dims)
+        if not _representable(shapes):
+            continue
+        ident = Identity(law, _bind(shapes, rnd))
+        _, lengths, m = ident.bind()
+        assert lengths == tuple(shapes[name][pos] for name, pos in law.domains), law.name
+        sides = list(ident.basis_sides())
+        assert [idx for idx, _, _ in sides] == list(itertools.product(*map(range, lengths)))
+        assert all(len(lhs) == len(rhs) == m for _, lhs, rhs in sides), law.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SPACE_DIMS, st.sampled_from(_LAWS), st.data(), st.randoms(use_true_random=False))
+def test_a_shape_off_by_one_is_an_input_error_naming_it(dims, law, data, rnd):
+    shapes = _fitting_shapes(law, dims)
+    name = data.draw(st.sampled_from([n for n, s in shapes.items() if s]))
+    pos = data.draw(st.integers(0, len(shapes[name]) - 1))
+    off = list(shapes[name])
+    off[pos] += data.draw(st.sampled_from((1, -1))) if off[pos] else 1
+    shapes[name] = tuple(off)
+    if not _representable(shapes):
+        off[pos] = shapes[name][pos] + 2  # one above the fitting length, not one below
+        shapes[name] = tuple(off)
+    assume(_representable(shapes))
+    env = _bind(shapes, rnd, zero={name} if data.draw(st.booleans()) else ())
+    if (law.name, name, pos) in _FREE:
+        assert check_identity(Identity(law, env)).name == law.name
+        return
+    with pytest.raises(InputError, match=re.escape(repr(name))):
+        check_identity(Identity(law, env))
 
 
 def test_check_axioms_kind_ops_mismatch():

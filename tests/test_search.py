@@ -520,12 +520,26 @@ def test_forms_reject_an_unknown_that_does_not_fit_the_bound_names():
     # a 3 x 3 operator on a dim-2 algebra: an InputError, not an IndexError
     law, = _declare_identities()["rota-baxter"]
     env = {"mul": ASSOC["truncated-poly-2"].op("mul"), "weight": 0}
-    misfit = r"unknown 'r' of shape \(3, 3\) does not fit 'mul' of shape \(2, 2, 2\)"
+    misfit = r"'mul' of shape \(2, 2, 2\) takes length 2 .* 'r' of shape \(3, 3\) gives length 3"
     with pytest.raises(InputError, match=misfit):
         linear_rows([law], env, "r", [Matrix.zeros(3, 3)])
     for basis in ([], [Matrix.zeros(3, 3)]):
         with pytest.raises(InputError, match=misfit):
             quadratic_rows([law], {**env, "r": Matrix.zeros(3, 3)}, "r", basis)
+
+
+def test_misfit_names_the_bound_name_that_gave_the_length():
+    # the unknown 'mul' is 3 x 3 x 3 on a dim-2 Hom-Lie algebra: the length-2
+    # vector it meets comes from 'alpha' (or 'bracket'), not from 'mul' itself
+    lie = catalog_algebra("hom-lie", "affine-line")
+    law, = (law for law in _declare_identities()["hom-postlie"]
+            if law.name == "postlie-twisted-left-symmetry")
+    env = {"bracket": lie.op("bracket"), "alpha": I2, "mul": Tensor3.zeros(3)}
+    with pytest.raises(InputError, match=r"'mul' of shape \(3, 3, 3\) takes length 3 .* "
+                                         r"('alpha' of shape \(2, 2\)|'bracket' of shape "
+                                         r"\(2, 2, 2\)) gives length 2") as info:
+        quadratic_rows([law], env, "mul", [])
+    assert str(info.value).count("'mul'") == 1
 
 
 def test_kernel_points_keep_the_points_where_every_form_vanishes():
