@@ -24,11 +24,12 @@ def _matrix_to_lists(m: Matrix) -> list:
     return [[rat_str(v) for v in row] for row in m.data]
 
 
-def _matrix_from_lists(rows, what="matrix") -> Matrix:
+def _matrix_from_lists(rows, what="matrix", cols=0) -> Matrix:
+    """The matrix of these rows; ``cols`` counts the columns of one without rows."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError(f"{what} must be an array of arrays")
     try:
-        return Matrix(rows)
+        return Matrix(rows, cols)
     except (InputError, TypeError) as exc:
         raise InputError(f"bad {what}: {exc}") from exc
 
@@ -141,7 +142,7 @@ def operator_from_doc(doc: dict) -> Matrix:
     if doc.get("kind") != "operator":
         raise InputError("not an operator document")
     rows, cols = _count(doc.get("rows"), "rows"), _count(doc.get("cols"), "cols")
-    m = _matrix_from_lists(doc.get("entries"), "entries")
+    m = _matrix_from_lists(doc.get("entries"), "entries", cols)
     if m.rows != rows or m.cols != cols:
         raise InputError("operator entries do not match the declared shape")
     return m

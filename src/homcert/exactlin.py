@@ -126,28 +126,31 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows_of_entries: Sequence[Sequence]):
+    def __init__(self, rows_of_entries: Sequence[Sequence], cols: int = 0):
+        """The rows' entries; ``cols`` counts the columns of a matrix without
+        rows (else the first row's length, which every row must have)."""
         data = tuple(tuple(rat(v) for v in row) for row in rows_of_entries)
         self.data = data
         self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
+        self.cols = len(data[0]) if data else cols
         if any(len(row) != self.cols for row in data):
             raise InputError("ragged matrix rows")
 
     @classmethod
-    def _exact(cls, rows_of_entries) -> "Matrix":
+    def _exact(cls, rows_of_entries, cols: int = 0) -> "Matrix":
         """A matrix of exact arithmetic results: ints pass through, and only
-        integral Fractions (products can give Fraction(k, 1)) are normalized."""
+        integral Fractions (products can give Fraction(k, 1)) are normalized.
+        ``cols`` counts the columns of a matrix without rows."""
         m = object.__new__(cls)
         m.data = tuple(tuple(v if type(v) is int or v.denominator != 1 else v.numerator
                              for v in row) for row in rows_of_entries)
         m.rows = len(m.data)
-        m.cols = len(m.data[0]) if m.data else 0
+        m.cols = len(m.data[0]) if m.data else cols
         return m
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix([[ZERO] * cols for _ in range(rows)])
+        return Matrix([[ZERO] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -158,10 +161,10 @@ class Matrix:
         if not cols:
             return Matrix.zeros(0, 0)
         n = len(cols[0])
-        return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(n)], len(cols))
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.data == other.data
+        return isinstance(other, Matrix) and self.cols == other.cols and self.data == other.data
 
     def __hash__(self):
         return hash(self.data)
@@ -188,18 +191,18 @@ class Matrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        return Matrix._exact([vec_add(a, b) for a, b in zip(self.data, other.data)])
+        return Matrix._exact([vec_add(a, b) for a, b in zip(self.data, other.data)], self.cols)
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Matrix._exact([vec_sub(a, b) for a, b in zip(self.data, other.data)])
+        return Matrix._exact([vec_sub(a, b) for a, b in zip(self.data, other.data)], self.cols)
 
     def __neg__(self):
-        return Matrix._exact([vec_neg(row) for row in self.data])
+        return Matrix._exact([vec_neg(row) for row in self.data], self.cols)
 
     def scale(self, k) -> "Matrix":
         k = rat(k)
-        return Matrix._exact([vec_scale(k, row) for row in self.data])
+        return Matrix._exact([vec_scale(k, row) for row in self.data], self.cols)
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -220,7 +223,7 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix._exact([self.column(j) for j in range(self.cols)])
+        return Matrix._exact([self.column(j) for j in range(self.cols)], self.rows)
 
     def power(self, e: int) -> "Matrix":
         if self.rows != self.cols:
@@ -238,13 +241,13 @@ class Matrix:
         for a_row in self.data:
             for b_row in other.data:
                 out.append(tuple(a * b for a in a_row for b in b_row))
-        return Matrix._exact(out)
+        return Matrix._exact(out, self.cols * other.cols)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise InputError(f"mat_mul dimension mismatch: {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = list(zip(*b.data))  # the columns of b
+    bt = list(zip(*b.data)) if b.rows else [()] * b.cols  # the columns of b
     out = []
     for row in a.data:
         out_row = []
@@ -255,7 +258,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     s += x * y
             out_row.append(s)
         out.append(out_row)
-    return Matrix._exact(out)
+    return Matrix._exact(out, b.cols)
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
@@ -264,7 +267,7 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
         out.append(list(row) + [ZERO] * b.cols)
     for row in b.data:
         out.append([ZERO] * a.cols + list(row))
-    return Matrix(out)
+    return Matrix(out, a.cols + b.cols)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -298,7 +301,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         r += 1
         if r == rows:
             break
-    return Matrix(data), tuple(pivots)
+    return Matrix(data, cols), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

@@ -13,6 +13,7 @@ documents are written out and the run still passes.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 from . import docs
 from .errors import CertificationError, InputError, PreconditionError
 from .exactlin import Matrix, Tensor3
-from .homcore import (HomAlgebra, certification_scope, check_axioms, check_predicate,
+from .homcore import (HomAlgebra, certification_scope, check_axioms_each, check_predicate,
                       convolution_rb)
 from .hommod import (adjoint_postlie_module, direct_sum, tensor_product, twist_0k,
                      twist_beta, twist_beta_data, twist_n0)
@@ -221,21 +222,25 @@ def _build_search(trials, max_dim, seed):
 
 
 def _eval_search_consistency(item) -> ItemResult:
+    """The search's survivors against the unfiltered box, every candidate
+    certified in full as a post-Lie algebra and, on a zero bracket, as a
+    pre-Lie one; the two must agree there."""
     name, lie, bound = item
+    n, bracket, alpha = lie.dim, lie.op("bracket"), lie.alpha
+    abelian = bracket.is_zero()
     with certification_scope():  # the search and the walk share one candidate space
         survivors = {r.output.op("mul") for r in postlie_search(lie, bound)}
-        abelian = lie.op("bracket").is_zero()
+        # one walk of the box, read in step by each batched certification
+        muls, *copies = itertools.tee(
+            (mul for _, mul in iter_postlie_candidates(lie, bound)), 2 + abelian)
+        posts = check_axioms_each(HomAlgebra(n, "hom-postlie", {"bracket": bracket, "mul": m},
+                                             alpha) for m in copies[0])
+        pres = (check_axioms_each(HomAlgebra(n, "hom-prelie", {"mul": m}, alpha)
+                                  for m in copies[1]) if abelian else itertools.repeat(None))
         checked = 0
-        for _, mul in iter_postlie_candidates(lie, bound):
-            candidate = HomAlgebra(lie.dim, "hom-postlie",
-                                   {"bracket": lie.op("bracket"), "mul": mul}, lie.alpha)
-            full = check_axioms(candidate).passed
-            if full != (mul in survivors):
+        for mul, post, pre in zip(muls, posts, pres):
+            if post.passed != (mul in survivors) or pre is not None and pre.passed != post.passed:
                 return _ok(False)
-            if abelian:
-                prelie = HomAlgebra(lie.dim, "hom-prelie", {"mul": mul}, lie.alpha)
-                if check_axioms(prelie).passed != full:
-                    return _ok(False)
             checked += 1
     return ItemResult(True, tally=((f"{name}-candidates", len(survivors), checked),))
 

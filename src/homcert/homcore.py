@@ -16,10 +16,11 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .exactlin import (ONE, ZERO, Matrix, Tensor3, basis_vec, mat_mul, nullspace, rat,
@@ -445,11 +446,12 @@ def _canonical(obj):
 
 class Identity:
     """A law bound to env in the active scope, or a fresh one: one report
-    row, named by the law's name plus ``suffix``.  Called on dense vectors
-    it returns both dense sides."""
+    row, named by the law's name plus ``suffix``, for each of its ``lanes``
+    (see _Lanes; a plain binding has one).  Called on dense vectors it
+    returns both dense sides."""
 
-    def __init__(self, law: Law, env: Mapping, suffix: str = ""):
-        self.law, self.env, self.name = law, env, law.name + suffix
+    def __init__(self, law: Law, env: Mapping, suffix: str = "", lanes: int = 1):
+        self.law, self.env, self.name, self.lanes = law, env, law.name + suffix, lanes
         self.tables, self.results = _SCOPE.get() or ({}, {})
         self.measured = None
 
@@ -471,7 +473,7 @@ class Identity:
                     held = self.tables[t.name] = (obj, (
                         [[_pairs(obj.product_vec(i, j)) for j in range(obj.d2)]
                          for i in range(obj.d1)]
-                        if t.kind == "op" else [_pairs(col) for col in zip(*obj.data)]))
+                        if t.kind == "op" else [_pairs(obj.column(j)) for j in range(obj.cols)]))
                 tables[t.name] = held[1]
             elif t.kind == "scaled":
                 tables[t.name] = self.env[t.name]
@@ -637,7 +639,12 @@ def _symbolic(base, basis: Sequence):
         for pos, a in enumerate(_cells(b) if b is not None else ()):
             if a:
                 terms[pos][monomial] = a
-    flat = tuple(_Poly.of(t, products) if t else ZERO for t in terms)
+    return _like(like, tuple(_Poly.of(t, products) if t else ZERO for t in terms))
+
+
+def _like(like, flat: tuple):
+    """A matrix or tensor shaped like ``like`` holding the entries ``flat``
+    (row-major) as they are, unnormalized: _Poly or _Lanes values."""
     out = object.__new__(type(like))
     for slot in type(like).__slots__:
         setattr(out, slot, getattr(like, slot))
@@ -719,19 +726,27 @@ def check_identity(ident: Identity) -> AxiomResult:
     had equal canonical data, or one of its annihilators is bound to zero
     (then it passes, once _sizes has checked its shapes).  The first failing
     tuple (minimal in lex order) becomes the witness."""
+    return AxiomResult(ident.name, *_verdicts(ident)[0])
+
+
+def _verdicts(ident: Identity) -> list:
+    """(passed, witness) for each lane of the identity, as check_identity
+    reads them: one walk for all lanes."""
     law, env = ident.law, ident.env
-    key = [_canonical(env[name]) for name in law.names]
+    key = ident.lanes, [_canonical(env[name]) for name in law.names]
     held = ident.results.get(law)
     if held is None or held[0] != key:
         ident.sizes()  # InputError on a misfit, before a zero annihilator could pass it
         for name in law.annihilators:
-            if env[name].is_zero():  # both sides vanish at every tuple
-                verdict = True, None
+            if env[name].is_zero():  # both sides vanish at every tuple, in every lane
+                verdicts = [(True, None)] * ident.lanes
                 break
         else:
-            verdict = _first_failure(ident.basis_sides())
-        held = ident.results[law] = key, *verdict
-    return AxiomResult(ident.name, *held[1:])
+            sides = ident.basis_sides()
+            verdicts = (_first_failures(sides, ident.lanes) if ident.lanes > 1
+                        else [_first_failure(sides)])
+        held = ident.results[law] = key, verdicts
+    return held[1]
 
 
 def _first_failure(sides) -> tuple:
@@ -741,6 +756,127 @@ def _first_failure(sides) -> tuple:
             lhs, rhs = (tuple(map(rat, side)) for side in (lhs, rhs))
             return False, Witness(tuple(i + 1 for i in idx), lhs, rhs)
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# laws over a batch: one walk for many bindings
+#
+# A batch binds each name once for all its members.  A name every member
+# binds to the same object stays as it is, so its lookup table is kept in
+# the scope and a zero annihilator still passes its law without a walk; any
+# other name is bound as a matrix or tensor of _Lanes, one lane per member,
+# the way _symbolic binds an unknown.  The interpreter then evaluates every
+# member at once, and a member's row is its first differing tuple.
+
+# Members per batch.  On the five search-consistency inputs (26,408
+# reports; best CPU time of three runs of six passes, 2-vCPU host), 16 lanes
+# took 0.86 s, 64 took 0.79, 128 took 0.73, 256 and 512 took 0.91 and 1,024
+# took 0.96, and peak RSS read 23.1 MB at 128 lanes, 23.5 at 256, 24.7 at
+# 512, 27.1 at 1,024 and 42 with a whole 6,561-point box in one batch.
+_BATCH_WIDTH = 128
+
+
+class _Lanes:
+    """One exact rational per member of a batch.  +, - and * act lane by
+    lane, a rational acting on every lane; it is truthy when any lane is
+    nonzero, and it equals only itself (it has no __eq__), so a scope never
+    reuses one batch's verdicts for another.  Times a rational 1 it is
+    itself, times 0 it is int 0."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple):
+        self.values = values
+
+    def __bool__(self):
+        return any(self.values)
+
+    def __neg__(self):
+        return _Lanes(tuple(map(operator.neg, self.values)))
+
+    def _map(self, op, other):
+        """op lane by lane, with other's lanes or with the rational other."""
+        return _Lanes(tuple(map(op, self.values, other.values if type(other) is _Lanes
+                                else itertools.repeat(other))))
+
+    def __add__(self, other):
+        return self._map(operator.add, other) if other else self
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._map(operator.sub, other) if other else self
+
+    def __rsub__(self, other):  # other - self, with other a rational
+        return _Lanes(tuple(map(operator.sub, itertools.repeat(other), self.values)))
+
+    def __mul__(self, other):
+        if other == 1:
+            return self
+        return self._map(operator.mul, other) if other else ZERO
+
+    __rmul__ = __mul__
+
+
+def _first_failures(sides, lanes: int) -> list:
+    """_first_failure in each lane of a batched walk: the first tuple at
+    which the lane's sides differ, both sides read in that lane."""
+    verdicts, open_lanes = [(True, None)] * lanes, range(lanes)
+    for idx, lhs, rhs in sides:
+        if failed := _differing(lhs, rhs, open_lanes):
+            indices = tuple(i + 1 for i in idx)
+            lhs, rhs = _by_lane(lhs, lanes), _by_lane(rhs, lanes)
+            for lane in failed:
+                verdicts[lane] = False, Witness(indices, tuple(map(rat, lhs[lane])),
+                                                tuple(map(rat, rhs[lane])))
+            open_lanes = [lane for lane in open_lanes if lane not in failed]
+            if not open_lanes:
+                break
+    return verdicts
+
+
+def _differing(lhs: tuple, rhs: tuple, lanes: Sequence[int]) -> set:
+    """The lanes among ``lanes`` in which lhs and rhs differ."""
+    failed = set()
+    for a, b in zip(lhs, rhs):
+        d = a - b
+        if d:
+            if type(d) is not _Lanes:  # a rational: every lane differs
+                return set(lanes)
+            failed.update(lane for lane in lanes if d.values[lane])
+    return failed
+
+
+def _by_lane(side: tuple, lanes: int) -> list:
+    """A side of a batched walk as one tuple per lane."""
+    return list(zip(*(a.values if type(a) is _Lanes else itertools.repeat(a, lanes)
+                      for a in side)))
+
+
+def _lane_bound(objs: Sequence, held: dict):
+    """The object every member binds, or one shaped like them whose entries
+    are _Lanes of theirs, built once per batch for the same members."""
+    first = objs[0]
+    if all(obj is first for obj in objs):
+        return first
+    key = tuple(map(id, objs))  # the members hold their objects for the batch
+    if key not in held:
+        held[key] = _like(first, tuple(map(_Lanes, zip(*map(_cells, objs)))))
+    return held[key]
+
+
+def _reports(members: Sequence[Sequence[Identity]]) -> list:
+    """Each member's report on its identities, the same laws in the same
+    order for every member, each law walked once for all of them (above).
+    A single member binds every name as it is: the plain walk."""
+    held, rows = {}, []
+    for column in zip(*members):
+        law = column[0].law
+        env = {name: _lane_bound([s.env[name] for s in column], held) for name in law.names}
+        rows.append(_verdicts(Identity(law, env, lanes=len(members))))
+    return [CertReport.from_results([AxiomResult(s.name, *row[lane])
+                                     for s, row in zip(specs, rows)])
+            for lane, specs in enumerate(members)]
 
 
 @functools.cache  # on first use: a fresh process imports without building any law
@@ -965,6 +1101,18 @@ def check_axioms(a: HomAlgebra, predicates: Sequence[str] = ()) -> CertReport:
     """Certify the algebra against its kind's axioms plus optional predicates."""
     specs = kind_axioms(a) + [s for p in predicates for s in predicate_axioms(a, p)]
     return CertReport.from_results([check_identity(s) for s in specs])
+
+
+def check_axioms_each(algebras: Iterable[HomAlgebra]) -> Iterator[CertReport]:
+    """check_axioms(a) for each algebra, in input order, lazily.  Consecutive
+    algebras of one kind and dim are certified in batches of _BATCH_WIDTH,
+    each law walked once per batch (see _reports); a batch of one takes the
+    plain walk of check_axioms."""
+    for _, run in itertools.groupby(algebras, key=lambda a: (a.kind, a.dim)):
+        while batch := list(itertools.islice(run, _BATCH_WIDTH)):
+            with certification_scope():  # left before yielding: no scope outlives a batch
+                reports = _reports([kind_axioms(a) for a in batch])
+            yield from reports
 
 
 def check_predicate(a: HomAlgebra, name: str) -> CertReport:

@@ -120,8 +120,9 @@ def test_module_doc_round_trip_keeps_entries_and_types(tmp_path_factory, m):
 
 
 def test_operator_doc_round_trip():
-    m = Matrix([[0, "1/2"], [1, 0]])
-    assert docs.operator_from_doc(docs.operator_to_doc(m)) == m
+    for m in (Matrix([[0, "1/2"], [1, 0]]), Matrix.zeros(0, 3), Matrix.zeros(3, 0)):
+        again = docs.operator_from_doc(docs.operator_to_doc(m))
+        assert again == m and again.dims == m.dims
 
 
 def test_document_type_sniffing(dual_numbers):

@@ -371,3 +371,23 @@ def test_mutated_documents_keep_the_exit_contract(data):
     assert code in (0, 1, 2, 3)
     if code == 0:
         assert _normal(doc) == _normal(_reserialized(doc))
+
+
+LIE_BASES = [docs.algebra_to_doc(catalog_algebra("hom-lie", name))
+             for name in ("affine-line", "heisenberg")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_documents_keep_the_search_postlie_exit_contract(data):
+    """search-postlie on a mutated Hom-Lie document exits 0-3 without an
+    exception, at bound 0 and 1."""
+    doc = _mutate(data, data.draw(st.sampled_from(LIE_BASES)))
+    bound = data.draw(st.sampled_from(["0", "1"]))
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        path = os.path.join(tmp, "lie.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code = main(["search-postlie", path, "--bound", bound])
+    assert code in (0, 1, 2, 3)

@@ -305,3 +305,15 @@ def test_arithmetic_results_match_the_parsing_constructor():
             assert (result.rows, result.cols) == (expected.rows, expected.cols), name
             assert typed(result) == typed(expected), name
             assert result == expected and hash(result) == hash(expected), name
+
+
+def test_a_matrix_without_rows_keeps_its_columns():
+    m = Matrix.zeros(0, 3)
+    assert m.dims == (0, 3) and m.is_zero() and m != Matrix.zeros(0, 2)
+    assert m.transpose().dims == (3, 0) and m.transpose().transpose() == m
+    assert Matrix([], 3) == m and Matrix.from_columns([(), (), ()]) == m
+    assert (m + m).dims == (-m).dims == m.scale(2).dims == (0, 3)
+    assert m.kron(Matrix.identity(2)).dims == (0, 6)
+    assert mat_mul(Matrix.zeros(2, 0), m) == Matrix.zeros(2, 3)
+    assert mat_mul(m, Matrix.zeros(3, 1)).dims == (0, 1)
+    assert rref(m)[0].dims == (0, 3) and len(nullspace(m)) == 3

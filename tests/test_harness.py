@@ -1,9 +1,14 @@
 """The certify-corpus harness: reported counts against what lands on disk,
 and the worker pool it asks for."""
 
+import dataclasses
+import itertools
+
 import pytest
 
-from homcert import harness, search
+from homcert import harness, homcore, search
+from homcert.functors import FunctorResult
+from homcert.homcore import HomAlgebra
 
 
 def test_reported_documents_match_files_with_duplicate_items(tmp_path, monkeypatch):
@@ -77,3 +82,54 @@ def test_search_consistency_builds_each_candidate_space_once(monkeypatch):
         calls.clear()
         assert harness._eval_search_consistency(item).ok
         assert calls == [item[1]]
+
+
+# -- the search-consistency oracle catches a wrong search or verdict -----------
+
+def _search_item(name):
+    return next(item for item in harness._search_inputs() if item[0] == name)
+
+
+@pytest.mark.parametrize("name", ["affine-line", "abelian-2"])
+def test_search_consistency_catches_a_dropped_survivor(monkeypatch, name):
+    real = harness.postlie_search
+    monkeypatch.setattr(harness, "postlie_search", lambda lie, bound: real(lie, bound)[:-1])
+    assert not harness._eval_search_consistency(_search_item(name)).ok
+
+
+@pytest.mark.parametrize("name", ["affine-line", "abelian-2"])
+def test_search_consistency_catches_an_extra_box_point(monkeypatch, name):
+    real = harness.postlie_search
+
+    def with_extra(lie, bound):
+        found = real(lie, bound)
+        kept = {r.output.op("mul") for r in found}
+        mul = next(m for _, m in search.iter_postlie_candidates(lie, bound) if m not in kept)
+        extra = HomAlgebra(lie.dim, "hom-postlie", {"bracket": lie.op("bracket"), "mul": mul},
+                           lie.alpha)
+        return found + [FunctorResult(extra, homcore.check_axioms(extra), ())]
+
+    monkeypatch.setattr(harness, "postlie_search", with_extra)
+    assert not harness._eval_search_consistency(_search_item(name)).ok
+
+
+@pytest.mark.parametrize("flipped", [None, 0, homcore._BATCH_WIDTH + 1, 3 ** 8 - 1])
+def test_search_consistency_catches_a_flipped_prelie_verdict(monkeypatch, flipped):
+    """On a zero bracket every candidate is certified as a post-Lie and as
+    a pre-Lie algebra, in one stream each; one pre-Lie verdict flipped, in
+    any batch, fails the property (and with none flipped, it passes)."""
+    real, streams = harness.check_axioms_each, []
+
+    def flipping(algebras):
+        algebras, seen = itertools.tee(algebras)
+        kinds = set()
+        streams.append(kinds)
+        for idx, (a, report) in enumerate(zip(seen, real(algebras))):
+            kinds.add(a.kind)
+            if a.kind == "hom-prelie" and idx == flipped:
+                report = dataclasses.replace(report, passed=not report.passed)
+            yield report
+
+    monkeypatch.setattr(harness, "check_axioms_each", flipping)
+    assert harness._eval_search_consistency(_search_item("abelian-2")).ok == (flipped is None)
+    assert sorted(map(sorted, streams)) == [["hom-postlie"], ["hom-prelie"]]

@@ -5,6 +5,7 @@ Every comparison asserts equal reports with identical reprs, so verdicts,
 witness indices, witness values and their entry types all match.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from homcert import functors, harness, homcore, hommod, search
 from homcert.exactlin import Matrix, Tensor3
 from homcert.homcore import (PREDICATES, HomAlgebra, certification_scope, check_axioms,
-                             check_predicate)
+                             check_axioms_each, check_predicate)
 from homcert.hommod import check_module_axioms
 
 from conftest import catalog_algebra
@@ -41,9 +42,10 @@ def evaluations(monkeypatch):
 def corpus_reports():
     """Every distinct algebra (with the predicates it was checked with) and
     module (with its strictness) certified during a small corpus pass, each
-    with the report its work item's scope gave it."""
+    with the report its work item's scope gave it, batched reports included."""
     algebras, predicates, modules = {}, {}, {}
     real_axioms, real_predicate, real_modules = check_axioms, check_predicate, check_module_axioms
+    real_each = check_axioms_each
 
     def record(seen, key, structure, report):
         first = seen.setdefault(key, (structure, report))[1]
@@ -53,6 +55,11 @@ def corpus_reports():
     def collect_algebra(a, predicates=()):
         report = real_axioms(a, predicates)
         return record(algebras, (a.digest(), tuple(predicates)), (a, tuple(predicates)), report)
+
+    def collect_each(batch):
+        batch, mine = itertools.tee(batch)
+        for a, report in zip(mine, real_each(batch)):
+            yield record(algebras, (a.digest(), ()), (a, ()), report)
 
     def collect_predicate(a, name):
         report = real_predicate(a, name)
@@ -64,8 +71,9 @@ def corpus_reports():
                       report)
 
     with pytest.MonkeyPatch.context() as mp:
-        for namespace in (homcore, functors, hommod, harness, search):
+        for namespace in (homcore, functors, hommod, search):
             mp.setattr(namespace, "check_axioms", collect_algebra)
+        mp.setattr(harness, "check_axioms_each", collect_each)
         for namespace in (harness, functors, hommod):
             mp.setattr(namespace, "check_predicate", collect_predicate)
         for namespace in (hommod, functors):
