@@ -186,6 +186,10 @@ class Matrix:
     def column(self, j) -> tuple:
         return tuple(row[j] for row in self.data)
 
+    def columns(self) -> list:
+        """Every column, as a tuple of ``rows`` entries."""
+        return list(zip(*self.data)) if self.rows else [()] * self.cols
+
     def is_zero(self) -> bool:
         return not any(map(any, self.data))
 
@@ -223,7 +227,7 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix._exact([self.column(j) for j in range(self.cols)], self.rows)
+        return Matrix._exact(self.columns(), self.rows)
 
     def power(self, e: int) -> "Matrix":
         if self.rows != self.cols:
@@ -247,7 +251,7 @@ class Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise InputError(f"mat_mul dimension mismatch: {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = list(zip(*b.data)) if b.rows else [()] * b.cols  # the columns of b
+    bt = b.columns()
     out = []
     for row in a.data:
         out_row = []

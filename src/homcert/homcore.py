@@ -178,6 +178,8 @@ class Term:
     e_i (x) e_j, and f and g are one-argument templates over V, terms in
     which ("hole", None) stands for the basis vector they are applied to;
     the image of e_i (x) e_j is f(e_i) (x) g(e_j), coordinate p * len(g) + q.
+    Its factors are both empty or neither, so that an empty factor never
+    hides the other's length in the image's length len(f) * len(g).
     With the op or map n bound to zero, a sum vanishes when every term does
     (the empty sum always does), any other node when it is n itself or one
     of its arguments or templates vanishes; a variable or hole never does."""
@@ -361,7 +363,8 @@ def _sizes(law: Law, shapes: tuple) -> tuple:
     """(dims, m, tensors) for law.shaped bound to objects of these shapes
     (their dims): each variable's length, both sides' length and each tensor
     node's (dim V, len g).  InputError where a product slot, map, sum or
-    tensor node meets a vector of another length, naming what gave it."""
+    tensor node meets a vector of another length, naming what gave it, or
+    where one factor of a tensor node is empty and the other is not."""
     shape = dict(zip(law.shaped, shapes))
     dims = tuple(shape[name][pos] for name, pos in law.domains)
     tensors, named = {}, {name: f"{name!r} of shape {s}" for name, s in shape.items()}
@@ -379,6 +382,9 @@ def _sizes(law: Law, shapes: tuple) -> tuple:
                 raise InputError(f"a tensor node takes a square length, not {n2} from {source}")
             (p, left), (q, right) = (walk(g, (n, f"a tensor factor of {source}"))
                                      for g in t.args[:2])
+            if not p * q and p + q:  # the empty factor would hide the other's length
+                raise InputError(f"a tensor node takes two empty factors or none, not {left} "
+                                 f"of length {p} and {right} of length {q}")
             tensors[t] = n, q
             return p * q, f"the tensor of {left} and {right}"
         got = [walk(u, hole) for u in t.args]
@@ -446,12 +452,11 @@ def _canonical(obj):
 
 class Identity:
     """A law bound to env in the active scope, or a fresh one: one report
-    row, named by the law's name plus ``suffix``, for each of its ``lanes``
-    (see _Lanes; a plain binding has one).  Called on dense vectors it
-    returns both dense sides."""
+    row, named by the law's name plus ``suffix``.  Called on dense vectors
+    it returns both dense sides."""
 
-    def __init__(self, law: Law, env: Mapping, suffix: str = "", lanes: int = 1):
-        self.law, self.env, self.name, self.lanes = law, env, law.name + suffix, lanes
+    def __init__(self, law: Law, env: Mapping, suffix: str = ""):
+        self.law, self.env, self.name = law, env, law.name + suffix
         self.tables, self.results = _SCOPE.get() or ({}, {})
         self.measured = None
 
@@ -473,7 +478,7 @@ class Identity:
                     held = self.tables[t.name] = (obj, (
                         [[_pairs(obj.product_vec(i, j)) for j in range(obj.d2)]
                          for i in range(obj.d1)]
-                        if t.kind == "op" else [_pairs(obj.column(j)) for j in range(obj.cols)]))
+                        if t.kind == "op" else [_pairs(col) for col in obj.columns()]))
                 tables[t.name] = held[1]
             elif t.kind == "scaled":
                 tables[t.name] = self.env[t.name]
@@ -729,22 +734,21 @@ def check_identity(ident: Identity) -> AxiomResult:
     return AxiomResult(ident.name, *_verdicts(ident)[0])
 
 
-def _verdicts(ident: Identity) -> list:
-    """(passed, witness) for each lane of the identity, as check_identity
-    reads them: one walk for all lanes."""
+def _verdicts(ident: Identity, lanes: int = 1) -> list:
+    """(passed, witness) in each of the identity's lanes (see _Lanes; a
+    plain binding has one), as check_identity reads them: one walk for all."""
     law, env = ident.law, ident.env
-    key = ident.lanes, [_canonical(env[name]) for name in law.names]
+    key = lanes, [_canonical(env[name]) for name in law.names]
     held = ident.results.get(law)
     if held is None or held[0] != key:
         ident.sizes()  # InputError on a misfit, before a zero annihilator could pass it
         for name in law.annihilators:
             if env[name].is_zero():  # both sides vanish at every tuple, in every lane
-                verdicts = [(True, None)] * ident.lanes
+                verdicts = [(True, None)] * lanes
                 break
         else:
             sides = ident.basis_sides()
-            verdicts = (_first_failures(sides, ident.lanes) if ident.lanes > 1
-                        else [_first_failure(sides)])
+            verdicts = _first_failures(sides, lanes) if lanes > 1 else [_first_failure(sides)]
         held = ident.results[law] = key, verdicts
     return held[1]
 
@@ -773,7 +777,11 @@ def _first_failure(sides) -> tuple:
 # took 0.86 s, 64 took 0.79, 128 took 0.73, 256 and 512 took 0.91 and 1,024
 # took 0.96, and peak RSS read 23.1 MB at 128 lanes, 23.5 at 256, 24.7 at
 # 512, 27.1 at 1,024 and 42 with a whole 6,561-point box in one batch.
-_BATCH_WIDTH = 128
+# With perfbench corpus (ten alternating 24-s pairs against the code before
+# batches), 128 lanes took 37.0% less wall time but read 0.14 MB more peak
+# RSS in every pair, more than the 0.09 MB between the quartiles of the
+# runs without batches; 64 lanes took 34.7% less and stayed within them.
+_BATCH_WIDTH = 64
 
 
 class _Lanes:
@@ -873,7 +881,7 @@ def _reports(members: Sequence[Sequence[Identity]]) -> list:
     for column in zip(*members):
         law = column[0].law
         env = {name: _lane_bound([s.env[name] for s in column], held) for name in law.names}
-        rows.append(_verdicts(Identity(law, env, lanes=len(members))))
+        rows.append(_verdicts(Identity(law, env), len(members)))
     return [CertReport.from_results([AxiomResult(s.name, *row[lane])
                                      for s, row in zip(specs, rows)])
             for lane, specs in enumerate(members)]

@@ -138,6 +138,20 @@ def test_operator_of_another_size_is_refused_before_its_annihilator():
             check_identity(*_specs("rota-baxter", {"mul": mul, "r": r, "weight": 0}))
 
 
+def test_an_empty_tensor_factor_does_not_hide_the_other():
+    # over A = 0 the convolution's tensor node has an empty factor; a one-row
+    # alpha or f beside it gives the same length 1 * 0 = 0 as a fitting one
+    law, = _declare_identities()["convolution"]
+    fitting = {"Delta": Matrix.zeros(0, 0), "M": Matrix.zeros(0, 0)}
+    assert check_identity(Identity(law, {**fitting, "alpha": Matrix.zeros(0, 0),
+                                         "f": Matrix.zeros(0, 0)})).passed
+    for name, other in (("alpha", "f"), ("f", "alpha")):
+        env = {**fitting, name: Matrix.zeros(1, 0), other: Matrix.zeros(0, 0)}
+        with pytest.raises(InputError, match=rf"two empty factors or none.*'{name}' of shape "
+                                             r"\(1, 0\) of length 1"):
+            check_identity(Identity(law, env))
+
+
 # Each bound name's shape over the spaces A (an algebra), B (a second
 # algebra), M (a carrier), C = A (x) A and K (a basis of End_alpha).  "r" as
 # a product is the right action; the convolution's "f" is an endomorphism.
@@ -157,15 +171,9 @@ _FREE = {("skew-symmetry", "bracket", 2), ("left-commutativity", "alpha", 1),
          ("literal-twist-commute-bullet", "bullet", 0), ("hom-coassociativity", "alpha", 0),
          ("convolution", "M", 0), ("convolution", "Delta", 1), ("endalg-hom-associative", "E", 1),
          ("convolution-closed", "E", 1), ("convolution-rota-baxter", "E", 1)}
-
-
-def _free(law, name, pos, dims):
-    """Whether a length at this position is free: in _FREE, or the row count
-    of a tensor factor of the convolution over A = 0, where the other
-    factor's length 0 hides it (the tensor node's length is their product)."""
-    return (law.name, name, pos) in _FREE or (
-        law.name == "convolution" and name in ("alpha", "f") and pos == 0 and not dims["A"])
-
+# of which the row count of alpha in hom-coassociativity is checked where it
+# or dim A is 0: a tensor factor is then empty beside a nonempty one (see Term)
+_FREE_BUT_BESIDE_EMPTY = {("hom-coassociativity", "alpha", 0)}
 
 _LAWS = [law for laws in _declare_identities().values() for law in laws]
 
@@ -222,7 +230,8 @@ def test_a_shape_off_by_one_is_an_input_error_naming_it(dims, law, data, rnd):
     off[pos] += data.draw(st.sampled_from((1, -1))) if off[pos] else 1
     shapes[name] = tuple(off)
     env = _bind(shapes, rnd, zero={name} if data.draw(st.booleans()) else ())
-    if _free(law, name, pos, dims):
+    free = (law.name, name, pos)
+    if free in _FREE and (free not in _FREE_BUT_BESIDE_EMPTY or dims["A"] and off[pos]):
         assert check_identity(Identity(law, env)).name == law.name
         return
     with pytest.raises(InputError, match=re.escape(repr(name))):
