@@ -234,9 +234,13 @@ class Matrix:
             raise InputError("power of non-square matrix")
         if e < 0:
             raise InputError("negative matrix power")
-        result = Matrix.identity(self.rows)
-        for _ in range(e):
-            result = mat_mul(result, self)
+        result, square = Matrix.identity(self.rows), self
+        while e:  # repeated squaring: self^e is the product of self^(2^i) over e's bits
+            if e & 1:
+                result = mat_mul(result, square)
+            e >>= 1
+            if e:
+                square = mat_mul(square, square)
         return result
 
     def kron(self, other: "Matrix") -> "Matrix":

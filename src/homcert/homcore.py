@@ -165,8 +165,9 @@ class CertReport:
 # interpreter an integral value may be a Fraction; a side that leaves it (a
 # witness, or a dense side of Identity.__call__) is canonical, as stored
 # rationals are: an int exactly when integral.  A law one of whose annihilators
-# (see Law) is bound to zero passes in check_identity without a walk.  Every
-# binding's shapes are measured and checked once, by _sizes.
+# (see Law) is bound to zero passes in check_identity without a walk.  Each law
+# declares its bound names' shapes over named spaces (Law.signature), and
+# _sizes gives every space one dim from a binding's shapes.
 
 class Term:
     """("var", index) for a variable (index -1 is the law's last variable),
@@ -178,8 +179,6 @@ class Term:
     e_i (x) e_j, and f and g are one-argument templates over V, terms in
     which ("hole", None) stands for the basis vector they are applied to;
     the image of e_i (x) e_j is f(e_i) (x) g(e_j), coordinate p * len(g) + q.
-    Its factors are both empty or neither, so that an empty factor never
-    hides the other's length in the image's length len(f) * len(g).
     With the op or map n bound to zero, a sum vanishes when every term does
     (the empty sum always does), any other node when it is n itself or one
     of its arguments or templates vanishes; a variable or hole never does."""
@@ -319,35 +318,72 @@ def _compile(t: Term, basis: bool):
 
 
 class Law:
-    """A declared identity lhs == rhs: its arity, the space each variable
-    ranges over, one node per name a structure must bind, its degree in each
-    name, its annihilators (the products and maps whose zero makes both
-    sides zero), and both sides compiled for basis tuples and for vectors,
-    each on first use (a process that never evaluates a law holds no
-    closures for it).
+    """A declared identity lhs == rhs: its arity, one node per name a
+    structure must bind, its degree in each name, its annihilators (the
+    products and maps whose zero makes both sides zero), and both sides
+    compiled for basis tuples and for vectors, each on first use (a process
+    that never evaluates a law holds no closures for it).
 
-    Variables are typed by use: each ranges over the domain of the first
-    product slot or map it is an argument of, (bound name, position in its
-    shape), so algebra and carrier variables mix freely."""
+    ``signature`` gives each product and map its shape over named spaces,
+    one letter a space and several their tensor product ("AA" is A (x) A):
+    a product (d1, d2, d3) takes d1 x d2 to d3, a map (rows, cols) takes
+    cols to rows.  The terms are typed once against it: each variable's
+    space (``spaces``, the same in every slot it fills), both sides' space
+    (``side``) and each tensor node's (V, space of g) (``tensors``); a
+    declaration that does not type-check raises TypeError.  Each letter's
+    dim is read where it stands alone first (``givers``)."""
 
-    def __init__(self, name: str, lhs: Term, rhs: Term):
+    def __init__(self, name: str, lhs: Term, rhs: Term, signature: Mapping[str, str]):
         self.name, self.lhs, self.rhs = name, lhs, rhs
         nodes = [t for side in (lhs, rhs) for t in _nodes(side)]
         variables = {t.name for t in nodes if t.kind == "var"}
         self.arity = max((i + 1 for i in variables), default=0) + (-1 in variables)
-        domains = {}  # variable position -> (bound name, position in its shape)
-        for t in nodes:
-            if t.kind in ("op", "map"):  # a map's argument is its column: shape position 1
-                for slot, u in enumerate(t.args, t.kind == "map"):
-                    if u.kind == "var":
-                        domains.setdefault(u.name % self.arity, (t.name, slot))
-        self.domains = tuple(domains[i] for i in range(self.arity))
         self.bound = tuple({t if t.kind == "tensor" else t.name: t for t in nodes
                             if t.kind in ("op", "map", "scaled", "tensor")}.values())
         self.names = tuple(t.name for t in self.bound if t.kind != "tensor")
         self.shaped = tuple(t.name for t in self.bound if t.kind in ("op", "map"))
         self.degrees = {name: max(_degree(lhs, name), _degree(rhs, name)) for name in self.names}
         self.annihilators = tuple(n for n in self.shaped if _vanishes(lhs, n) and _vanishes(rhs, n))
+        self.signature = {n: tuple(signature[n].split()) for n in self.shaped}
+
+        def fail(what):
+            raise TypeError(f"law {name!r}: {what}")
+
+        spaces = {i: set() for i in range(self.arity)}
+        for t in nodes:  # a map's argument is its column: shape position 1
+            for pos, u in enumerate(t.args if t.kind in ("op", "map") else (), t.kind == "map"):
+                if u.kind == "var":
+                    spaces[u.name % self.arity].add(self.signature[t.name][pos])
+        if any(len(s) != 1 for s in spaces.values()):
+            fail(f"each variable lies in one space, not in {spaces}")
+        self.spaces, self.tensors = tuple(min(spaces[i]) for i in range(self.arity)), {}
+
+        def space(t: Term, hole=None):  # the space t lies in; None for an empty sum
+            if t.kind in ("var", "hole"):
+                return hole if t.kind == "hole" else self.spaces[t.name]
+            if t.kind == "tensor":
+                u = space(t.args[2], hole) or ""
+                v = u[:len(u) // 2]
+                f, g = (space(w, v) for w in t.args[:2])
+                if not v or u != v + v or None in (f, g):
+                    fail(f"a tensor node takes V (x) V to two spaces, not {u!r} to {f} and {g}")
+                self.tensors[t] = v, g
+                return f + g
+            got = [space(u, hole) for u in t.args]
+            if t.kind in ("op", "map"):
+                sig = self.signature[t.name]
+                for pos, s in enumerate(got, t.kind == "map"):
+                    if s not in (None, sig[pos]):
+                        fail(f"{t.name!r} takes {sig[pos]} at position {pos}, not {s}")
+                return sig[2] if t.kind == "op" else sig[0]
+            known = set(got) - {None}  # a sum's terms, or a scaled term
+            return min(known, default=None) if len(known) < 2 else fail(f"a sum adds {known}")
+
+        self.side = space(lhs - rhs) or fail("both sides are empty sums")
+        positions = [(n, pos, s) for n, ss in self.signature.items() for pos, s in enumerate(ss)]
+        self.givers = {s: (n, pos) for n, pos, s in reversed(positions) if len(s) == 1}
+        if unread := {c for _, _, s in positions for c in s} - set(self.givers):
+            fail(f"no shape position holds {', '.join(sorted(unread))} alone")
 
     @functools.cached_property
     def on_basis(self):
@@ -362,48 +398,22 @@ class Law:
 def _sizes(law: Law, shapes: tuple) -> tuple:
     """(dims, m, tensors) for law.shaped bound to objects of these shapes
     (their dims): each variable's length, both sides' length and each tensor
-    node's (dim V, len g).  InputError where a product slot, map, sum or
-    tensor node meets a vector of another length, naming what gave it, or
-    where one factor of a tensor node is empty and the other is not."""
+    node's (dim V, len g).  Each space letter takes its dim from its giver
+    (see Law), a tensor space the product of its letters' dims; InputError
+    naming both bound names where a shape position has another length."""
     shape = dict(zip(law.shaped, shapes))
-    dims = tuple(shape[name][pos] for name, pos in law.domains)
-    tensors, named = {}, {name: f"{name!r} of shape {s}" for name, s in shape.items()}
-
-    def walk(t: Term, hole=None) -> tuple:  # (length, what gave it); None for an empty sum
-        if t.kind == "var":
-            return dims[t.name], (f"variable {t.name % law.arity + 1} over "
-                                  f"{named[law.domains[t.name][0]]}")
-        if t.kind == "hole":
-            return hole
-        if t.kind == "tensor":
-            n2, source = walk(t.args[2], hole)
-            n = math.isqrt(n2)
-            if n * n != n2:
-                raise InputError(f"a tensor node takes a square length, not {n2} from {source}")
-            (p, left), (q, right) = (walk(g, (n, f"a tensor factor of {source}"))
-                                     for g in t.args[:2])
-            if not p * q and p + q:  # the empty factor would hide the other's length
-                raise InputError(f"a tensor node takes two empty factors or none, not {left} "
-                                 f"of length {p} and {right} of length {q}")
-            tensors[t] = n, q
-            return p * q, f"the tensor of {left} and {right}"
-        got = [walk(u, hole) for u in t.args]
-        if t.kind in ("op", "map"):
-            s = shape[t.name]
-            for pos, (length, source) in enumerate(got, t.kind == "map"):
-                if length not in (None, s[pos]):
-                    raise InputError(f"{named[t.name]} takes length {s[pos]} in argument "
-                                     f"{pos + (t.kind == 'op')} where {source} gives "
-                                     f"length {length}")
-            return s[2] if t.kind == "op" else s[0], named[t.name]
-        known = [g for g in got if g[0] is not None]  # a sum's terms, or a scaled term
-        for length, source in known[1:]:
-            if length != known[0][0]:
-                raise InputError(f"a sum adds length {length} from {source} to length "
-                                 f"{known[0][0]} from {known[0][1]}")
-        return known[0] if known else (None, None)
-
-    return dims, walk(law.lhs - law.rhs)[0], tensors
+    dims = {c: shape[n][pos] for c, (n, pos) in law.givers.items()}
+    size = lambda space: math.prod(dims[c] for c in space)  # noqa: E731
+    for n, spaces in law.signature.items():
+        for pos, space in enumerate(spaces):
+            if shape[n][pos] != size(space):
+                taken = " and ".join(f"{g!r} of shape {shape[g]} takes length {dims[c]} for {c} "
+                                     f"at position {p}" for c in dict.fromkeys(space)
+                                     for g, p in [law.givers[c]])
+                raise InputError(f"{taken} where {n!r} of shape {shape[n]} gives length "
+                                 f"{shape[n][pos]} for {' (x) '.join(space)} at position {pos}")
+    return (tuple(map(size, law.spaces)), size(law.side),
+            {t: (size(v), size(g)) for t, (v, g) in law.tensors.items()})
 
 
 def _pairs(values) -> tuple:
@@ -658,50 +668,27 @@ def _like(like, flat: tuple):
     return out
 
 
-def _symbolic_residuals(laws: Sequence[Law], env: Mapping, unknown: str, base,
-                        basis: Sequence) -> list:
-    """lhs - rhs of every law at every basis tuple, in law, lexicographic
-    tuple and coordinate order, each a _Poly or a rational, with base +
-    sum_i c_i basis[i] bound to ``unknown``.  InputError for a law of degree
-    above 2 in ``unknown``, whose residuals are not exact forms."""
-    for law in laws:
-        if law.degrees.get(unknown, 0) > 2:
-            raise InputError(f"law {law.name!r} has degree above 2 in {unknown!r}")
-    env = {**env, unknown: _symbolic(base, basis) if basis else base}
-    with certification_scope():
-        return [d for law in laws for _, lhs, rhs in Identity(law, env).basis_sides()
-                for d in vec_sub(lhs, rhs)]
-
-
-def _terms(value) -> dict:
-    """A residual's nonzero monomial coefficients, canonical rationals."""
-    return value.coefficients() if type(value) is _Poly else {0: rat(value)} if value else {}
-
-
 def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, basis: Sequence) -> Matrix:
     """The constraint matrix of laws that are linear in ``unknown``: column
     c holds lhs - rhs of every law at every basis tuple, in law, lexicographic
     tuple and coordinate order, at basis[c] bound to ``unknown``.  Over
     ``unit_basis(shape)`` its kernel is the set of unknowns on which the laws
-    hold, written row-major.  One walk binds sum_i c_i basis[i] (see
-    quadratic_rows); column c is the value of each form at c = e_c."""
+    hold, written row-major.  Column c is each form of quadratic_rows over a
+    zero base (sum_i c_i basis[i] bound) read at c = e_c."""
     if not basis:
         return Matrix.zeros(0, 0)
-    products, _ = _monomials(len(basis))
-    monomials = [(1 + c, products[1 + c][1 + c]) for c in range(len(basis))]  # c_c, c_c^2
-    rows = []
-    for residual in _symbolic_residuals(laws, env, unknown, None, basis):
-        terms = _terms(residual)
-        const = terms.get(0, ZERO)
-        rows.append([const + terms.get(c, ZERO) + terms.get(cc, ZERO) for c, cc in monomials])
-    return Matrix._exact(rows)
+    return Matrix._exact([const + linear.get(c, ZERO) + quadratic.get((c, c), ZERO)
+                          for c in range(len(basis))]
+                         for const, linear, quadratic in quadratic_rows(
+                             laws, {**env, unknown: None}, unknown, basis))
 
 
 def quadratic_rows(laws: Sequence[Law], env: Mapping, unknown: str,
                    basis: Sequence) -> list[tuple]:
     """The residuals lhs - rhs of laws of degree at most 2 in ``unknown``,
     as exact forms in coefficients c over ``basis``: with env[unknown] +
-    sum_i c_i basis[i] bound to ``unknown``, row r (in linear_rows' order) is
+    sum_i c_i basis[i] bound to ``unknown`` (env[unknown] None: zero), row r
+    (in linear_rows' order) is
 
         const + sum_i c_i linear[i] + sum_{i<=j} c_i c_j quadratic[i, j],
 
@@ -709,18 +696,23 @@ def quadratic_rows(laws: Sequence[Law], env: Mapping, unknown: str,
     each an int exactly when integral.  One walk of the laws reads them,
     with the unknown's entries polynomials in c and its shape checked by
     _sizes.  InputError for a law of higher degree: its forms are not exact."""
+    for law in laws:
+        if law.degrees.get(unknown, 0) > 2:
+            raise InputError(f"law {law.name!r} has degree above 2 in {unknown!r}")
     _, keys = _monomials(len(basis))
+    env = {**env, unknown: _symbolic(env[unknown], basis) if basis else env[unknown]}
+    with certification_scope():
+        residuals = [d for law in laws for _, lhs, rhs in Identity(law, env).basis_sides()
+                     for d in vec_sub(lhs, rhs)]
     rows = []
-    for residual in _symbolic_residuals(laws, env, unknown, env[unknown], basis):
+    for residual in residuals:
         const, linear, quadratic = ZERO, {}, {}
-        for k, a in sorted(_terms(residual).items()):
-            key = keys[k]
-            if key is None:
+        for k, a in sorted((residual.coefficients() if type(residual) is _Poly
+                            else {0: rat(residual)}).items()):
+            if keys[k] is None:
                 const = a
-            elif type(key) is int:
-                linear[key] = a
             else:
-                quadratic[key] = a
+                (linear if type(keys[k]) is int else quadratic)[keys[k]] = a
         rows.append((const, linear, quadratic))
     return rows
 
@@ -747,19 +739,9 @@ def _verdicts(ident: Identity, lanes: int = 1) -> list:
                 verdicts = [(True, None)] * lanes
                 break
         else:
-            sides = ident.basis_sides()
-            verdicts = _first_failures(sides, lanes) if lanes > 1 else [_first_failure(sides)]
+            verdicts = _first_failures(ident.basis_sides(), lanes)
         held = ident.results[law] = key, verdicts
     return held[1]
-
-
-def _first_failure(sides) -> tuple:
-    """(passed, witness): the first (indices, lhs, rhs) with lhs != rhs."""
-    for idx, lhs, rhs in sides:
-        if lhs != rhs:
-            lhs, rhs = (tuple(map(rat, side)) for side in (lhs, rhs))
-            return False, Witness(tuple(i + 1 for i in idx), lhs, rhs)
-    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -827,11 +809,12 @@ class _Lanes:
 
 
 def _first_failures(sides, lanes: int) -> list:
-    """_first_failure in each lane of a batched walk: the first tuple at
-    which the lane's sides differ, both sides read in that lane."""
+    """(passed, witness) in each lane of a walk of (indices, lhs, rhs), one
+    lane for a plain walk: the first tuple at which the lane's sides differ,
+    both sides read in that lane.  Whole sides are compared first."""
     verdicts, open_lanes = [(True, None)] * lanes, range(lanes)
     for idx, lhs, rhs in sides:
-        if failed := _differing(lhs, rhs, open_lanes):
+        if lhs != rhs and (failed := _differing(lhs, rhs, open_lanes)):
             indices = tuple(i + 1 for i in idx)
             lhs, rhs = _by_lane(lhs, lanes), _by_lane(rhs, lanes)
             for lane in failed:
@@ -856,7 +839,7 @@ def _differing(lhs: tuple, rhs: tuple, lanes: Sequence[int]) -> set:
 
 
 def _by_lane(side: tuple, lanes: int) -> list:
-    """A side of a batched walk as one tuple per lane."""
+    """A side of a walk as one tuple per lane."""
     return list(zip(*(a.values if type(a) is _Lanes else itertools.repeat(a, lanes)
                       for a in side)))
 
@@ -893,15 +876,8 @@ def _declare_identities():
     kind's axiom system, a predicate, a morphism or operator identity, the
     product or coproduct side of an epsilon-bialgebra, the convolution and
     its End_alpha rows, a module kind's axiom system, or an O-operator
-    identity.  Names to bind: "alpha" the twist and the kind's products;
-    "op" one product (multiplicative); "f", "target-alpha", "source" and
-    "target" (morphisms); "mul" the single product; "r" and "weight"
-    (rota-baxter); for a module also "beta" the carrier twist and each
-    action family as a product algebra x carrier -> carrier; "T" an
-    O-operator carrier -> algebra; "b", "bM" and "act" (intertwines-action);
-    "Delta", "M" and "f" (the coproduct rows and the convolution, see
-    EpsilonHomBialgebra.env); "E", "comp", "left-alpha", "right-alpha" and "R"
-    (end-alpha, see _end_alpha_rows).
+    identity.  Each product and map a law binds has its shape over named
+    spaces in the signature table at the end (see Law).
 
     A matrix equation A = B is declared column by column, as an arity-1 law
     A(x) = B(x), so its first failing basis index and sides are the first
@@ -1069,7 +1045,27 @@ def _declare_identities():
             ("convolution-rota-baxter", comp(conv(f1), conv(f2)),
              conv(comp(conv(f1), f2)) + conv(comp(f1, conv(f2))))),
     })
-    return {group: tuple(Law(*decl) for decl in decls) for group, decls in groups.items()}
+
+    # each product's and map's shape over the spaces A (an algebra), B (the
+    # target of a morphism "f"), M (a carrier), C (the n x n matrices on A,
+    # flattened) and K (a basis "E" of End_alpha), AA being A (x) A: a kind's
+    # products, "op" (multiplicative), the action families (algebra x carrier
+    # -> carrier; "r" as a product is the right action), "T" an O-operator,
+    # "Delta" and "M" the coproduct and product as maps (EpsilonHomBialgebra.env)
+    # and the End_alpha names (_end_alpha_rows)
+    signature = {**dict.fromkeys(("mul", "bracket", "op", "source", "left", "right", "tleft",
+                                  "tright"), "A A A"),
+                 **dict.fromkeys(("l", "r", "rho", "diamond", "bullet", "lt", "rt", "lr", "rr",
+                                  "act"), "A M M"),
+                 "target": "B B B", "alpha": "A A", "b": "A A", "f": "B A", "target-alpha": "B B",
+                 "beta": "M M", "bM": "M M", "T": "A M", "Delta": "AA A", "M": "A AA",
+                 "E": "C K", "comp": "C C C", "left-alpha": "C C", "right-alpha": "C C",
+                 "R": "C C"}
+    # where a name means something else: "r" an operator, the convolution's "f" an endomorphism
+    overrides = {"rota-baxter": {"r": "A A"}, "commutes-with-twist": {"r": "A A"},
+                 "convolution": {"f": "A A"}}
+    return {group: tuple(Law(*decl, {**signature, **overrides.get(group, {})}) for decl in decls)
+            for group, decls in groups.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -391,3 +391,37 @@ def test_mutated_documents_keep_the_search_postlie_exit_contract(data):
             json.dump(doc, fh)
         code = main(["search-postlie", path, "--bound", bound])
     assert code in (0, 1, 2, 3)
+
+
+# small flag values only: a mutated twist with entries of 2 makes a large k intractable
+FLAG_VALUES = {"k": st.sampled_from(["0", "1", "2", "3"]),
+               "n": st.sampled_from(["0", "1", "2", "3"]),
+               "weight": st.sampled_from(["0", "1", "-1", "1/2", "x"]),
+               "mode": st.sampled_from(["horizontal", "vertical", "diagonal"])}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_documents_keep_the_derive_exit_contract(inputs_dir, data):
+    """derive with every functor, on its catalog documents, each possibly
+    mutated, with small values of its flags and at times one flag it does not
+    take, exits 0-3 without an exception."""
+    name = data.draw(st.sampled_from(sorted(FUNCTORS)))
+    entry = FUNCTORS[name]
+    stems = VALID[name][:len(entry.inputs)]
+    taken = [flag for flag in sorted(entry.flags) if data.draw(st.booleans())]
+    if data.draw(st.integers(0, 4)) == 0:  # at times a flag the functor does not take
+        taken.append(data.draw(st.sampled_from(sorted(set(FLAG_VALUES) - set(entry.flags)))))
+    flags = [part for flag in taken for part in (f"--{flag}", data.draw(FLAG_VALUES[flag]))]
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        paths = []
+        for i, stem in enumerate(stems):
+            doc = docs.load_json(str(inputs_dir / stem))
+            paths.append(os.path.join(tmp, f"{i}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(_mutate(data, doc) if data.draw(st.booleans()) else doc, fh)
+        if data.draw(st.booleans()):
+            flags += ["--out", os.path.join(tmp, "out.json")]
+        code = main(["derive", name, *paths, *flags])
+    assert code in (0, 1, 2, 3)

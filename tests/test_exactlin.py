@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homcert import exactlin
 from homcert.errors import InputError
 from homcert.exactlin import (Matrix, Tensor3, basis_vec, bilinear_eval,
                               exact_div, mat_mul, nullspace, rank, rat, rat_str,
@@ -135,6 +136,24 @@ def test_mat_mul_nilpotent_square():
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(InputError):
         mat_mul(Matrix.zeros(2, 3), Matrix.zeros(2, 3))
+
+
+def test_power_squares_repeatedly(monkeypatch):
+    # 2^64 - 1 factors in at most 2 * 64 products, not one product per factor
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        assert len(calls) <= 128, "more than 128 products"
+        return mat_mul(a, b)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(exactlin, "mat_mul", counted)
+        assert Matrix.identity(2).power(2 ** 64 - 1) == Matrix.identity(2)
+    m = Matrix([[1, Fraction(1, 2)], [0, 2]])
+    for e in range(9):  # the product of e factors, by hand: [[1, (2^e - 1) / 2], [0, 2^e]]
+        assert m.power(e) == Matrix([[1, Fraction(2 ** e - 1, 2)], [0, 2 ** e]])
+    assert [type(v) for row in m.power(3).data for v in row] == [int, Fraction, int, int]
 
 
 def test_nullspace_zero_matrix():

@@ -1,6 +1,7 @@
 """Algebra-level certification: frozen spec examples and random properties."""
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -11,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from homcert import homcore
 from homcert.errors import InputError, PreconditionError
 from homcert.exactlin import Matrix, Tensor3, basis_vec, vec_sub
-from homcert.homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, Identity, Witness,
-                             _declare_identities, _specs, check_axioms, check_identity,
+from homcert.homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, Identity, Law, Term,
+                             Witness, _declare_identities, _specs, check_axioms, check_identity,
                              check_morphism, check_predicate, check_rota_baxter,
                              commuting_endomorphism_basis, convolution_rb,
                              epsilon_prerequisites, hom_associator, kind_axioms,
@@ -147,49 +148,34 @@ def test_an_empty_tensor_factor_does_not_hide_the_other():
                                          "f": Matrix.zeros(0, 0)})).passed
     for name, other in (("alpha", "f"), ("f", "alpha")):
         env = {**fitting, name: Matrix.zeros(1, 0), other: Matrix.zeros(0, 0)}
-        with pytest.raises(InputError, match=rf"two empty factors or none.*'{name}' of shape "
-                                             r"\(1, 0\) of length 1"):
+        with pytest.raises(InputError, match=rf"'{name}' of shape \(1, 0\) gives length 1"):
             check_identity(Identity(law, env))
 
-
-# Each bound name's shape over the spaces A (an algebra), B (a second
-# algebra), M (a carrier), C = A (x) A and K (a basis of End_alpha).  "r" as
-# a product is the right action; the convolution's "f" is an endomorphism.
-_SPACES = {**dict.fromkeys(("mul", "bracket", "op", "source", "left", "right", "tleft",
-                            "tright"), "AAA"),
-           **dict.fromkeys(("l", "rho", "diamond", "bullet", "lt", "rt", "lr", "rr", "act"),
-                           "AMM"),
-           "target": "BBB", "alpha": "AA", "b": "AA", "f": "BA", "target-alpha": "BB",
-           "beta": "MM", "bM": "MM", "T": "AM", "Delta": "CA", "M": "AC", "E": "CK",
-           "comp": "CCC", "left-alpha": "CC", "right-alpha": "CC", "R": "CC"}
-
-# (law, name, position) of a shape that no term of the law meets with
-# another length: any length there binds and evaluates
-_FREE = {("skew-symmetry", "bracket", 2), ("left-commutativity", "alpha", 1),
-         ("centroid-left", "mul", 1), ("centroid-right", "mul", 0),
-         ("literal-twist-commute-diamond", "diamond", 0),
-         ("literal-twist-commute-bullet", "bullet", 0), ("hom-coassociativity", "alpha", 0),
-         ("convolution", "M", 0), ("convolution", "Delta", 1), ("endalg-hom-associative", "E", 1),
-         ("convolution-closed", "E", 1), ("convolution-rota-baxter", "E", 1)}
-# of which the row count of alpha in hom-coassociativity is checked where it
-# or dim A is 0: a tensor factor is then empty beside a nonempty one (see Term)
-_FREE_BUT_BESIDE_EMPTY = {("hom-coassociativity", "alpha", 0)}
 
 _LAWS = [law for laws in _declare_identities().values() for law in laws]
 
 
 def _fitting_shapes(law, dims):
-    """law.names -> the shape its _SPACES give over dims (None for a scalar)."""
-    dims = {**dims, "C": dims["A"] ** 2}
-    shapes = {}
-    for t in law.bound:
-        if t.kind in ("op", "map"):
-            spaces = ("AMM" if t.kind == "op" else "AA") if t.name == "r" else (
-                "AA" if t.name == "f" and law.name == "convolution" else _SPACES[t.name])
-            shapes[t.name] = tuple(dims[s] for s in spaces)
-        elif t.kind == "scaled":
-            shapes[t.name] = None
-    return shapes
+    """law.names -> the shape its signature gives over the space dims (None
+    for a scalar): a tensor space has the product of its letters' dims."""
+    return {name: tuple(math.prod(dims[c] for c in space) for space in law.signature[name])
+            if name in law.signature else None for name in law.names}
+
+
+def _free(law, name, pos):
+    """Whether the space at this shape position shares a letter with no
+    other position of the law: any length there binds and evaluates."""
+    return not any(set(space) & set(law.signature[name][pos])
+                   for other, spaces in law.signature.items() for p, space in enumerate(spaces)
+                   if (other, p) != (name, pos))
+
+
+def test_five_shape_positions_are_free():
+    assert {(law.name, name, pos) for law in _LAWS for name, spaces in law.signature.items()
+            for pos in range(len(spaces)) if _free(law, name, pos)} == {
+        ("literal-twist-commute-diamond", "diamond", 0),
+        ("literal-twist-commute-bullet", "bullet", 0), ("endalg-hom-associative", "E", 1),
+        ("convolution-closed", "E", 1), ("convolution-rota-baxter", "E", 1)}
 
 
 def _bind(shapes, rnd, zero=()):
@@ -204,17 +190,19 @@ def _bind(shapes, rnd, zero=()):
             for name, shape in shapes.items()}
 
 
-_SPACE_DIMS = st.fixed_dictionaries({s: st.integers(0, 3) for s in "ABKM"})
+_SPACE_DIMS = st.fixed_dictionaries({s: st.integers(0, 3) for s in "ABCKM"})
 
 
 @settings(max_examples=25, deadline=None)
 @given(_SPACE_DIMS, st.randoms(use_true_random=False))
 def test_sides_have_the_lengths_the_size_rule_reads(dims, rnd):
+    def size(space):
+        return math.prod(dims[c] for c in space)
+
     for law in _LAWS:
-        shapes = _fitting_shapes(law, dims)
-        ident = Identity(law, _bind(shapes, rnd))
+        ident = Identity(law, _bind(_fitting_shapes(law, dims), rnd))
         _, lengths, m = ident.bind()
-        assert lengths == tuple(shapes[name][pos] for name, pos in law.domains), law.name
+        assert lengths == tuple(map(size, law.spaces)) and m == size(law.side), law.name
         sides = list(ident.basis_sides())
         assert [idx for idx, _, _ in sides] == list(itertools.product(*map(range, lengths)))
         assert all(len(lhs) == len(rhs) == m for _, lhs, rhs in sides), law.name
@@ -224,18 +212,48 @@ def test_sides_have_the_lengths_the_size_rule_reads(dims, rnd):
 @given(_SPACE_DIMS, st.sampled_from(_LAWS), st.data(), st.randoms(use_true_random=False))
 def test_a_shape_off_by_one_is_an_input_error_naming_it(dims, law, data, rnd):
     shapes = _fitting_shapes(law, dims)
-    name = data.draw(st.sampled_from([n for n, s in shapes.items() if s]))
+    name = data.draw(st.sampled_from(sorted(law.signature)))
     pos = data.draw(st.integers(0, len(shapes[name]) - 1))
     off = list(shapes[name])
     off[pos] += data.draw(st.sampled_from((1, -1))) if off[pos] else 1
     shapes[name] = tuple(off)
     env = _bind(shapes, rnd, zero={name} if data.draw(st.booleans()) else ())
-    free = (law.name, name, pos)
-    if free in _FREE and (free not in _FREE_BUT_BESIDE_EMPTY or dims["A"] and off[pos]):
+    if _free(law, name, pos):
         assert check_identity(Identity(law, env)).name == law.name
         return
     with pytest.raises(InputError, match=re.escape(repr(name))):
         check_identity(Identity(law, env))
+
+
+def test_a_declaration_that_does_not_type_check_raises():
+    x, hole = Term("var", 0), Term("hole", None)
+    al, r = (lambda u, name=name: Term("map", name, u) for name in ("alpha", "r"))
+    for lhs, rhs, signature, message in (
+            (al(x), x, {"alpha": "A M"}, r"a sum adds"),
+            (al(x), r(x), {"alpha": "A A", "r": "A M"}, r"each variable lies in one space"),
+            (Term("sum", ()), Term("sum", ()), {}, r"both sides are empty sums"),
+            (al(x), x, {"alpha": "AA AA"}, r"no shape position holds A alone"),
+            (Term("tensor", None, hole, hole, al(x)), x, {"alpha": "AM M"},
+             r"a tensor node takes V \(x\) V")):
+        with pytest.raises(TypeError, match=message):
+            Law("misdeclared", lhs, rhs, signature)
+
+
+def test_a_coproduct_over_another_space_is_an_input_error():
+    # both sides of hom-coassociativity have length 3 * 4 = 12 here, but
+    # alpha and Delta disagree on A
+    law, = (law for law in _LAWS if law.name == "hom-coassociativity")
+    env = {"alpha": Matrix.zeros(3, 2), "Delta": Matrix.zeros(4, 2)}
+    with pytest.raises(InputError, match=r"'alpha' of shape \(3, 2\) takes length 3 for A at "
+                                         r"position 0 where 'alpha' of shape \(3, 2\) gives "
+                                         r"length 2 for A at position 1"):
+        check_identity(Identity(law, env))
+    env["alpha"] = Matrix.zeros(2, 2)
+    with pytest.raises(InputError, match=r"'alpha' of shape \(2, 2\) takes length 2 for A .* "
+                                         r"'Delta' of shape \(5, 2\) gives length 5 for A \(x\) "
+                                         r"A"):
+        check_identity(Identity(law, {**env, "Delta": Matrix.zeros(5, 2)}))
+    assert check_identity(Identity(law, {**env, "Delta": Matrix.zeros(4, 2)})).passed
 
 
 def test_check_axioms_kind_ops_mismatch():

@@ -483,7 +483,7 @@ def test_quadratic_rows_reject_a_cubic_law():
     def r(u):
         return Term("map", "r", u)
 
-    cubic = Law("cubic", r(r(r(x))), Term("sum", ()))
+    cubic = Law("cubic", r(r(r(x))), Term("sum", ()), {"r": "A A"})
     with pytest.raises(InputError, match="degree above 2"):
         quadratic_rows([cubic], {"r": Matrix.zeros(2, 2)}, "r", [])
 
