@@ -26,7 +26,7 @@ class CertificationError(RuntimeError):
 
 
 class BudgetError(RuntimeError):
-    """An enumeration would exceed its combinatorial budget."""
+    """An enumeration, or the size of exact entries, would exceed its budget."""
 
     def __init__(self, message, needed=None, budget=None):
         super().__init__(message)

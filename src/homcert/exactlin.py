@@ -22,12 +22,14 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 
 Rational = Fraction
 
 ZERO = 0
 ONE = 1
+
+POWER_BITS = 1 << 18  # the bit length a matrix power's entries may reach (79,000 digits)
 
 _SHORT_DIGITS = 600  # int() converts this many digits under any int-to-str limit (least 640)
 
@@ -241,6 +243,11 @@ class Matrix:
             e >>= 1
             if e:
                 square = mat_mul(square, square)
+            bits = max((max(v.numerator.bit_length(), v.denominator.bit_length())
+                        for m in (result, square) for row in m.data for v in row), default=0)
+            if bits > POWER_BITS:
+                raise BudgetError(f"a matrix power reaches an entry of {bits} bits, budget is "
+                                  f"{POWER_BITS}", needed=bits, budget=POWER_BITS)
         return result
 
     def kron(self, other: "Matrix") -> "Matrix":

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from . import docs
 from .errors import CertificationError, InputError, PreconditionError
 from .exactlin import Matrix, Tensor3
-from .homcore import (HomAlgebra, certification_scope, check_axioms_each, check_predicate,
+from .homcore import (HomAlgebra, certification_scope, check_axioms_on_box, check_predicate,
                       convolution_rb)
 from .hommod import (adjoint_postlie_module, direct_sum, tensor_product, twist_0k,
                      twist_beta, twist_beta_data, twist_n0)
@@ -35,7 +35,8 @@ from .functors import (adjoint_bimodule, commutator_lie, ldend_brackets,
                        reassemble_ldendriform)
 from .search import (CATALOG, brute_force_epsilon_bialgebras,
                      brute_force_oop_search, brute_force_rb_search, corpus,
-                     iter_postlie_candidates, postlie_search, sc_tensor)
+                     iter_postlie_candidates, postlie_candidate_space, postlie_search,
+                     sc_tensor)
 
 
 @dataclass
@@ -226,20 +227,18 @@ def _eval_search_consistency(item) -> ItemResult:
     certified in full as a post-Lie algebra and, on a zero bracket, as a
     pre-Lie one; the two must agree there."""
     name, lie, bound = item
-    n, bracket, alpha = lie.dim, lie.op("bracket"), lie.alpha
-    abelian = bracket.is_zero()
-    with certification_scope():  # the search and the walk share one candidate space
+    env = {"bracket": lie.op("bracket"), "alpha": lie.alpha, "mul": Tensor3.zeros(lie.dim)}
+    with certification_scope():  # the search and the box share one candidate space
         survivors = {r.output.op("mul") for r in postlie_search(lie, bound)}
-        # one walk of the box, read in step by each batched certification
-        muls, *copies = itertools.tee(
-            (mul for _, mul in iter_postlie_candidates(lie, bound)), 2 + abelian)
-        posts = check_axioms_each(HomAlgebra(n, "hom-postlie", {"bracket": bracket, "mul": m},
-                                             alpha) for m in copies[0])
-        pres = (check_axioms_each(HomAlgebra(n, "hom-prelie", {"mul": m}, alpha)
-                                  for m in copies[1]) if abelian else itertools.repeat(None))
+        basis = postlie_candidate_space(lie).basis
+        # one walk of the box: its products, and its points read in step by each box check
+        candidates, *boxes = itertools.tee(iter_postlie_candidates(lie, bound),
+                                           2 + env["bracket"].is_zero())
+        checks = [check_axioms_on_box(kind, env, "mul", basis, (c for c, _ in box))
+                  for kind, box in zip(("hom-postlie", "hom-prelie"), boxes)]
         checked = 0
-        for mul, post, pre in zip(muls, posts, pres):
-            if post.passed != (mul in survivors) or pre is not None and pre.passed != post.passed:
+        for (_, mul), post, *pre in zip(candidates, *checks):
+            if post.passed != (mul in survivors) or any(p.passed != post.passed for p in pre):
                 return _ok(False)
             checked += 1
     return ItemResult(True, tally=((f"{name}-candidates", len(survivors), checked),))

@@ -12,6 +12,7 @@ an int exactly when integral.
 from __future__ import annotations
 
 import contextvars
+import copy
 import functools
 import hashlib
 import itertools
@@ -528,13 +529,14 @@ def unit_basis(shape: tuple) -> list:
 
 
 # ---------------------------------------------------------------------------
-# laws over a symbolic unknown
+# laws over an unknown spanned by a basis
 #
-# A matrix or tensor unknown = base + sum_i c_i basis[i] is bound once, with
-# entries that are polynomials of degree at most 2 in the coefficients c
-# (_Poly), and each law runs through the same interpreter: a residual
-# coordinate of a law of degree at most 2 in the unknown comes out as the
-# exact form const + sum_i c_i linear[i] + sum_{i<=j} c_i c_j quadratic[i, j].
+# A matrix or tensor unknown = base + sum_i c_i basis[i] is bound once
+# (_combined) and runs through the same interpreter.  With c_i the monomials
+# of _Poly, a residual coordinate of a law of degree at most 2 in the unknown
+# is the exact form const + sum_i c_i linear[i] + sum_{i<=j} c_i c_j
+# quadratic[i, j]; with c_i the _Lanes of many points' coefficients, one walk
+# evaluates every point (linear_rows, check_axioms_on_box; see below).
 
 @functools.cache
 def _monomials(d: int) -> tuple[tuple, tuple]:
@@ -623,13 +625,6 @@ class _Poly:
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def of(coefficients: dict, products: tuple):
-        """The polynomial with the given nonzero rational coefficients."""
-        den = math.lcm(*(a.denominator for a in coefficients.values()))
-        return _Poly({k: a.numerator * (den // a.denominator) for k, a in coefficients.items()},
-                     den, products)
-
     def coefficients(self) -> dict:
         """Each monomial's rational coefficient, canonical."""
         den = self.den
@@ -642,29 +637,22 @@ def _cells(obj) -> tuple:
     return obj.data if isinstance(obj, Tensor3) else tuple(itertools.chain(*obj.data))
 
 
-def _symbolic(base, basis: Sequence):
-    """base + sum_i c_i basis[i] (base None: zero) with _Poly entries, a
-    matrix or tensor shaped like basis[0]; InputError if the shapes differ."""
-    products, _ = _monomials(len(basis))
-    like = basis[0]
+def _combined(base, basis: Sequence, coefficients: Sequence):
+    """base + sum_i coefficients[i] * basis[i] (base None: zero), a matrix or
+    tensor of their shape whose entries are what that arithmetic gives, not
+    normalized: base's rationals where no basis member adds to them, else
+    _Poly or _Lanes, as the coefficients are; InputError if the shapes differ."""
+    like = basis[0] if basis else base
     if any(b.dims != like.dims for b in (base, *basis) if b is not None):
         raise InputError("the base point and the basis of an unknown differ in shape")
-    terms = [{} for _ in _cells(like)]
-    for monomial, b in ((0, base), *enumerate(basis, 1)):
-        for pos, a in enumerate(_cells(b) if b is not None else ()):
+    flat = [ZERO] * len(_cells(like)) if base is None else list(_cells(base))
+    for c, b in zip(coefficients, basis):
+        for pos, a in enumerate(_cells(b) if c else ()):
             if a:
-                terms[pos][monomial] = a
-    return _like(like, tuple(_Poly.of(t, products) if t else ZERO for t in terms))
-
-
-def _like(like, flat: tuple):
-    """A matrix or tensor shaped like ``like`` holding the entries ``flat``
-    (row-major) as they are, unnormalized: _Poly or _Lanes values."""
-    out = object.__new__(type(like))
-    for slot in type(like).__slots__:
-        setattr(out, slot, getattr(like, slot))
-    out.data = flat if isinstance(like, Tensor3) else tuple(
-        flat[r * like.cols:(r + 1) * like.cols] for r in range(like.rows))
+                flat[pos] = flat[pos] + c * a
+    out = copy.copy(like)
+    out.data = tuple(flat) if isinstance(like, Tensor3) else tuple(
+        tuple(flat[r * like.cols:(r + 1) * like.cols]) for r in range(like.rows))
     return out
 
 
@@ -673,14 +661,17 @@ def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, basis: Sequence
     c holds lhs - rhs of every law at every basis tuple, in law, lexicographic
     tuple and coordinate order, at basis[c] bound to ``unknown``.  Over
     ``unit_basis(shape)`` its kernel is the set of unknowns on which the laws
-    hold, written row-major.  Column c is each form of quadratic_rows over a
-    zero base (sum_i c_i basis[i] bound) read at c = e_c."""
-    if not basis:
+    hold, written row-major.  One walk reads every column: the unknown is
+    bound once as _Lanes, lane c holding basis[c], and column c is lane c."""
+    d = len(basis)
+    if not d:
         return Matrix.zeros(0, 0)
-    return Matrix._exact([const + linear.get(c, ZERO) + quadratic.get((c, c), ZERO)
-                          for c in range(len(basis))]
-                         for const, linear, quadratic in quadratic_rows(
-                             laws, {**env, unknown: None}, unknown, basis))
+    units = [_Lanes(tuple(int(i == c) for c in range(d))) for i in range(d)]
+    env = {**env, unknown: _combined(None, basis, units)}
+    with certification_scope():
+        residuals = [r for law in laws for _, lhs, rhs in Identity(law, env).basis_sides()
+                     for r in vec_sub(lhs, rhs)]
+    return Matrix._exact((r.values if type(r) is _Lanes else (r,) * d for r in residuals), d)
 
 
 def quadratic_rows(laws: Sequence[Law], env: Mapping, unknown: str,
@@ -694,13 +685,15 @@ def quadratic_rows(laws: Sequence[Law], env: Mapping, unknown: str,
 
     returned as (const, linear, quadratic), dicts keeping nonzero entries,
     each an int exactly when integral.  One walk of the laws reads them,
-    with the unknown's entries polynomials in c and its shape checked by
-    _sizes.  InputError for a law of higher degree: its forms are not exact."""
+    with the unknown's entries polynomials in c (_combined over the
+    monomials c_i) and its shape checked by _sizes.  InputError for a law
+    of higher degree: its forms are not exact."""
     for law in laws:
         if law.degrees.get(unknown, 0) > 2:
             raise InputError(f"law {law.name!r} has degree above 2 in {unknown!r}")
-    _, keys = _monomials(len(basis))
-    env = {**env, unknown: _symbolic(env[unknown], basis) if basis else env[unknown]}
+    products, keys = _monomials(len(basis))
+    monomials = [_Poly({1 + i: 1}, 1, products) for i in range(len(basis))]
+    env = {**env, unknown: _combined(env[unknown], basis, monomials)}
     with certification_scope():
         residuals = [d for law in laws for _, lhs, rhs in Identity(law, env).basis_sides()
                      for d in vec_sub(lhs, rhs)]
@@ -745,16 +738,16 @@ def _verdicts(ident: Identity, lanes: int = 1) -> list:
 
 
 # ---------------------------------------------------------------------------
-# laws over a batch: one walk for many bindings
+# laws over a batch of points: one walk for many bindings
 #
-# A batch binds each name once for all its members.  A name every member
-# binds to the same object stays as it is, so its lookup table is kept in
-# the scope and a zero annihilator still passes its law without a walk; any
-# other name is bound as a matrix or tensor of _Lanes, one lane per member,
-# the way _symbolic binds an unknown.  The interpreter then evaluates every
-# member at once, and a member's row is its first differing tuple.
+# A batch binds its unknown once for all its points, as a matrix or tensor
+# of _Lanes (one lane per point; _combined); every other name stays bound
+# as it is, so its lookup table is kept in the scope, and a zero annihilator
+# (zero in every lane) still passes its law without a walk.  The
+# interpreter then evaluates every point at once, and a point's row is its
+# first differing tuple.
 
-# Members per batch.  On the five search-consistency inputs (26,408
+# Points per batch.  On the five search-consistency inputs (26,408
 # reports; best CPU time of three runs of six passes, 2-vCPU host), 16 lanes
 # took 0.86 s, 64 took 0.79, 128 took 0.73, 256 and 512 took 0.91 and 1,024
 # took 0.96, and peak RSS read 23.1 MB at 128 lanes, 23.5 at 256, 24.7 at
@@ -767,43 +760,63 @@ _BATCH_WIDTH = 64
 
 
 class _Lanes:
-    """One exact rational per member of a batch.  +, - and * act lane by
-    lane, a rational acting on every lane; it is truthy when any lane is
-    nonzero, and it equals only itself (it has no __eq__), so a scope never
-    reuses one batch's verdicts for another.  Times a rational 1 it is
+    """One exact rational per member of a batch: _Lanes(rationals), held
+    as int numerators ``nums`` over one ``den`` (``values`` reads them back,
+    canonical) so the arithmetic stays in ints, as _Poly's does.  +, - and *
+    act lane by lane, a rational acting on every lane; it is truthy when any
+    lane is nonzero, and it equals only itself (it has no __eq__), so a scope
+    never reuses one batch's verdicts for another.  Times a rational 1 it is
     itself, times 0 it is int 0."""
 
-    __slots__ = ("values",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, values: tuple):
-        self.values = values
+    def __init__(self, values: tuple, den: int = 0):
+        if not den and (den := math.lcm(*(v.denominator for v in values))) > 1:
+            values = tuple(v.numerator * (den // v.denominator) for v in values)
+        self.nums, self.den = values, den
+
+    @property
+    def values(self) -> tuple:
+        den = self.den
+        return self.nums if den == 1 else tuple(
+            a // den if a % den == 0 else Fraction(a, den) for a in self.nums)
 
     def __bool__(self):
-        return any(self.values)
+        return any(self.nums)
 
     def __neg__(self):
-        return _Lanes(tuple(map(operator.neg, self.values)))
+        return _Lanes(tuple(map(operator.neg, self.nums)), self.den)
 
-    def _map(self, op, other):
-        """op lane by lane, with other's lanes or with the rational other."""
-        return _Lanes(tuple(map(op, self.values, other.values if type(other) is _Lanes
-                                else itertools.repeat(other))))
+    def _sum(self, op, other):
+        """op (+ or -) lane by lane, with other's lanes or with the rational other."""
+        nums, den = ((other.nums, other.den) if type(other) is _Lanes
+                     else (itertools.repeat(other.numerator), other.denominator))
+        if den == self.den:
+            return _Lanes(tuple(map(op, self.nums, nums)), den)
+        lcm = math.lcm(self.den, den)
+        mine, nums = (map(operator.mul, n, itertools.repeat(lcm // d))
+                      for n, d in ((self.nums, self.den), (nums, den)))
+        return _Lanes(tuple(map(op, mine, nums)), lcm)
 
     def __add__(self, other):
-        return self._map(operator.add, other) if other else self
+        return self._sum(operator.add, other) if other else self
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._map(operator.sub, other) if other else self
+        return self._sum(operator.sub, other) if other else self
 
-    def __rsub__(self, other):  # other - self, with other a rational
-        return _Lanes(tuple(map(operator.sub, itertools.repeat(other), self.values)))
+    __rsub__ = lambda self, other: -self + other  # noqa: E731  (other - self, other rational)
 
     def __mul__(self, other):
+        if type(other) is _Lanes:
+            return _Lanes(tuple(map(operator.mul, self.nums, other.nums)), self.den * other.den)
         if other == 1:
             return self
-        return self._map(operator.mul, other) if other else ZERO
+        if not other:
+            return ZERO
+        return _Lanes(tuple(map(operator.mul, self.nums, itertools.repeat(other.numerator))),
+                      self.den * other.denominator)
 
     __rmul__ = __mul__
 
@@ -834,7 +847,7 @@ def _differing(lhs: tuple, rhs: tuple, lanes: Sequence[int]) -> set:
         if d:
             if type(d) is not _Lanes:  # a rational: every lane differs
                 return set(lanes)
-            failed.update(lane for lane in lanes if d.values[lane])
+            failed.update(lane for lane in lanes if d.nums[lane])
     return failed
 
 
@@ -842,32 +855,6 @@ def _by_lane(side: tuple, lanes: int) -> list:
     """A side of a walk as one tuple per lane."""
     return list(zip(*(a.values if type(a) is _Lanes else itertools.repeat(a, lanes)
                       for a in side)))
-
-
-def _lane_bound(objs: Sequence, held: dict):
-    """The object every member binds, or one shaped like them whose entries
-    are _Lanes of theirs, built once per batch for the same members."""
-    first = objs[0]
-    if all(obj is first for obj in objs):
-        return first
-    key = tuple(map(id, objs))  # the members hold their objects for the batch
-    if key not in held:
-        held[key] = _like(first, tuple(map(_Lanes, zip(*map(_cells, objs)))))
-    return held[key]
-
-
-def _reports(members: Sequence[Sequence[Identity]]) -> list:
-    """Each member's report on its identities, the same laws in the same
-    order for every member, each law walked once for all of them (above).
-    A single member binds every name as it is: the plain walk."""
-    held, rows = {}, []
-    for column in zip(*members):
-        law = column[0].law
-        env = {name: _lane_bound([s.env[name] for s in column], held) for name in law.names}
-        rows.append(_verdicts(Identity(law, env), len(members)))
-    return [CertReport.from_results([AxiomResult(s.name, *row[lane])
-                                     for s, row in zip(specs, rows)])
-            for lane, specs in enumerate(members)]
 
 
 @functools.cache  # on first use: a fresh process imports without building any law
@@ -1107,16 +1094,22 @@ def check_axioms(a: HomAlgebra, predicates: Sequence[str] = ()) -> CertReport:
     return CertReport.from_results([check_identity(s) for s in specs])
 
 
-def check_axioms_each(algebras: Iterable[HomAlgebra]) -> Iterator[CertReport]:
-    """check_axioms(a) for each algebra, in input order, lazily.  Consecutive
-    algebras of one kind and dim are certified in batches of _BATCH_WIDTH,
-    each law walked once per batch (see _reports); a batch of one takes the
-    plain walk of check_axioms."""
-    for _, run in itertools.groupby(algebras, key=lambda a: (a.kind, a.dim)):
-        while batch := list(itertools.islice(run, _BATCH_WIDTH)):
-            with certification_scope():  # left before yielding: no scope outlives a batch
-                reports = _reports([kind_axioms(a) for a in batch])
-            yield from reports
+def check_axioms_on_box(kind: str, env: Mapping, unknown: str, basis: Sequence,
+                        points: Iterable[Sequence]) -> Iterator[CertReport]:
+    """check_axioms' report on each point c's algebra of ``kind``, in input
+    order, lazily: env binds the kind's products and "alpha", with
+    env[unknown] + sum_i c_i basis[i] bound to the product ``unknown``.  The
+    points go in batches of _BATCH_WIDTH; each batch binds ``unknown`` once,
+    one lane per point (_combined over _Lanes of the coefficients), and
+    walks each law once."""
+    laws, points = _declare_identities()[kind], iter(points)
+    while batch := list(itertools.islice(points, _BATCH_WIDTH)):
+        bound = {**env, unknown: _combined(env[unknown], basis, list(map(_Lanes, zip(*batch))))}
+        with certification_scope():  # left before yielding: no scope outlives a batch
+            rows = [_verdicts(Identity(law, bound), len(batch)) for law in laws]
+        yield from (CertReport.from_results([AxiomResult(law.name, *row[lane])
+                                             for law, row in zip(laws, rows)])
+                    for lane in range(len(batch)))
 
 
 def check_predicate(a: HomAlgebra, name: str) -> CertReport:

@@ -3,6 +3,7 @@ import os
 import pytest
 
 import homcert
+from homcert.homcore import KIND_OPS, HomAlgebra
 from homcert.search import CATALOG, corpus
 
 # Tests that spawn ``python -m homcert.cli`` run the child from a temporary
@@ -20,6 +21,17 @@ def catalog_algebra(kind, name):
         if entry.name == name:
             return entry.algebra
     raise KeyError((kind, name))
+
+
+def box_algebra(kind, env, unknown, basis, point):
+    """The algebra check_axioms_on_box certifies at one point of its box:
+    env's products and twist, with env[unknown] + sum_i point[i] basis[i]
+    as the product ``unknown``."""
+    product = env[unknown]
+    for c, b in zip(point, basis):
+        product = product + b.scale(c)
+    ops = {name: env[name] for name in KIND_OPS[kind] or (unknown,)}
+    return HomAlgebra(product.d1, kind, {**ops, unknown: product}, env["alpha"])
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from homcert import cli, docs, harness, search
 from homcert.cli import main
 from homcert.exactlin import Matrix, Tensor3
-from homcert.homcore import KIND_OPS, HomAlgebra
-from homcert.hommod import MODULE_KINDS, HomModule
+from homcert.homcore import KIND_OPS, HomAlgebra, yau_twist
+from homcert.hommod import MODULE_KINDS, HomModule, adjoint_postlie_module
 from homcert.functors import adjoint_bimodule
 from homcert.search import sc_tensor
 
@@ -376,6 +376,21 @@ def test_search_postlie_budget_exit(workdir):
     abelian3 = catalog_algebra("hom-lie", "abelian-3")
     path = write_algebra("ab3.json", abelian3)
     assert main(["search-postlie", path, "--bound", "1"]) == 3
+
+
+def test_large_powers_exit_on_the_budget(workdir, capsys):
+    # twist eigenvalue 4: beta^(2^k - 1) has entries of about 2^(k + 1) bits
+    l = yau_twist(catalog_algebra("hom-postlie", "skew-pair-postlie"),
+                  Matrix([[4, 0, 0], [0, 2, 0], [0, 0, 2]]))
+    path = write_algebra("l.json", l)
+    docs.save_json("self.json", docs.module_to_doc(adjoint_postlie_module(l)))
+    for argv in (["twist-0k", "self.json", "--k", "20"], ["twist-0k", "self.json", "--k", "17"],
+                 ["twist-n0", "self.json", "--n", str(2 ** 17)],
+                 ["adjoint-postlie-module", path, "--k", str(2 ** 17)]):
+        assert main(["derive", *argv, "--out", "out.json"]) == 3, argv
+        assert "budget exceeded: a matrix power" in capsys.readouterr().err
+    assert not os.path.exists("out.json")
+    assert main(["derive", "twist-0k", "self.json", "--k", "4", "--out", "out.json"]) == 0
 
 
 def test_certify_corpus_deterministic(workdir, capsys):

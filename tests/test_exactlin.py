@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homcert import exactlin
-from homcert.errors import InputError
+from homcert.errors import BudgetError, InputError
 from homcert.exactlin import (Matrix, Tensor3, basis_vec, bilinear_eval,
                               exact_div, mat_mul, nullspace, rank, rat, rat_str,
                               rref, vec_add, vec_scale)
@@ -154,6 +154,19 @@ def test_power_squares_repeatedly(monkeypatch):
     for e in range(9):  # the product of e factors, by hand: [[1, (2^e - 1) / 2], [0, 2^e]]
         assert m.power(e) == Matrix([[1, Fraction(2 ** e - 1, 2)], [0, 2 ** e]])
     assert [type(v) for row in m.power(3).data for v in row] == [int, Fraction, int, int]
+
+
+def test_power_refuses_entries_past_its_bit_budget():
+    # 2^e has e + 1 bits: e = POWER_BITS - 1 is the largest power of 2 within budget
+    bits = exactlin.POWER_BITS
+    assert Matrix([[2]]).power(bits - 1) == Matrix([[2 ** (bits - 1)]])
+    for m in (Matrix([[2]]), Matrix([[Fraction(1, 2)]]), Matrix([[1, 0], [0, -2]])):
+        with pytest.raises(BudgetError, match=f"budget is {bits}") as info:
+            m.power(bits)
+        assert (info.value.needed, info.value.budget) == (bits + 1, bits)
+        with pytest.raises(BudgetError):  # an intermediate square passes it
+            m.power(2 ** 20 + 1)
+    assert Matrix([[1, 0], [0, -1]]).power(2 ** 1000) == Matrix.identity(2)
 
 
 def test_nullspace_zero_matrix():

@@ -13,10 +13,10 @@ import pytest
 from homcert import functors, harness, homcore, hommod, search
 from homcert.exactlin import Matrix, Tensor3
 from homcert.homcore import (PREDICATES, HomAlgebra, certification_scope, check_axioms,
-                             check_axioms_each, check_predicate)
+                             check_axioms_on_box, check_predicate)
 from homcert.hommod import check_module_axioms
 
-from conftest import catalog_algebra
+from conftest import box_algebra, catalog_algebra
 
 
 def same(new, old):
@@ -45,7 +45,7 @@ def corpus_reports():
     with the report its work item's scope gave it, batched reports included."""
     algebras, predicates, modules = {}, {}, {}
     real_axioms, real_predicate, real_modules = check_axioms, check_predicate, check_module_axioms
-    real_each = check_axioms_each
+    real_box = check_axioms_on_box
 
     def record(seen, key, structure, report):
         first = seen.setdefault(key, (structure, report))[1]
@@ -56,9 +56,10 @@ def corpus_reports():
         report = real_axioms(a, predicates)
         return record(algebras, (a.digest(), tuple(predicates)), (a, tuple(predicates)), report)
 
-    def collect_each(batch):
-        batch, mine = itertools.tee(batch)
-        for a, report in zip(mine, real_each(batch)):
+    def collect_box(kind, env, unknown, basis, points):
+        points, mine = itertools.tee(points)
+        for c, report in zip(mine, real_box(kind, env, unknown, basis, points)):
+            a = box_algebra(kind, env, unknown, basis, c)
             yield record(algebras, (a.digest(), ()), (a, ()), report)
 
     def collect_predicate(a, name):
@@ -73,7 +74,7 @@ def corpus_reports():
     with pytest.MonkeyPatch.context() as mp:
         for namespace in (homcore, functors, hommod, search):
             mp.setattr(namespace, "check_axioms", collect_algebra)
-        mp.setattr(harness, "check_axioms_each", collect_each)
+        mp.setattr(harness, "check_axioms_on_box", collect_box)
         for namespace in (harness, functors, hommod):
             mp.setattr(namespace, "check_predicate", collect_predicate)
         for namespace in (hommod, functors):

@@ -437,8 +437,8 @@ def _forms_cases():
 def test_polynomial_scalar_keeps_only_nonzero_coefficients():
     products, keys = _monomials(2)
     assert keys == (None, 0, 1, (0, 0), (0, 1), (1, 1))
-    p = _Poly.of({1: 1, 2: Fraction(1, 2)}, products)  # c0 + c1 / 2
-    q = _Poly.of({1: 1, 2: Fraction(-1, 2)}, products)  # c0 - c1 / 2
+    c0, c1 = _Poly({1: 1}, 1, products), _Poly({2: 1}, 1, products)
+    p, q = c0 + c1 * Fraction(1, 2), c0 - c1 * Fraction(1, 2)  # c0 + c1 / 2, c0 - c1 / 2
     assert (p * q).coefficients() == {3: 1, 5: Fraction(-1, 4)}  # the c0 c1 terms cancel
     assert (p + q).coefficients() == {1: 2} and type((p + q).coefficients()[1]) is int
     assert not p - p and p * 1 is p and p * 0 == 0 and p + 0 is p
