@@ -22,8 +22,8 @@ from typing import Callable, Optional
 from . import docs
 from .errors import CertificationError, InputError, PreconditionError
 from .exactlin import Matrix, Tensor3
-from .homcore import (HomAlgebra, certification_scope, check_axioms_on_box, check_predicate,
-                      convolution_rb)
+from .homcore import (HomAlgebra, _declare_identities, certification_scope, check_on_box,
+                      check_predicate, convolution_rb)
 from .hommod import (adjoint_postlie_module, direct_sum, tensor_product, twist_0k,
                      twist_beta, twist_beta_data, twist_n0)
 from .functors import (adjoint_bimodule, commutator_lie, ldend_brackets,
@@ -234,8 +234,8 @@ def _eval_search_consistency(item) -> ItemResult:
         # one walk of the box: its products, and its points read in step by each box check
         candidates, *boxes = itertools.tee(iter_postlie_candidates(lie, bound),
                                            2 + env["bracket"].is_zero())
-        checks = [check_axioms_on_box(kind, env, "mul", basis, (c for c, _ in box))
-                  for kind, box in zip(("hom-postlie", "hom-prelie"), boxes)]
+        checks = [check_on_box(laws, env, "mul", basis, (c for c, _ in box)) for laws, box
+                  in zip(map(_declare_identities().get, ("hom-postlie", "hom-prelie")), boxes)]
         checked = 0
         for (_, mul), post, *pre in zip(candidates, *checks):
             if post.passed != (mul in survivors) or any(p.passed != post.passed for p in pre):

@@ -536,7 +536,7 @@ def unit_basis(shape: tuple) -> list:
 # of _Poly, a residual coordinate of a law of degree at most 2 in the unknown
 # is the exact form const + sum_i c_i linear[i] + sum_{i<=j} c_i c_j
 # quadratic[i, j]; with c_i the _Lanes of many points' coefficients, one walk
-# evaluates every point (linear_rows, check_axioms_on_box; see below).
+# evaluates every point (linear_rows, check_on_box; see below).
 
 @functools.cache
 def _monomials(d: int) -> tuple[tuple, tuple]:
@@ -756,6 +756,7 @@ def _verdicts(ident: Identity, lanes: int = 1) -> list:
 # batches), 128 lanes took 37.0% less wall time but read 0.14 MB more peak
 # RSS in every pair, more than the 0.09 MB between the quartiles of the
 # runs without batches; 64 lanes took 34.7% less and stayed within them.
+# Every box search certifies its survivors at the same width (check_on_box).
 _BATCH_WIDTH = 64
 
 
@@ -1094,15 +1095,13 @@ def check_axioms(a: HomAlgebra, predicates: Sequence[str] = ()) -> CertReport:
     return CertReport.from_results([check_identity(s) for s in specs])
 
 
-def check_axioms_on_box(kind: str, env: Mapping, unknown: str, basis: Sequence,
-                        points: Iterable[Sequence]) -> Iterator[CertReport]:
-    """check_axioms' report on each point c's algebra of ``kind``, in input
-    order, lazily: env binds the kind's products and "alpha", with
-    env[unknown] + sum_i c_i basis[i] bound to the product ``unknown``.  The
-    points go in batches of _BATCH_WIDTH; each batch binds ``unknown`` once,
-    one lane per point (_combined over _Lanes of the coefficients), and
-    walks each law once."""
-    laws, points = _declare_identities()[kind], iter(points)
+def check_on_box(laws: Sequence[Law], env: Mapping, unknown: str, basis: Sequence,
+                 points: Iterable[Sequence]) -> Iterator[CertReport]:
+    """The report of ``laws`` (one row each, check_identity's) at each point
+    c, in input order, lazily: env binds every name the laws read, with
+    env[unknown] + sum_i c_i basis[i] bound to ``unknown``.  The points go in
+    batches of _BATCH_WIDTH, each binding ``unknown`` once and walking each law once."""
+    points = iter(points)
     while batch := list(itertools.islice(points, _BATCH_WIDTH)):
         bound = {**env, unknown: _combined(env[unknown], basis, list(map(_Lanes, zip(*batch))))}
         with certification_scope():  # left before yielding: no scope outlives a batch

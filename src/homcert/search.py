@@ -11,7 +11,8 @@ echelon form of the purely linear forms is a form.  The quadratic step: the
 forms of degree 2 (the twisted left-symmetry identity; the Rota-Baxter,
 O-operator or Hom-coassociativity law) are kept as they are.  One
 enumerator, ``kernel_points``, takes both, and whatever survives is
-certified in full.
+certified in full by ``homcore.check_on_box``, the one box certifier (the
+search-consistency oracle's too): one law walk per batch of 64 survivors.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from typing import Callable, Iterator, Sequence
 from .errors import BudgetError, CertificationError, InputError, UnsupportedError
 from .exactlin import ONE, ZERO, Matrix, Tensor3, nullspace, rat, rref
 from .homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, Identity, _declare_identities,
-                      _epsilon_delta_rows, _epsilon_mul_rows, certification_scope, check_axioms,
-                      check_identity, check_rota_baxter, held_in_scope, linear_rows,
-                      quadratic_rows, require_certified, unit_basis, yau_twist)
+                      _epsilon_mul_rows, certification_scope, check_axioms, check_identity,
+                      check_on_box, held_in_scope, linear_rows, quadratic_rows,
+                      require_certified, unit_basis, yau_twist)
 from .functors import FunctorResult
-from .hommod import OOP_LAWS, HomModule, _module_env, check_oop
+from .hommod import OOP_LAWS, HomModule, _module_env
 
 DEFAULT_CANDIDATE_BUDGET = 200_000
 TWISTED_LEFT_SYMMETRY = "postlie-twisted-left-symmetry"  # the quadratic step
@@ -148,15 +149,15 @@ def postlie_search(l: HomAlgebra, combo_bound: int,
     basis = _kernel_basis(l, combo_bound, max_candidates)
     n, bracket = l.dim, l.op("bracket")
 
-    def build(coeffs):
+    def build(coeffs, report):
         out = HomAlgebra(n, "hom-postlie", {"bracket": bracket,
                                             "mul": _combination(n, basis, coeffs)}, l.alpha)
         prov = ("postlie-search", (("bound", combo_bound), ("coeffs", coeffs)), (l.digest(),))
-        return FunctorResult(out, check_axioms(out), prov)
+        return FunctorResult(out, report, prov)
 
-    return _box_search([_postlie_law(TWISTED_LEFT_SYMMETRY)],
+    return _box_search([_postlie_law(TWISTED_LEFT_SYMMETRY)], _declare_identities()["hom-postlie"],
                        {"bracket": bracket, "alpha": l.alpha, "mul": Tensor3.zeros(n)},
-                       "mul", basis, combo_bound, build, lambda r: r.cert.passed)
+                       "mul", basis, combo_bound, build)
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +241,21 @@ def _linear_forms(system: Matrix) -> list[tuple]:
             for row in rref(system)[0].data if any(row)]
 
 
-def _box_search(laws: Sequence, env: dict, unknown: str, basis: Sequence, bound: int,
-                build: Callable, passes: Callable) -> list:
-    """build(c) for every c in [-bound, bound]^len(basis), in product order,
-    at which env[unknown] + sum_i c_i basis[i] satisfies the ``laws`` (each
-    of degree at most 2 in it), once each passes its full certification."""
+def _box_search(laws: Sequence, certifying: Sequence, env: dict, unknown: str,
+                basis: Sequence, bound: int, build: Callable) -> list:
+    """build(c, report) for every c in [-bound, bound]^len(basis), in product
+    order, at which env[unknown] + sum_i c_i basis[i] satisfies the ``laws``
+    (each of degree at most 2 in it); report is check_on_box's over ``certifying``."""
     with certification_scope():
         forms = quadratic_rows(laws, env, unknown, basis if bound else ())
         system = Matrix._exact([[lin.get(c, ZERO) for c in range(len(basis))]
                                 for const, lin, quad in forms if lin and not const and not quad])
-        found = [build(c) for c in kernel_points(len(basis), bound, _linear_forms(system)
-                                                 + [f for f in forms if f[0] or f[2]])]
-        if not all(map(passes, found)):
+        points = kernel_points(len(basis), bound, _linear_forms(system)
+                               + [f for f in forms if f[0] or f[2]])
+        reports = list(check_on_box(certifying, env, unknown, basis, points))
+        if not all(r.passed for r in reports):
             raise AssertionError("search enumerator and certifier disagree on a survivor")
-        return found
+        return list(map(build, points, reports))
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +284,10 @@ def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
         raise InputError(f"O-operators are not defined for module kind {m.kind!r}")
     _require_box("operator", a.dim * m.mdim, entry_bound, max_candidates)
     laws = _declare_identities()
-    return _box_search(laws["oop-twist-compat"] + laws[OOP_LAWS[m.kind]],
-                       {**_module_env(m), "T": Matrix.zeros(a.dim, m.mdim)}, "T",
+    oop = laws["oop-twist-compat"] + laws[OOP_LAWS[m.kind]]
+    return _box_search(oop, oop, {**_module_env(m), "T": Matrix.zeros(a.dim, m.mdim)}, "T",
                        unit_basis((a.dim, m.mdim)), entry_bound,
-                       lambda flat: _matrix(flat, m.mdim), lambda t: check_oop(t, m).passed)
+                       lambda flat, _: _matrix(flat, m.mdim))
 
 
 def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
@@ -301,10 +303,10 @@ def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
     n = a.dim
     _require_box("operator", n * n, entry_bound, max_candidates)
     laws = _declare_identities()
-    return _box_search(laws["commutes-with-twist"] + laws["rota-baxter"],
+    rb, twist = laws["rota-baxter"], laws["commutes-with-twist"]
+    return _box_search(twist + rb, rb + twist,  # certified in check_rota_baxter's order
                        {"mul": mul, "weight": weight, "alpha": a.alpha, "r": Matrix.zeros(n, n)},
-                       "r", unit_basis((n, n)), entry_bound, lambda flat: _matrix(flat, n),
-                       lambda r: check_rota_baxter(a, r, weight).passed)
+                       "r", unit_basis((n, n)), entry_bound, lambda flat, _: _matrix(flat, n))
 
 
 def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int = 1,
@@ -327,11 +329,10 @@ def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int
     _require_box("coproduct", n ** 3, entry_bound, max_candidates)
     # the rows are over the n^2 x n coproduct map, whose cell (r, i) is
     # delta's flat position i*n^2+r: the transposed n x n^2 units walk delta
-    return _box_search(_declare_identities()["epsilon-coproduct"],
-                       {"mul": mul, "alpha": alpha, "Delta": Matrix.zeros(n * n, n)}, "Delta",
-                       [u.transpose() for u in unit_basis((n, n * n))], entry_bound,
-                       lambda flat: EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha),
-                       lambda b: all(r.passed for r in _epsilon_delta_rows(b)))
+    laws = _declare_identities()["epsilon-coproduct"]
+    return _box_search(laws, laws, {"mul": mul, "alpha": alpha, "Delta": Matrix.zeros(n * n, n)},
+                       "Delta", [u.transpose() for u in unit_basis((n, n * n))], entry_bound,
+                       lambda flat, _: EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha))
 
 
 # ---------------------------------------------------------------------------

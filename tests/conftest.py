@@ -24,9 +24,9 @@ def catalog_algebra(kind, name):
 
 
 def box_algebra(kind, env, unknown, basis, point):
-    """The algebra check_axioms_on_box certifies at one point of its box:
-    env's products and twist, with env[unknown] + sum_i point[i] basis[i]
-    as the product ``unknown``."""
+    """The algebra of ``kind`` that check_on_box certifies over the kind's
+    laws at one point of its box: env's products and twist, with
+    env[unknown] + sum_i point[i] basis[i] as the product ``unknown``."""
     product = env[unknown]
     for c, b in zip(point, basis):
         product = product + b.scale(c)

@@ -117,17 +117,18 @@ def test_search_consistency_catches_a_flipped_prelie_verdict(monkeypatch, flippe
     """On a zero bracket every candidate is certified as a post-Lie and as
     a pre-Lie algebra, in one stream each; one pre-Lie verdict flipped, in
     any batch, fails the property (and with none flipped, it passes)."""
-    real, streams = harness.check_axioms_on_box, []
+    real, streams = harness.check_on_box, []
 
-    def flipping(kind, env, unknown, basis, points):
+    def flipping(laws, env, unknown, basis, points):
+        kind = next(k for k, group in homcore._declare_identities().items() if group is laws)
         kinds = set()
         streams.append(kinds)
-        for idx, report in enumerate(real(kind, env, unknown, basis, points)):
+        for idx, report in enumerate(real(laws, env, unknown, basis, points)):
             kinds.add(kind)
             if kind == "hom-prelie" and idx == flipped:
                 report = dataclasses.replace(report, passed=not report.passed)
             yield report
 
-    monkeypatch.setattr(harness, "check_axioms_on_box", flipping)
+    monkeypatch.setattr(harness, "check_on_box", flipping)
     assert harness._eval_search_consistency(_search_item("abelian-2")).ok == (flipped is None)
     assert sorted(map(sorted, streams)) == [["hom-postlie"], ["hom-prelie"]]

@@ -12,8 +12,8 @@ import pytest
 
 from homcert import functors, harness, homcore, hommod, search
 from homcert.exactlin import Matrix, Tensor3
-from homcert.homcore import (PREDICATES, HomAlgebra, certification_scope, check_axioms,
-                             check_axioms_on_box, check_predicate)
+from homcert.homcore import (PREDICATES, HomAlgebra, _declare_identities, certification_scope,
+                             check_axioms, check_on_box, check_predicate)
 from homcert.hommod import check_module_axioms
 
 from conftest import box_algebra, catalog_algebra
@@ -45,7 +45,8 @@ def corpus_reports():
     with the report its work item's scope gave it, batched reports included."""
     algebras, predicates, modules = {}, {}, {}
     real_axioms, real_predicate, real_modules = check_axioms, check_predicate, check_module_axioms
-    real_box = check_axioms_on_box
+    real_box = check_on_box
+    kinds = {laws: kind for kind, laws in _declare_identities().items() if kind in homcore.KINDS}
 
     def record(seen, key, structure, report):
         first = seen.setdefault(key, (structure, report))[1]
@@ -56,10 +57,13 @@ def corpus_reports():
         report = real_axioms(a, predicates)
         return record(algebras, (a.digest(), tuple(predicates)), (a, tuple(predicates)), report)
 
-    def collect_box(kind, env, unknown, basis, points):
+    def collect_box(laws, env, unknown, basis, points):
         points, mine = itertools.tee(points)
-        for c, report in zip(mine, real_box(kind, env, unknown, basis, points)):
-            a = box_algebra(kind, env, unknown, basis, c)
+        for c, report in zip(mine, real_box(laws, env, unknown, basis, points)):
+            if laws not in kinds:  # an operator's or coproduct's laws, not an algebra's
+                yield report
+                continue
+            a = box_algebra(kinds[laws], env, unknown, basis, c)
             yield record(algebras, (a.digest(), ()), (a, ()), report)
 
     def collect_predicate(a, name):
@@ -74,7 +78,8 @@ def corpus_reports():
     with pytest.MonkeyPatch.context() as mp:
         for namespace in (homcore, functors, hommod, search):
             mp.setattr(namespace, "check_axioms", collect_algebra)
-        mp.setattr(harness, "check_axioms_on_box", collect_box)
+        for namespace in (harness, search):
+            mp.setattr(namespace, "check_on_box", collect_box)
         for namespace in (harness, functors, hommod):
             mp.setattr(namespace, "check_predicate", collect_predicate)
         for namespace in (hommod, functors):

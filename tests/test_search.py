@@ -11,7 +11,7 @@ from homcert.errors import (BudgetError, InputError, PreconditionError,
 from homcert.exactlin import Matrix, Tensor3, rank
 from homcert.harness import _build_epsilon
 from homcert.exactlin import vec_sub
-from homcert.homcore import (KINDS, AxiomResult, CertReport, EpsilonHomBialgebra, HomAlgebra,
+from homcert.homcore import (KINDS, CertReport, EpsilonHomBialgebra, HomAlgebra,
                              Identity, Law, Term, _declare_identities, _monomials, _Poly,
                              certification_scope, check_axioms, check_rota_baxter,
                              epsilon_prerequisites, linear_rows, quadratic_rows, yau_twist)
@@ -382,16 +382,18 @@ def test_oop_search_equals_naive_walk_on_dim_three():
 
 
 @pytest.mark.parametrize("certifier, search", [
-    ("check_rota_baxter", lambda a: brute_force_rb_search(a, 0, 1)),
-    ("check_oop", lambda a: brute_force_oop_search(a, adjoint_bimodule(a), 1)),
-    ("_epsilon_delta_rows", lambda a: brute_force_epsilon_bialgebras(a.op("mul"), I2, 1))])
-def test_box_searches_certify_every_survivor(monkeypatch, dual_numbers, certifier, search):
-    # a certifier that rejects every point: each survivor is refused loudly
-    failing = CertReport(False, ())
-    monkeypatch.setattr(f"homcert.search.{certifier}", lambda *args: (
-        [AxiomResult("rejected", False)] if certifier == "_epsilon_delta_rows" else failing))
+    ("check_axioms", lambda a, lie: postlie_search(lie, 1)),
+    ("check_rota_baxter", lambda a, lie: brute_force_rb_search(a, 0, 1)),
+    ("check_oop", lambda a, lie: brute_force_oop_search(a, adjoint_bimodule(a), 1)),
+    ("_epsilon_delta_rows", lambda a, lie: brute_force_epsilon_bialgebras(a.op("mul"), I2, 1))])
+def test_box_searches_certify_every_survivor(monkeypatch, dual_numbers, affine_lie, certifier,
+                                             search):
+    # the one box certifier, standing in for the plain certifier named and
+    # rejecting every point: each survivor is refused loudly
+    monkeypatch.setattr("homcert.search.check_on_box", lambda laws, env, unknown, basis, points: (
+        CertReport(False, ()) for _ in points))
     with pytest.raises(AssertionError, match="disagree on a survivor"):
-        search(dual_numbers)
+        search(dual_numbers, affine_lie)
 
 
 def _canonical(v):
