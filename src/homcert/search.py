@@ -303,8 +303,8 @@ def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
     n = a.dim
     _require_box("operator", n * n, entry_bound, max_candidates)
     laws = _declare_identities()
-    rb, twist = laws["rota-baxter"], laws["commutes-with-twist"]
-    return _box_search(twist + rb, rb + twist,  # certified in check_rota_baxter's order
+    rb = laws["rota-baxter"] + laws["commutes-with-twist"]
+    return _box_search(rb, rb,
                        {"mul": mul, "weight": weight, "alpha": a.alpha, "r": Matrix.zeros(n, n)},
                        "r", unit_basis((n, n)), entry_bound, lambda flat, _: _matrix(flat, n))
 
