@@ -35,8 +35,8 @@ from .functors import (adjoint_bimodule, commutator_lie, ldend_brackets,
                        reassemble_ldendriform)
 from .search import (CATALOG, brute_force_epsilon_bialgebras,
                      brute_force_oop_search, brute_force_rb_search, corpus,
-                     iter_postlie_candidates, postlie_candidate_space, postlie_search,
-                     sc_tensor)
+                     iter_postlie_candidates, postlie_candidate_space, postlie_env,
+                     postlie_search, sc_tensor)
 
 
 @dataclass
@@ -227,7 +227,7 @@ def _eval_search_consistency(item) -> ItemResult:
     certified in full as a post-Lie algebra and, on a zero bracket, as a
     pre-Lie one; the two must agree there."""
     name, lie, bound = item
-    env = {"bracket": lie.op("bracket"), "alpha": lie.alpha, "mul": Tensor3.zeros(lie.dim)}
+    env = postlie_env(lie, Tensor3.zeros(lie.dim))
     with certification_scope():  # the search and the box share one candidate space
         survivors = {r.output.op("mul") for r in postlie_search(lie, bound)}
         basis = postlie_candidate_space(lie).basis

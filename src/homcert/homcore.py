@@ -511,12 +511,6 @@ class Identity:
             yield idx, _dense(fl(idx, tables), m), _dense(fr(idx, tables), m)
 
 
-def _specs(group: str, env: Mapping, suffix: str = "") -> list[Identity]:
-    """The group's declared laws bound to env, in one scope."""
-    with certification_scope():
-        return [Identity(law, env, suffix) for law in _declare_identities()[group]]
-
-
 def unit_basis(shape: tuple) -> list:
     """The units of a matrix of shape (rows, cols) or a tensor of shape
     (d1, d2, d3): unit c holds 1 at flat position c (row-major)."""
@@ -657,12 +651,14 @@ def _combined(base, basis: Sequence, coefficients: Sequence):
 
 
 def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, basis: Sequence) -> Matrix:
-    """The constraint matrix of laws that are linear in ``unknown``: column
-    c holds lhs - rhs of every law at every basis tuple, in law, lexicographic
-    tuple and coordinate order, at basis[c] bound to ``unknown``.  Over
-    ``unit_basis(shape)`` its kernel is the set of unknowns on which the laws
-    hold, written row-major.  One walk reads every column: the unknown is
-    bound once as _Lanes, lane c holding basis[c], and column c is lane c."""
+    """The residuals of ``laws`` over ``basis``: column c holds lhs - rhs of
+    every law at every basis tuple, in law, lexicographic tuple and coordinate
+    order, with basis[c] bound to ``unknown``.  For laws linear in ``unknown``
+    that is each residual's coefficient of c_c, and over ``unit_basis(shape)``
+    the kernel is the set of unknowns on which the laws hold, written
+    row-major; for other laws it is no more than the residual at basis[c].
+    One walk reads every column: the unknown is bound once as _Lanes, lane c
+    holding basis[c], and column c is lane c."""
     d = len(basis)
     if not d:
         return Matrix.zeros(0, 0)
@@ -717,6 +713,13 @@ def check_identity(ident: Identity) -> AxiomResult:
     (then it passes, once _sizes has checked its shapes).  The first failing
     tuple (minimal in lex order) becomes the witness."""
     return AxiomResult(ident.name, *_verdicts(ident)[0])
+
+
+def certify(laws: Sequence[Law], env: Mapping, suffix: str = "") -> list[AxiomResult]:
+    """check_identity's row for each law bound to env, in order, in the active
+    certification scope or one opened for the call: every plain certifier."""
+    with certification_scope():
+        return [check_identity(Identity(law, env, suffix)) for law in laws]
 
 
 def _verdicts(ident: Identity, lanes: int = 1) -> list:
@@ -1060,39 +1063,16 @@ def _declare_identities():
 # the axiom systems
 
 def hom_associator(a: HomAlgebra, x, y, z) -> tuple:
-    """(x.y).alpha(z) - alpha(x).(y.z) for the algebra's "mul" product."""
-    ident, = _specs("hom-associative", {"mul": a.op("mul"), "alpha": a.alpha})
-    return vec_sub(*ident(x, y, z))
+    """(x.y).alpha(z) - alpha(x).(y.z) for the algebra's "mul" product, canonical."""
+    law, = _declare_identities()["hom-associative"]
+    sides = Identity(law, {"mul": a.op("mul"), "alpha": a.alpha})(x, y, z)
+    return tuple(map(rat, vec_sub(*sides)))
 
 
-def kind_axioms(a: HomAlgebra) -> list[Identity]:
-    """The defining identities of the algebra's declared kind."""
-    return _specs(a.kind, {**a.ops, "alpha": a.alpha})
-
-
-# ---------------------------------------------------------------------------
-# auxiliary predicates
-
-PREDICATES = ("multiplicative", "left-commutative", "lie-admissible")
-
-
-def predicate_axioms(a: HomAlgebra, name: str) -> list[Identity]:
-    al = a.alpha
-    if name == "multiplicative":
-        return [spec for op_name in a.op_names()
-                for spec in _specs(name, {"op": a.ops[op_name], "alpha": al}, f":{op_name}")]
-    if name == "left-commutative":
-        return _specs(name, {"mul": a.single_op(), "alpha": al})
-    if name == "lie-admissible":
-        mul = a.single_op()
-        return _specs(name, {"bracket": mul - mul.swap_arguments(), "alpha": al})
-    raise InputError(f"unknown predicate {name!r}; available: {PREDICATES}")
-
-
-def check_axioms(a: HomAlgebra, predicates: Sequence[str] = ()) -> CertReport:
-    """Certify the algebra against its kind's axioms plus optional predicates."""
-    specs = kind_axioms(a) + [s for p in predicates for s in predicate_axioms(a, p)]
-    return CertReport.from_results([check_identity(s) for s in specs])
+def check_axioms(a: HomAlgebra) -> CertReport:
+    """Certify the algebra against its kind's axioms."""
+    return CertReport.from_results(certify(_declare_identities()[a.kind],
+                                           {**a.ops, "alpha": a.alpha}))
 
 
 def check_on_box(laws: Sequence[Law], env: Mapping, unknown: str, basis: Sequence,
@@ -1111,8 +1091,25 @@ def check_on_box(laws: Sequence[Law], env: Mapping, unknown: str, basis: Sequenc
                     for lane in range(len(batch)))
 
 
+# ---------------------------------------------------------------------------
+# auxiliary predicates
+
+PREDICATES = ("multiplicative", "left-commutative", "lie-admissible")
+
+
 def check_predicate(a: HomAlgebra, name: str) -> CertReport:
-    return CertReport.from_results([check_identity(s) for s in predicate_axioms(a, name)])
+    laws, al = _declare_identities().get(name), a.alpha
+    if name == "multiplicative":
+        rows = [row for op_name in a.op_names()
+                for row in certify(laws, {"op": a.ops[op_name], "alpha": al}, f":{op_name}")]
+    elif name == "left-commutative":
+        rows = certify(laws, {"mul": a.single_op(), "alpha": al})
+    elif name == "lie-admissible":
+        mul = a.single_op()
+        rows = certify(laws, {"bracket": mul - mul.swap_arguments(), "alpha": al})
+    else:
+        raise InputError(f"unknown predicate {name!r}; available: {PREDICATES}")
+    return CertReport.from_results(rows)
 
 
 def require_certified(a: HomAlgebra, what: str = "input algebra") -> CertReport:
@@ -1128,12 +1125,20 @@ def check_morphism(f: Matrix, a: HomAlgebra, b: HomAlgebra) -> CertReport:
         raise InputError(f"morphism kind mismatch: {a.kind} vs {b.kind}")
     if f.rows != b.dim or f.cols != a.dim:
         raise InputError(f"morphism must be {b.dim}x{a.dim}, got {f.rows}x{f.cols}")
-    rows = [check_identity(s) for s in _specs(
-        "intertwines-twists", {"f": f, "alpha": a.alpha, "target-alpha": b.alpha})]
+    laws = _declare_identities()
+    rows = certify(laws["intertwines-twists"], {"f": f, "alpha": a.alpha, "target-alpha": b.alpha})
     for name in a.op_names():
-        env = {"source": a.ops[name], "target": b.ops[name], "f": f}
-        rows += [check_identity(s) for s in _specs("preserves", env, f":{name}")]
+        rows += certify(laws["preserves"], {"source": a.ops[name], "target": b.ops[name], "f": f},
+                        f":{name}")
     return CertReport.from_results(rows)
+
+
+def _rota_baxter_laws(a: HomAlgebra, weight) -> tuple[tuple[Law, ...], dict]:
+    """check_rota_baxter's laws and their binding but for "r": the single
+    product (InputError first if there is none), then the weight, read by rat."""
+    env = {"mul": a.single_op(), "weight": rat(weight), "alpha": a.alpha}
+    laws = _declare_identities()
+    return laws["rota-baxter"] + laws["commutes-with-twist"], env
 
 
 def check_rota_baxter(a: HomAlgebra, r: Matrix, weight) -> CertReport:
@@ -1146,9 +1151,8 @@ def check_rota_baxter(a: HomAlgebra, r: Matrix, weight) -> CertReport:
     weight = rat(weight)
     if r.rows != a.dim or r.cols != a.dim:
         raise InputError(f"operator must be {a.dim}x{a.dim}")
-    env = {"mul": a.single_op(), "r": r, "weight": weight, "alpha": a.alpha}
-    return CertReport.from_results([check_identity(s) for s in (
-        _specs("rota-baxter", env) + _specs("commutes-with-twist", env))])
+    laws, env = _rota_baxter_laws(a, weight)
+    return CertReport.from_results(certify(laws, {**env, "r": r}))
 
 
 def yau_twist(a: HomAlgebra, g: Matrix) -> HomAlgebra:
@@ -1210,13 +1214,17 @@ class EpsilonHomBialgebra:
 
 def _epsilon_mul_rows(b: EpsilonHomBialgebra) -> list[AxiomResult]:
     """Prerequisites touching only the product and the twist."""
-    return [check_identity(s)
-            for s in _specs("epsilon-product", {"mul": b.mul, "alpha": b.alpha})]
+    return certify(_declare_identities()["epsilon-product"], {"mul": b.mul, "alpha": b.alpha})
+
+
+def _epsilon_delta_laws(b: EpsilonHomBialgebra) -> tuple[tuple[Law, ...], dict]:
+    """_epsilon_delta_rows' laws, ``epsilon-coproduct``, and their binding, b.env."""
+    return _declare_identities()["epsilon-coproduct"], b.env
 
 
 def _epsilon_delta_rows(b: EpsilonHomBialgebra) -> list[AxiomResult]:
     """Prerequisites involving the coproduct."""
-    return [check_identity(s) for s in _specs("epsilon-coproduct", b.env)]
+    return certify(*_epsilon_delta_laws(b))
 
 
 def epsilon_prerequisites(b: EpsilonHomBialgebra) -> CertReport:
@@ -1254,7 +1262,7 @@ def _end_alpha_rows(b: EpsilonHomBialgebra, basis: Sequence[Matrix]) -> list[Axi
            "left-alpha": b.alpha.kron(one), "right-alpha": one.kron(b.alpha.transpose()),
            # row x*n+p of conv is entry (p, x) of R(f)
            "R": Matrix([conv.row(x * n + p) for p in range(n) for x in range(n)])}
-    return [check_identity(s) for s in _specs("end-alpha", env)]
+    return certify(_declare_identities()["end-alpha"], env)
 
 
 def convolution_rb(b: EpsilonHomBialgebra) -> CertReport:

@@ -3,10 +3,12 @@
 Actions are stored as one carrier-sized matrix per algebra basis element;
 the action of a general element is the linear extension.  The axiom systems,
 the O-operator identities and the carrier-map preconditions of
-``twist_beta`` are declared with the algebra identities in ``homcore``: an
-action family binds as ``HomModule.tensors[name]``, the product algebra x
-carrier -> carrier, an O-operator as a map carrier -> algebra.  That tensor
-is built once per module, so a certification scope keeps its lookup tables
+``twist_beta`` are declared with the algebra identities in ``homcore``, and
+each certifier is one ``homcore.certify`` call over them: an action family
+binds as ``HomModule.tensors[name]``, the product algebra x carrier ->
+carrier, an O-operator as a map carrier -> algebra (``_oop_laws`` states its
+laws and binding for ``check_oop`` and the box search).  That tensor is
+built once per module, so a certification scope keeps its lookup tables
 across calls; ``_family`` turns a tensor back into an action family.  The
 laws are checked exactly on every basis tuple, each variable over its own
 space; module witnesses end with the first differing column, and their
@@ -28,8 +30,9 @@ from typing import Mapping, Sequence
 
 from .errors import CertificationError, InputError, PreconditionError
 from .exactlin import Matrix, Tensor3, block_diag, mat_mul, rat_str
-from .homcore import (CertReport, HomAlgebra, Identity, canonical_algebra_key, check_axioms,
-                      check_identity, check_morphism, check_predicate, _digest, _specs)
+from .homcore import (CertReport, HomAlgebra, Law, _declare_identities, _digest,
+                      canonical_algebra_key, certify, check_axioms, check_morphism,
+                      check_predicate)
 
 MODULE_KINDS = {
     "assoc-bimodule": ("hom-associative", ("l", "r")),
@@ -127,20 +130,13 @@ def _module_env(m: HomModule) -> dict:
     return {**a.ops, "alpha": a.alpha, "beta": m.beta, **m.tensors}
 
 
-def module_axioms(m: HomModule, strict_twist_commute: bool = False) -> list[Identity]:
-    """The axiom system of the module's kind, declared in ``homcore``; a
-    post-Lie module with ``strict_twist_commute`` also gets the literal
-    twist rows."""
-    group = m.kind + ("-literal" if strict_twist_commute and m.kind == "postlie-module" else "")
-    return _specs(group, _module_env(m))
-
-
 def check_module_axioms(m: HomModule, strict_twist_commute: bool = False) -> CertReport:
-    """Certify the module against its axiom system.  Witness indices are the
-    algebra basis indices, then the first carrier index (the matrix column)
-    where the sides differ."""
-    return CertReport.from_results([check_identity(s)
-                                    for s in module_axioms(m, strict_twist_commute)])
+    """Certify the module against the axiom system of its kind, declared in
+    ``homcore``; a post-Lie module with ``strict_twist_commute`` also gets
+    the literal twist rows.  Witness indices are the algebra basis indices,
+    then the first carrier index (the matrix column) where the sides differ."""
+    group = m.kind + ("-literal" if strict_twist_commute and m.kind == "postlie-module" else "")
+    return CertReport.from_results(certify(_declare_identities()[group], _module_env(m)))
 
 
 def require_module_certified(m: HomModule, what="input module") -> CertReport:
@@ -316,13 +312,12 @@ def twist_beta(m: HomModule, b: Matrix, bm: Matrix) -> tuple[HomAlgebra, HomModu
     check_morphism(b, a, a).require(PreconditionError, "b is not an algebra endomorphism")
     if bm.rows != m.mdim or bm.cols != m.mdim:
         raise InputError(f"bM must be {m.mdim}x{m.mdim}, got {bm.rows}x{bm.cols}")
-    commutes, = _specs("commutes-with-twist", {"r": bm, "alpha": m.beta})
-    if not check_identity(commutes).passed:
+    laws = _declare_identities()
+    commutes, = certify(laws["commutes-with-twist"], {"r": bm, "alpha": m.beta})
+    if not commutes.passed:
         raise PreconditionError("bM does not commute with the module twist")
     for name in ("diamond", "bullet"):
-        ident, = _specs("intertwines-action",
-                        {"act": m.tensors[name], "b": b, "bM": bm})
-        row = check_identity(ident)
+        row, = certify(laws["intertwines-action"], {"act": m.tensors[name], "b": b, "bM": bm})
         if not row.passed:
             raise PreconditionError(f"bM does not intertwine the {name} action with b "
                                     f"(basis index {row.witness.indices[0]})")
@@ -341,6 +336,15 @@ OOP_LAWS = {"assoc-bimodule": "o-operator-associative", "prelie-bimodule": "o-op
             "lie-module": "o-operator-lie", "lie-representation": "o-operator-lie"}
 
 
+def _oop_laws(m: HomModule) -> tuple[tuple[Law, ...], dict]:
+    """check_oop's laws and their binding but for "T" (_module_env);
+    InputError for a module kind with no O-operator law."""
+    if m.kind not in OOP_LAWS:
+        raise InputError(f"O-operators are not defined for module kind {m.kind!r}")
+    laws = _declare_identities()
+    return laws["oop-twist-compat"] + laws[OOP_LAWS[m.kind]], _module_env(m)
+
+
 def check_oop(t: Matrix, m: HomModule) -> CertReport:
     """Certify t : carrier -> algebra as an O-operator for the module's kind.
 
@@ -353,8 +357,5 @@ def check_oop(t: Matrix, m: HomModule) -> CertReport:
     a = m.algebra
     if t.rows != a.dim or t.cols != m.mdim:
         raise InputError(f"operator must be {a.dim}x{m.mdim}, got {t.rows}x{t.cols}")
-    if m.kind not in OOP_LAWS:
-        raise InputError(f"O-operators are not defined for module kind {m.kind!r}")
-    env = {**_module_env(m), "T": t}
-    return CertReport.from_results([check_identity(s) for group in (
-        "oop-twist-compat", OOP_LAWS[m.kind]) for s in _specs(group, env)])
+    laws, env = _oop_laws(m)
+    return CertReport.from_results(certify(laws, {**env, "T": t}))

@@ -12,7 +12,8 @@ forms of degree 2 (the twisted left-symmetry identity; the Rota-Baxter,
 O-operator or Hom-coassociativity law) are kept as they are.  One
 enumerator, ``kernel_points``, takes both, and whatever survives is
 certified in full by ``homcore.check_on_box``, the one box certifier (the
-search-consistency oracle's too): one law walk per batch of 64 survivors.
+search-consistency oracle's too): one law walk per batch of 64 survivors,
+over the rows and binding each search reads from its plain certifier.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetError, CertificationError, InputError, UnsupportedError
 from .exactlin import ONE, ZERO, Matrix, Tensor3, nullspace, rat, rref
-from .homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, Identity, _declare_identities,
-                      _epsilon_mul_rows, certification_scope, check_axioms, check_identity,
-                      check_on_box, held_in_scope, linear_rows, quadratic_rows,
-                      require_certified, unit_basis, yau_twist)
+from .homcore import (KIND_OPS, EpsilonHomBialgebra, HomAlgebra, _declare_identities,
+                      _epsilon_delta_laws, _epsilon_mul_rows, _rota_baxter_laws,
+                      certification_scope, certify, check_axioms, check_on_box, held_in_scope,
+                      linear_rows, quadratic_rows, require_certified, unit_basis, yau_twist)
 from .functors import FunctorResult
-from .hommod import OOP_LAWS, HomModule, _module_env
+from .hommod import HomModule, _oop_laws
 
 DEFAULT_CANDIDATE_BUDGET = 200_000
 TWISTED_LEFT_SYMMETRY = "postlie-twisted-left-symmetry"  # the quadratic step
@@ -58,9 +59,8 @@ def postlie_linear_system(l: HomAlgebra) -> Matrix:
         raise InputError("postlie_linear_system expects a hom-lie algebra")
     require_certified(l)
     n = l.dim
-    env = {"bracket": l.op("bracket"), "alpha": l.alpha}
-    rows = linear_rows([_postlie_law("postlie-bracket-compatibility")], env, "mul",
-                       unit_basis((n, n, n))).data
+    rows = linear_rows([_postlie_law("postlie-bracket-compatibility")],
+                       postlie_env(l, Tensor3.zeros(n)), "mul", unit_basis((n, n, n))).data
     return Matrix([rows[((i * n + j) * n + k) * n + q]
                    for k, i, j, q in itertools.product(range(n), repeat=4)])
 
@@ -80,25 +80,20 @@ def _postlie_law(name: str):
     return law
 
 
-def _postlie_spec(l: HomAlgebra, product: Tensor3, name: str) -> Identity:
-    """The declared post-Lie axiom ``name`` alone, for l and a candidate product."""
-    return Identity(_postlie_law(name), {"bracket": l.op("bracket"), "mul": product,
-                                          "alpha": l.alpha})
+def postlie_env(l: HomAlgebra, product: Tensor3) -> dict:
+    """check_axioms' binding of the Hom-post-Lie algebra on l's bracket and
+    twist with ``product`` as its "mul"."""
+    return {"bracket": l.op("bracket"), "mul": product, "alpha": l.alpha}
 
 
 @held_in_scope
 def postlie_candidate_space(l: HomAlgebra) -> PostLieCandidateSpace:
     """The kernel of ``postlie_linear_system(l)``, each basis tensor
     re-checked; one solve per equal algebra in a certification scope."""
-    n = l.dim
-    system = postlie_linear_system(l)
-    basis = []
-    for v in nullspace(system):
-        t = Tensor3(n, n, n, v.column(0))
-        if not check_identity(_postlie_spec(l, t, "postlie-bracket-compatibility")).passed:
-            raise AssertionError(
-                "nullspace tensor fails re-evaluation of the linear identity")
-        basis.append(t)
+    n, law = l.dim, _postlie_law("postlie-bracket-compatibility")
+    basis = [Tensor3(n, n, n, v.column(0)) for v in nullspace(postlie_linear_system(l))]
+    if not all(certify([law], postlie_env(l, t))[0].passed for t in basis):
+        raise AssertionError("nullspace tensor fails re-evaluation of the linear identity")
     ambient = n ** 3
     return PostLieCandidateSpace(tuple(basis), ambient, ambient - len(basis))
 
@@ -147,17 +142,16 @@ def postlie_search(l: HomAlgebra, combo_bound: int,
     each returned as a fully certified Hom-post-Lie algebra: the box over
     the kernel basis, with the twisted left-symmetry law as its quadratic step."""
     basis = _kernel_basis(l, combo_bound, max_candidates)
-    n, bracket = l.dim, l.op("bracket")
+    n, bracket, digest = l.dim, l.op("bracket"), l.digest()
 
     def build(coeffs, report):
         out = HomAlgebra(n, "hom-postlie", {"bracket": bracket,
                                             "mul": _combination(n, basis, coeffs)}, l.alpha)
-        prov = ("postlie-search", (("bound", combo_bound), ("coeffs", coeffs)), (l.digest(),))
+        prov = ("postlie-search", (("bound", combo_bound), ("coeffs", coeffs)), (digest,))
         return FunctorResult(out, report, prov)
 
     return _box_search([_postlie_law(TWISTED_LEFT_SYMMETRY)], _declare_identities()["hom-postlie"],
-                       {"bracket": bracket, "alpha": l.alpha, "mul": Tensor3.zeros(n)},
-                       "mul", basis, combo_bound, build)
+                       postlie_env(l, Tensor3.zeros(n)), "mul", basis, combo_bound, build)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +274,9 @@ def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
     is certified."""
     if m.algebra != a:
         raise InputError("the module is not over the given algebra")
-    if m.kind not in OOP_LAWS:
-        raise InputError(f"O-operators are not defined for module kind {m.kind!r}")
+    laws, env = _oop_laws(m)
     _require_box("operator", a.dim * m.mdim, entry_bound, max_candidates)
-    laws = _declare_identities()
-    oop = laws["oop-twist-compat"] + laws[OOP_LAWS[m.kind]]
-    return _box_search(oop, oop, {**_module_env(m), "T": Matrix.zeros(a.dim, m.mdim)}, "T",
+    return _box_search(laws, laws, {**env, "T": Matrix.zeros(a.dim, m.mdim)}, "T",
                        unit_basis((a.dim, m.mdim)), entry_bound,
                        lambda flat, _: _matrix(flat, m.mdim))
 
@@ -298,15 +289,11 @@ def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
 
     The enumerator solves the linear ``commutes-with-twist`` rows and the
     quadratic ``rota-baxter`` law, and each point it finds is certified."""
-    mul = a.single_op()  # like a malformed weight, raises InputError before the box is counted
-    weight = rat(weight)
+    laws, env = _rota_baxter_laws(a, weight)  # InputError before the box is counted
     n = a.dim
     _require_box("operator", n * n, entry_bound, max_candidates)
-    laws = _declare_identities()
-    rb = laws["rota-baxter"] + laws["commutes-with-twist"]
-    return _box_search(rb, rb,
-                       {"mul": mul, "weight": weight, "alpha": a.alpha, "r": Matrix.zeros(n, n)},
-                       "r", unit_basis((n, n)), entry_bound, lambda flat, _: _matrix(flat, n))
+    return _box_search(laws, laws, {**env, "r": Matrix.zeros(n, n)}, "r", unit_basis((n, n)),
+                       entry_bound, lambda flat, _: _matrix(flat, n))
 
 
 def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int = 1,
@@ -329,9 +316,9 @@ def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int
     _require_box("coproduct", n ** 3, entry_bound, max_candidates)
     # the rows are over the n^2 x n coproduct map, whose cell (r, i) is
     # delta's flat position i*n^2+r: the transposed n x n^2 units walk delta
-    laws = _declare_identities()["epsilon-coproduct"]
-    return _box_search(laws, laws, {"mul": mul, "alpha": alpha, "Delta": Matrix.zeros(n * n, n)},
-                       "Delta", [u.transpose() for u in unit_basis((n, n * n))], entry_bound,
+    laws, env = _epsilon_delta_laws(probe)
+    return _box_search(laws, laws, env, "Delta", [u.transpose() for u in unit_basis((n, n * n))],
+                       entry_bound,
                        lambda flat, _: EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha))
 
 
@@ -563,12 +550,12 @@ def _generate(spec: RandomInstanceSpec) -> HomAlgebra:
             raise UnsupportedError(f"no hom-lie seed at dim {spec.dim}")
         lie = lie_entries[rng.randrange(len(lie_entries))].algebra
         space = postlie_candidate_space(lie)
-        product = Tensor3.zeros(spec.dim)
+        product, law = Tensor3.zeros(spec.dim), _postlie_law(TWISTED_LEFT_SYMMETRY)
         with certification_scope():
             for _ in range(40):
                 cand = _combination(spec.dim, space.basis,
                                     [rng.randint(-1, 1) for _ in space.basis])
-                if check_identity(_postlie_spec(lie, cand, TWISTED_LEFT_SYMMETRY)).passed:
+                if certify([law], postlie_env(lie, cand))[0].passed:
                     product = cand
                     break
         out = HomAlgebra(spec.dim, "hom-postlie",
