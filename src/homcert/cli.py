@@ -132,7 +132,7 @@ FUNCTORS = {
     "ldend-transpose": Entry(_ALG, {}, lambda a: functors.ldend_transpose(a)),
     "ldend-semidirect": Entry(_MOD, {}, lambda m: functors.ldend_semidirect(m)),
     "prelie-module-split": Entry(_ALG, _MODE, lambda a, mode: FunctorResult(
-        *functors.prelie_module_split(a, mode)[1:], ())),
+        *functors.prelie_module_split(a, mode)[1:])),
 }
 
 CHECKS = {
@@ -231,11 +231,12 @@ def cmd_derive(args) -> int:
     inputs, params = _bind(name, entry, args.inputs, args, DERIVE_FLAGS)
     output, cert = _CERTIFY[entry.returns](entry.run(*inputs, **params))
     if args.out:
-        provenance = {"functor": name,
-                      "params": {k: str(v) for k, v in sorted(params.items())},
-                      "inputs": [_input_digest(x) for x in inputs]}
         to_doc = docs.module_to_doc if isinstance(output, HomModule) else docs.algebra_to_doc
-        docs.save_json(args.out, to_doc(output, provenance=provenance))
+        doc = to_doc(output)
+        doc["provenance"] = {"functor": name,
+                             "params": {k: str(v) for k, v in sorted(params.items())},
+                             "inputs": [_input_digest(x) for x in inputs]}
+        docs.save_json(args.out, doc)
         docs.save_json(args.out + ".cert.json", report_to_doc(cert))
     render_report(cert)
     return EXIT_PASS if cert.passed else EXIT_FAIL
@@ -249,11 +250,11 @@ def cmd_search_postlie(args) -> int:
     with certification_scope():  # the summary and the search share one candidate space
         space = postlie_candidate_space(lie)
         survivors = postlie_search(lie, args.bound)
-    bound = args.bound
+    bound, digest = args.bound, lie.digest()
     tested = (2 * bound + 1) ** len(space.basis)
     summary = {
         "schema_version": docs.SCHEMA_VERSION,
-        "input_digest": lie.digest(),
+        "input_digest": digest,
         "bound": bound,
         "ambient_dim": space.ambient_dim,
         "linear_rank": space.rank,
@@ -264,12 +265,12 @@ def cmd_search_postlie(args) -> int:
     if args.out:
         docs.make_dir(args.out)
         for idx, result in enumerate(survivors):
-            prov = {"functor": "search-postlie",
-                    "params": {"bound": str(bound),
-                               "coeffs": ",".join(map(str, result.provenance[1][1][1]))},
-                    "inputs": [lie.digest()]}
-            docs.save_json(os.path.join(args.out, f"survivor_{idx:04d}.json"),
-                           docs.algebra_to_doc(result.output, provenance=prov))
+            doc = docs.algebra_to_doc(result.output)
+            doc["provenance"] = {"functor": "search-postlie",
+                                 "params": {"bound": str(bound),
+                                            "coeffs": ",".join(map(str, result.coeffs))},
+                                 "inputs": [digest]}
+            docs.save_json(os.path.join(args.out, f"survivor_{idx:04d}.json"), doc)
         docs.save_json(os.path.join(args.out, "summary.json"), summary)
     print(f"nullspace dimension: {summary['nullspace_dim']} "
           f"(rank {summary['linear_rank']} of {summary['ambient_dim']})")

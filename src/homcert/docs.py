@@ -50,16 +50,13 @@ def _tensor_from_lists(nested, what="tensor") -> Tensor3:
         raise InputError(f"bad {what}: {exc}") from exc
 
 
-def algebra_to_doc(a: HomAlgebra, delta: Optional[Tensor3] = None,
-                   provenance: Optional[dict] = None) -> dict:
+def algebra_to_doc(a: HomAlgebra, delta: Optional[Tensor3] = None) -> dict:
     doc = {"schema_version": SCHEMA_VERSION, "kind": a.kind, "dim": a.dim}
     doc["alpha"] = _matrix_to_lists(a.alpha)
     names = KIND_OPS[a.kind] or tuple(sorted(a.ops))
     doc["ops"] = {name: _tensor_to_lists(a.ops[name]) for name in names}
     if delta is not None:
         doc["delta"] = _tensor_to_lists(delta)
-    if provenance is not None:
-        doc["provenance"] = provenance
     return doc
 
 
@@ -89,8 +86,7 @@ def bialgebra_over(a: HomAlgebra, doc: dict) -> EpsilonHomBialgebra:
     return EpsilonHomBialgebra(a.dim, a.single_op(), delta, a.alpha)
 
 
-def module_to_doc(m: HomModule, algebra_ref: Optional[str] = None,
-                  provenance: Optional[dict] = None) -> dict:
+def module_to_doc(m: HomModule, algebra_ref: Optional[str] = None) -> dict:
     doc = {"schema_version": SCHEMA_VERSION, "kind": m.kind}
     doc["algebra"] = algebra_ref if algebra_ref else algebra_to_doc(m.algebra)
     doc["mdim"] = m.mdim
@@ -98,8 +94,6 @@ def module_to_doc(m: HomModule, algebra_ref: Optional[str] = None,
     names = MODULE_KINDS[m.kind][1]
     doc["actions"] = {name: [_matrix_to_lists(mat) for mat in m.actions[name]]
                       for name in names}
-    if provenance is not None:
-        doc["provenance"] = provenance
     return doc
 
 
@@ -129,12 +123,9 @@ def module_from_doc(doc: dict, base_dir: str = ".") -> HomModule:
     return HomModule(algebra, mdim, beta, actions, kind)
 
 
-def operator_to_doc(m: Matrix, provenance: Optional[dict] = None) -> dict:
-    doc = {"schema_version": SCHEMA_VERSION, "kind": "operator",
-           "rows": m.rows, "cols": m.cols, "entries": _matrix_to_lists(m)}
-    if provenance is not None:
-        doc["provenance"] = provenance
-    return doc
+def operator_to_doc(m: Matrix) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "kind": "operator",
+            "rows": m.rows, "cols": m.cols, "entries": _matrix_to_lists(m)}
 
 
 def operator_from_doc(doc: dict) -> Matrix:

@@ -1,7 +1,8 @@
 """Algebra-to-algebra constructions, always construct-then-certify.
 
 No theorem is trusted: every output is re-checked against its target axiom
-system and the certification report travels with the result.  A failing
+system and the certification report travels with the result (provenance
+does not: the CLI writes it into the documents it saves).  A failing
 report is a counterexample, not an error; preconditions on inputs, by
 contrast, are hard errors.
 
@@ -12,7 +13,6 @@ is over from ``HomModule.algebra``; it checks only the module kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import InputError, PreconditionError
 from .exactlin import ZERO, Matrix, Tensor3, block_diag, rat
@@ -24,21 +24,18 @@ from .hommod import (HomModule, check_module_axioms, check_oop,
 
 @dataclass(frozen=True)
 class FunctorResult:
-    """A constructed structure, its certification, and enough provenance to
-    replay the construction bit-identically."""
+    """A constructed structure and its certification."""
 
     output: object
     cert: CertReport
-    provenance: tuple
 
     @property
     def passed(self) -> bool:
         return self.cert.passed
 
 
-def _result(name: str, output: HomAlgebra, inputs: Sequence[str], **params) -> FunctorResult:
-    prov = (name, tuple(sorted(params.items())), tuple(inputs))
-    return FunctorResult(output, check_axioms(output), prov)
+def _result(output: HomAlgebra) -> FunctorResult:
+    return FunctorResult(output, check_axioms(output))
 
 
 def commutator_tensor(t: Tensor3) -> Tensor3:
@@ -52,7 +49,7 @@ def commutator_lie(a: HomAlgebra) -> FunctorResult:
     require_certified(a)
     out = HomAlgebra(a.dim, "hom-lie",
                      {"bracket": commutator_tensor(a.op("mul"))}, a.alpha)
-    return _result("commutator-lie", out, [a.digest()])
+    return _result(out)
 
 
 def prelie_to_lie(a: HomAlgebra) -> FunctorResult:
@@ -62,7 +59,7 @@ def prelie_to_lie(a: HomAlgebra) -> FunctorResult:
     require_certified(a)
     out = HomAlgebra(a.dim, "hom-lie",
                      {"bracket": commutator_tensor(a.op("mul"))}, a.alpha)
-    return _result("prelie-to-lie", out, [a.digest()])
+    return _result(out)
 
 
 def novikov_to_postlie(a: HomAlgebra) -> FunctorResult:
@@ -76,7 +73,7 @@ def novikov_to_postlie(a: HomAlgebra) -> FunctorResult:
     out = HomAlgebra(a.dim, "hom-postlie",
                      {"bracket": commutator_tensor(a.op("mul")), "mul": a.op("mul")},
                      a.alpha)
-    return _result("novikov-to-postlie", out, [a.digest()])
+    return _result(out)
 
 
 def scale(l: HomAlgebra, k) -> FunctorResult:
@@ -89,7 +86,7 @@ def scale(l: HomAlgebra, k) -> FunctorResult:
     require_certified(l)
     out = HomAlgebra(l.dim, "hom-postlie",
                      {name: t.scale(k) for name, t in l.ops.items()}, l.alpha)
-    return _result("scale", out, [l.digest()], k=str(k))
+    return _result(out)
 
 
 def rb_dendriform(a: HomAlgebra, r: Matrix, weight=0) -> FunctorResult:
@@ -108,7 +105,7 @@ def rb_dendriform(a: HomAlgebra, r: Matrix, weight=0) -> FunctorResult:
     left = mul.precompose(Matrix.identity(a.dim), r) - mul
     right = mul.precompose(r, Matrix.identity(a.dim)) + mul
     out = HomAlgebra(a.dim, "hom-dendriform", {"left": left, "right": right}, a.alpha)
-    return _result("rb-dendriform", out, [a.digest()], weight=str(rat(weight)))
+    return _result(out)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +155,7 @@ def oop_lie_to_prelie(rho: HomModule, t: Matrix) -> FunctorResult:
     _require_oop(t, rho)
     mul = _oop_product(rho, t, "rho")
     out = HomAlgebra(rho.mdim, "hom-prelie", {"mul": mul}, rho.beta)
-    return _result("oop-lie-to-prelie", out, [rho.algebra.digest(), rho.digest()])
+    return _result(out)
 
 
 def oop_assoc_to_dendriform(m: HomModule, t: Matrix) -> FunctorResult:
@@ -168,7 +165,7 @@ def oop_assoc_to_dendriform(m: HomModule, t: Matrix) -> FunctorResult:
     _require_oop(t, m)
     left, right = _oop_product(m, t, "r").swap_arguments(), _oop_product(m, t, "l")
     out = HomAlgebra(m.mdim, "hom-dendriform", {"left": left, "right": right}, m.beta)
-    return _result("oop-assoc-to-dendriform", out, [m.algebra.digest(), m.digest()])
+    return _result(out)
 
 
 def oop_assoc_to_prelie(m: HomModule, t: Matrix) -> FunctorResult:
@@ -178,7 +175,7 @@ def oop_assoc_to_prelie(m: HomModule, t: Matrix) -> FunctorResult:
     _require_oop(t, m)
     mul = _oop_product(m, t, "l") - _oop_product(m, t, "r")
     out = HomAlgebra(m.mdim, "hom-prelie", {"mul": mul}, m.beta)
-    return _result("oop-assoc-to-prelie", out, [m.algebra.digest(), m.digest()])
+    return _result(out)
 
 
 def oop_assoc_to_ldendriform(m: HomModule, t: Matrix) -> FunctorResult:
@@ -188,7 +185,7 @@ def oop_assoc_to_ldendriform(m: HomModule, t: Matrix) -> FunctorResult:
     _require_oop(t, m)
     tleft, tright = _oop_product(m, t, "r").swap_arguments(), _oop_product(m, t, "l")
     out = HomAlgebra(m.mdim, "hom-l-dendriform", {"tleft": tleft, "tright": tright}, m.beta)
-    return _result("oop-assoc-to-ldendriform", out, [m.algebra.digest(), m.digest()])
+    return _result(out)
 
 
 @dataclass(frozen=True)
@@ -229,11 +226,9 @@ def oop_prelie_to_dendriform(m: HomModule, t: Matrix) -> DualCertResult:
     _require_oop(t, m)
     d = m.mdim
     tleft, tright = _oop_product(m, t, "l"), -_oop_product(m, t, "r")
-    inputs = [m.algebra.digest(), m.digest()]
     dend = HomAlgebra(d, "hom-dendriform", {"left": tleft, "right": tright}, m.beta)
     ldend = HomAlgebra(d, "hom-l-dendriform", {"tleft": tleft, "tright": tright}, m.beta)
-    return DualCertResult(_result("oop-prelie-to-dendriform", dend, inputs),
-                          _result("oop-prelie-to-l-dendriform", ldend, inputs))
+    return DualCertResult(_result(dend), _result(ldend))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +253,7 @@ def ldend_to_prelie(a: HomAlgebra, mode: str = "horizontal") -> FunctorResult:
     require_certified(a)
     mul = horizontal_tensor(a) if mode == "horizontal" else vertical_tensor(a)
     out = HomAlgebra(a.dim, "hom-prelie", {"mul": mul}, a.alpha)
-    return _result("ldend-to-prelie", out, [a.digest()], mode=mode)
+    return _result(out)
 
 
 @dataclass(frozen=True)
@@ -289,10 +284,7 @@ def ldend_brackets(a: HomAlgebra) -> BracketsResult:
     ver = commutator_tensor(vertical_tensor(a))
     out_h = HomAlgebra(a.dim, "hom-lie", {"bracket": hor}, a.alpha)
     out_v = HomAlgebra(a.dim, "hom-lie", {"bracket": ver}, a.alpha)
-    inputs = [a.digest()]
-    return BracketsResult(_result("ldend-bracket-horizontal", out_h, inputs),
-                          _result("ldend-bracket-vertical", out_v, inputs),
-                          hor == ver)
+    return BracketsResult(_result(out_h), _result(out_v), hor == ver)
 
 
 def ldend_transpose(a: HomAlgebra) -> FunctorResult:
@@ -304,7 +296,7 @@ def ldend_transpose(a: HomAlgebra) -> FunctorResult:
     out = HomAlgebra(a.dim, "hom-l-dendriform",
                      {"tleft": -a.op("tleft").swap_arguments(), "tright": a.op("tright")},
                      a.alpha)
-    return _result("ldend-transpose", out, [a.digest()])
+    return _result(out)
 
 
 def ldend_semidirect(m: HomModule) -> FunctorResult:
@@ -340,7 +332,7 @@ def ldend_semidirect(m: HomModule) -> FunctorResult:
                      {"tleft": build(a.op("tleft"), "lt", "rt"),
                       "tright": build(a.op("tright"), "lr", "rr")},
                      block_diag(a.alpha, m.beta))
-    return _result("ldend-semidirect", out, [a.digest(), m.digest()])
+    return _result(out)
 
 
 def prelie_module_split(a: HomAlgebra, mode: str = "horizontal"
@@ -375,4 +367,4 @@ def reassemble_ldendriform(module: HomModule) -> FunctorResult:
     out = HomAlgebra(algebra.dim, "hom-l-dendriform",
                      {"tleft": module.tensors["r"].swap_arguments(),
                       "tright": module.tensors["l"]}, algebra.alpha)
-    return _result("reassemble-ldendriform", out, [algebra.digest(), module.digest()])
+    return _result(out)

@@ -136,19 +136,25 @@ def _combination(n: int, basis: Sequence[Tensor3], coeffs) -> Tensor3:
     return Tensor3(n, n, n, flat)
 
 
+@dataclass(frozen=True)
+class PostLieSurvivor(FunctorResult):
+    """A certified post-Lie survivor and its coefficients over the kernel basis."""
+
+    coeffs: tuple[int, ...]
+
+
 def postlie_search(l: HomAlgebra, combo_bound: int,
-                   max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> list[FunctorResult]:
+                   max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> list[PostLieSurvivor]:
     """Every bounded-box candidate product satisfying both defining identities,
     each returned as a fully certified Hom-post-Lie algebra: the box over
     the kernel basis, with the twisted left-symmetry law as its quadratic step."""
     basis = _kernel_basis(l, combo_bound, max_candidates)
-    n, bracket, digest = l.dim, l.op("bracket"), l.digest()
+    n, bracket = l.dim, l.op("bracket")
 
     def build(coeffs, report):
         out = HomAlgebra(n, "hom-postlie", {"bracket": bracket,
                                             "mul": _combination(n, basis, coeffs)}, l.alpha)
-        prov = ("postlie-search", (("bound", combo_bound), ("coeffs", coeffs)), (digest,))
-        return FunctorResult(out, report, prov)
+        return PostLieSurvivor(out, report, coeffs)
 
     return _box_search([_postlie_law(TWISTED_LEFT_SYMMETRY)], _declare_identities()["hom-postlie"],
                        postlie_env(l, Tensor3.zeros(n)), "mul", basis, combo_bound, build)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from homcert import cli, docs, harness, search
 from homcert.cli import main
 from homcert.exactlin import Matrix, Tensor3
-from homcert.homcore import KIND_OPS, HomAlgebra, yau_twist
+from homcert.homcore import KIND_OPS, HomAlgebra, check_axioms, yau_twist
 from homcert.hommod import MODULE_KINDS, HomModule, adjoint_postlie_module
 from homcert.functors import adjoint_bimodule
 from homcert.search import sc_tensor
@@ -329,6 +329,24 @@ def test_search_postlie_command(workdir, affine_lie):
     assert len(files) == 23  # survivors + summary
     # survivors certify standalone
     assert main(["check", "found/survivor_0000.json"]) == 0
+
+
+def test_search_postlie_survivor_documents_carry_their_coefficients(workdir, affine_lie):
+    path = write_algebra("lie.json", affine_lie)
+    assert main(["search-postlie", path, "--bound", "1", "--out", "found"]) == 0
+    expected = [(coeffs, mul) for coeffs, mul in search.iter_postlie_candidates(affine_lie, 1)
+                if check_axioms(HomAlgebra(2, "hom-postlie", {"bracket": affine_lie.op("bracket"),
+                                                              "mul": mul}, affine_lie.alpha)).passed]
+    assert len(expected) == 22
+    for idx, (coeffs, mul) in enumerate(expected):
+        doc = docs.load_json(f"found/survivor_{idx:04d}.json")
+        assert list(doc)[-1] == "provenance"
+        assert doc["provenance"] == {"functor": "search-postlie",
+                                     "params": {"bound": "1",
+                                                "coeffs": ",".join(map(str, coeffs))},
+                                     "inputs": [affine_lie.digest()]}
+        assert docs.algebra_from_doc(doc).op("mul") == mul
+    assert not os.path.exists(f"found/survivor_{len(expected):04d}.json")
 
 
 def test_search_postlie_solves_the_linear_system_once(workdir, affine_lie, monkeypatch):

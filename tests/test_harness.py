@@ -106,7 +106,7 @@ def test_search_consistency_catches_an_extra_box_point(monkeypatch, name):
         mul = next(m for _, m in search.iter_postlie_candidates(lie, bound) if m not in kept)
         extra = HomAlgebra(lie.dim, "hom-postlie", {"bracket": lie.op("bracket"), "mul": mul},
                            lie.alpha)
-        return found + [FunctorResult(extra, homcore.check_axioms(extra), ())]
+        return found + [FunctorResult(extra, homcore.check_axioms(extra))]
 
     monkeypatch.setattr(harness, "postlie_search", with_extra)
     assert not harness._eval_search_consistency(_search_item(name)).ok

@@ -301,7 +301,7 @@ def test_postlie_search_equals_certified_candidate_walk(entries):
                 if check_axioms(HomAlgebra(2, "hom-postlie", {"bracket": lie.op("bracket"),
                                                               "mul": mul}, lie.alpha)).passed]
     found = postlie_search(lie, 1)
-    assert [(dict(r.provenance[1])["coeffs"], r.output.op("mul")) for r in found] == expected
+    assert [(r.coeffs, r.output.op("mul")) for r in found] == expected
 
 
 # Random dim-1/2 inputs from every generator that yields them: the (kind,
