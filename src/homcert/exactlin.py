@@ -92,7 +92,10 @@ def rat_str(q) -> str:
 
 
 def exact_div(a, b):
-    """Exact division of rationals, normalized back to int when integral."""
+    """Exact division of rationals, normalized back to int when integral;
+    two ints divide as ints."""
+    if type(a) is int and type(b) is int:
+        return a // b if a % b == 0 else Fraction(a, b)
     return rat(Fraction(a) / Fraction(b))
 
 

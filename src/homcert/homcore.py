@@ -166,9 +166,10 @@ class CertReport:
 # interpreter an integral value may be a Fraction; a side that leaves it (a
 # witness, or a dense side of Identity.__call__) is canonical, as stored
 # rationals are: an int exactly when integral.  A law one of whose annihilators
-# (see Law) is bound to zero passes in check_identity without a walk.  Each law
-# declares its bound names' shapes over named spaces (Law.signature), and
-# _sizes gives every space one dim from a binding's shapes.
+# (see Law) is bound to zero vanishes (Identity.vanishes): without a walk, it
+# passes in check_identity and gives zero rows in linear_rows and
+# quadratic_rows.  Each law declares its bound names' shapes over named spaces
+# (Law.signature), and _sizes gives every space one dim from a binding's shapes.
 
 class Term:
     """("var", index) for a variable (index -1 is the law's last variable),
@@ -477,6 +478,13 @@ class Identity:
             self.measured = _sizes(self.law, tuple([self.env[n].dims for n in self.law.shaped]))
         return self.measured
 
+    def vanishes(self) -> bool:
+        """Whether one of the law's annihilators is bound to zero (in every
+        lane), so both sides vanish at every tuple; InputError on a misfit
+        first, as sizes() reads it, so a zero annihilator never passes one."""
+        self.sizes()
+        return any(self.env[name].is_zero() for name in self.law.annihilators)
+
     def bind(self):
         """(tables, dims, m): lookup tables for the bound names, held in the
         scope, and the length of each variable and of both sides (_sizes)."""
@@ -650,6 +658,23 @@ def _combined(base, basis: Sequence, coefficients: Sequence):
     return out
 
 
+def _residuals(laws: Sequence[Law], env: Mapping) -> list:
+    """lhs - rhs of each law bound to env at every basis tuple, in law,
+    lexicographic tuple and coordinate order, in the active scope or one
+    opened for the call: a law that vanishes (Identity.vanishes) gives its
+    zeros without a walk."""
+    out = []
+    with certification_scope():
+        for law in laws:
+            ident = Identity(law, env)
+            if ident.vanishes():
+                dims, m, _ = ident.sizes()
+                out += [ZERO] * (math.prod(dims) * m)
+            else:
+                out += [r for _, lhs, rhs in ident.basis_sides() for r in vec_sub(lhs, rhs)]
+    return out
+
+
 def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, basis: Sequence) -> Matrix:
     """The residuals of ``laws`` over ``basis``: column c holds lhs - rhs of
     every law at every basis tuple, in law, lexicographic tuple and coordinate
@@ -658,15 +683,13 @@ def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, basis: Sequence
     the kernel is the set of unknowns on which the laws hold, written
     row-major; for other laws it is no more than the residual at basis[c].
     One walk reads every column: the unknown is bound once as _Lanes, lane c
-    holding basis[c], and column c is lane c."""
+    holding basis[c], and column c is lane c.  A law with an annihilator
+    bound to zero gives its zero rows without a walk."""
     d = len(basis)
     if not d:
         return Matrix.zeros(0, 0)
     units = [_Lanes(tuple(int(i == c) for c in range(d))) for i in range(d)]
-    env = {**env, unknown: _combined(None, basis, units)}
-    with certification_scope():
-        residuals = [r for law in laws for _, lhs, rhs in Identity(law, env).basis_sides()
-                     for r in vec_sub(lhs, rhs)]
+    residuals = _residuals(laws, {**env, unknown: _combined(None, basis, units)})
     return Matrix._exact((r.values if type(r) is _Lanes else (r,) * d for r in residuals), d)
 
 
@@ -682,17 +705,15 @@ def quadratic_rows(laws: Sequence[Law], env: Mapping, unknown: str,
     returned as (const, linear, quadratic), dicts keeping nonzero entries,
     each an int exactly when integral.  One walk of the laws reads them,
     with the unknown's entries polynomials in c (_combined over the
-    monomials c_i) and its shape checked by _sizes.  InputError for a law
-    of higher degree: its forms are not exact."""
+    monomials c_i) and its shape checked by _sizes; a law with an
+    annihilator bound to zero gives its zero rows without a walk.
+    InputError for a law of higher degree: its forms are not exact."""
     for law in laws:
         if law.degrees.get(unknown, 0) > 2:
             raise InputError(f"law {law.name!r} has degree above 2 in {unknown!r}")
     products, keys = _monomials(len(basis))
     monomials = [_Poly({1 + i: 1}, 1, products) for i in range(len(basis))]
-    env = {**env, unknown: _combined(env[unknown], basis, monomials)}
-    with certification_scope():
-        residuals = [d for law in laws for _, lhs, rhs in Identity(law, env).basis_sides()
-                     for d in vec_sub(lhs, rhs)]
+    residuals = _residuals(laws, {**env, unknown: _combined(env[unknown], basis, monomials)})
     rows = []
     for residual in residuals:
         const, linear, quadratic = ZERO, {}, {}
@@ -729,13 +750,8 @@ def _verdicts(ident: Identity, lanes: int = 1) -> list:
     key = lanes, [_canonical(env[name]) for name in law.names]
     held = ident.results.get(law)
     if held is None or held[0] != key:
-        ident.sizes()  # InputError on a misfit, before a zero annihilator could pass it
-        for name in law.annihilators:
-            if env[name].is_zero():  # both sides vanish at every tuple, in every lane
-                verdicts = [(True, None)] * lanes
-                break
-        else:
-            verdicts = _first_failures(ident.basis_sides(), lanes)
+        verdicts = ([(True, None)] * lanes if ident.vanishes()
+                    else _first_failures(ident.basis_sides(), lanes))
         held = ident.results[law] = key, verdicts
     return held[1]
 
@@ -1080,15 +1096,21 @@ def check_on_box(laws: Sequence[Law], env: Mapping, unknown: str, basis: Sequenc
     """The report of ``laws`` (one row each, check_identity's) at each point
     c, in input order, lazily: env binds every name the laws read, with
     env[unknown] + sum_i c_i basis[i] bound to ``unknown``.  The points go in
-    batches of _BATCH_WIDTH, each binding ``unknown`` once and walking each law once."""
-    points = iter(points)
+    batches of _BATCH_WIDTH, each binding ``unknown`` once and walking each law
+    once (a vanishing law not at all).  Every point whose rows all pass gets
+    one shared report, and a failing point builds only its failing rows: the
+    reports are immutable, and equal to fresh ones."""
+    points, passing = iter(points), [AxiomResult(law.name, True) for law in laws]
+    all_pass = CertReport(True, tuple(passing))
     while batch := list(itertools.islice(points, _BATCH_WIDTH)):
         bound = {**env, unknown: _combined(env[unknown], basis, list(map(_Lanes, zip(*batch))))}
         with certification_scope():  # left before yielding: no scope outlives a batch
             rows = [_verdicts(Identity(law, bound), len(batch)) for law in laws]
-        yield from (CertReport.from_results([AxiomResult(law.name, *row[lane])
-                                             for law, row in zip(laws, rows)])
-                    for lane in range(len(batch)))
+        for lane in range(len(batch)):
+            verdicts = [row[lane] for row in rows]
+            yield all_pass if all(ok for ok, _ in verdicts) else CertReport.from_results(
+                [result if ok else AxiomResult(result.name, ok, witness)
+                 for result, (ok, witness) in zip(passing, verdicts)])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ O-operator or Hom-coassociativity law) are kept as they are.  One
 enumerator, ``kernel_points``, takes both, and whatever survives is
 certified in full by ``homcore.check_on_box``, the one box certifier (the
 search-consistency oracle's too): one law walk per batch of 64 survivors,
-over the rows and binding each search reads from its plain certifier.
+over the rows and binding each search reads from its plain certifier, and
+one shared immutable report for every survivor whose rows all pass.  A law
+with an annihilator bound to zero (a zero product, bracket or twist) gives
+its zero rows, and passes, without a walk.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homcert import exactlin
@@ -119,6 +119,30 @@ def test_exact_div():
     assert exact_div(4, 2) == 2
     assert exact_div(1, 3) == Fraction(1, 3)
     assert exact_div(Fraction(1, 2), Fraction(1, 4)) == 2
+
+
+def _quotient(div, a, b):
+    """(type, value) of div(a, b), or ZeroDivisionError's type."""
+    try:
+        q = div(a, b)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return type(q), q
+
+
+operands = st.integers(-60, 60) | st.fractions(-60, 60, max_denominator=12)
+
+
+@given(operands, operands)
+@example(0, -3)
+@example(-7, -2)
+@example(5, 0)
+@example(Fraction(1, 2), 0)
+def test_exact_div_agrees_with_fraction_division(a, b):
+    # ints divide as ints, any other pair through Fraction: same value and type
+    # (zero numerators, negative divisors and b == 0 included)
+    assert _quotient(exact_div, a, b) == _quotient(
+        lambda a, b: rat(Fraction(a) / Fraction(b)), a, b)
 
 
 def test_mat_mul_identity():

@@ -11,9 +11,10 @@ from fractions import Fraction
 import pytest
 
 from homcert import functors, harness, homcore, hommod, search
+from homcert.errors import InputError
 from homcert.exactlin import Matrix, Tensor3
 from homcert.homcore import (PREDICATES, HomAlgebra, _declare_identities, certification_scope,
-                             check_axioms, check_on_box, check_predicate)
+                             check_axioms, check_on_box, check_predicate, check_rota_baxter)
 from homcert.hommod import check_module_axioms
 
 from conftest import box_algebra, catalog_algebra
@@ -231,17 +232,87 @@ def test_vanishing_rows_pass_the_full_walk(monkeypatch, quick_properties):
     assert len(set(vanished)) >= 10
 
 
-def test_abelian_search_never_walks_bracket_compatibility(evaluations, monkeypatch):
+POSTLIE_LAWS = {"postlie-bracket-compatibility", "postlie-twisted-left-symmetry"}
+
+
+def test_abelian_search_never_walks_bracket_compatibility(evaluations):
     """With a zero bracket, postlie-bracket-compatibility holds for every
-    candidate product without a walk, while the other laws are walked.  The
-    linear step, which needs the law's residual values, is computed first."""
-    abelian = catalog_algebra("hom-lie", "abelian-2")
-    system = search.postlie_linear_system(abelian)
-    monkeypatch.setattr(search, "postlie_linear_system", lambda lie: system)
+    candidate product, and gives its zero linear rows, without a walk.  At
+    bound 0 the only candidate is the zero product, which annihilates
+    postlie-twisted-left-symmetry too: neither law is walked."""
     evaluations.clear()
-    assert harness._eval_search_consistency(("abelian-2", abelian, 0)).ok
-    assert "postlie-bracket-compatibility" not in evaluations
-    assert "postlie-twisted-left-symmetry" in evaluations
+    assert harness._eval_search_consistency(
+        ("abelian-2", catalog_algebra("hom-lie", "abelian-2"), 0)).ok
+    assert POSTLIE_LAWS.isdisjoint(evaluations)
+
+
+def test_abelian_search_at_bound_1_walks_only_twisted_left_symmetry(evaluations):
+    """Past the zero product, postlie-twisted-left-symmetry is walked, and
+    postlie-bracket-compatibility still is not."""
+    evaluations.clear()
+    assert harness._eval_search_consistency(
+        ("abelian-2", catalog_algebra("hom-lie", "abelian-2"), 1)).ok
+    assert POSTLIE_LAWS.intersection(evaluations) == {"postlie-twisted-left-symmetry"}
+
+
+@pytest.mark.parametrize("builder, zero", [(homcore.linear_rows, (0,) * 4),
+                                           (homcore.quadratic_rows, (0, {}, {}))])
+def test_form_builders_give_a_vanishing_law_the_rows_of_its_walk(evaluations, monkeypatch,
+                                                                 builder, zero):
+    """Over a zero product rota-baxter vanishes: between two walked
+    commutes-with-twist laws it gets, without a walk, the rows a walk of
+    every law gives, zero, as many and in the same order."""
+    laws = _declare_identities()
+    twist, = laws["commutes-with-twist"]
+    env = {"mul": Tensor3.zeros(2), "weight": 1, "alpha": Matrix([[1, 2], [0, -1]]),
+           "r": Matrix([[0, 1], [1, 0]])}
+    chain, basis = [twist, *laws["rota-baxter"], twist], homcore.unit_basis((2, 2))
+    evaluations.clear()
+    rows = builder(chain, env, "r", basis)
+    assert evaluations == ["commutes-with-twist"] * 2
+    monkeypatch.setattr(homcore.Identity, "vanishes", lambda self: False)
+    same(rows, builder(chain, env, "r", basis))
+    assert evaluations[2:] == [law.name for law in chain]
+    # commutes-with-twist has 4 rows (x, coordinate), rota-baxter 8 (x, y, coordinate)
+    rows = list(getattr(rows, "data", rows))
+    assert len(rows) == 16 and rows[4:12] == [zero] * 8
+
+
+@pytest.mark.parametrize("builder", [homcore.linear_rows, homcore.quadratic_rows])
+def test_form_builders_refuse_an_operator_of_another_size_before_its_annihilator(builder):
+    # a 3 x 3 operator over a zero dim-2 product: the law would vanish
+    for r in (Matrix.zeros(3, 3), Matrix.identity(3)):
+        with pytest.raises(InputError, match=r"'mul' of shape \(2, 2, 2\) .* 'r' of shape"):
+            builder(_declare_identities()["rota-baxter"],
+                    {"mul": Tensor3.zeros(2), "r": r, "weight": 0}, "r",
+                    homcore.unit_basis((3, 3)))
+
+
+def test_passing_points_share_one_report():
+    """check_on_box gives every passing point one report, and a failing
+    point that report's passing rows beside its own failing one."""
+    a = HomAlgebra(2, "hom-associative", {"mul": Tensor3.zeros(2)}, Matrix([[1, 0], [0, 2]]))
+    laws, env = homcore._rota_baxter_laws(a, 0)
+    points = [(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 0, 0), (2, 0, 0, -1)]
+    reports = list(check_on_box(laws, {**env, "r": Matrix.zeros(2, 2)}, "r",
+                                homcore.unit_basis((2, 2)), points))
+    for report, c in zip(reports, points):
+        same(report, check_rota_baxter(a, Matrix([c[:2], c[2:]]), 0))
+    shared, _, failing, _ = reports
+    assert reports[1] is reports[3] is shared and not failing.passed
+    assert failing.axioms[0] is shared.axioms[0]  # rota-baxter, which vanishes
+
+
+def test_rb_search_over_a_zero_product_never_walks_its_law(evaluations):
+    """Over a zero product neither the quadratic step nor the certifier walks
+    rota-baxter; the operators are those of a certified walk of the box."""
+    a = HomAlgebra(2, "hom-associative", {"mul": Tensor3.zeros(2)}, Matrix([[1, 0], [0, 2]]))
+    evaluations.clear()
+    found = search.brute_force_rb_search(a, 1, 1)
+    assert "rota-baxter" not in evaluations and "commutes-with-twist" in evaluations
+    box = (Matrix([flat[:2], flat[2:]]) for flat in itertools.product(range(-1, 2), repeat=4))
+    assert found == [r for r in box if check_rota_baxter(a, r, 1).passed]
+    assert len(found) == 9  # the diagonal operators: they commute with diag(1, 2)
 
 
 def test_scope_keeps_the_last_candidate_space(monkeypatch):
