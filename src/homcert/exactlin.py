@@ -9,8 +9,12 @@ identically zero or honestly nonzero.  Stored entries are canonical
 (``Matrix``, ``Matrix._exact`` and ``Tensor3`` make integral values ints).
 
 Documents carry rationals as canonical strings ("p" or "p/q"); ``rat``
-reads those directly with ``int()`` at any length, past the int-to-str
-digit limit included, and hands only other spellings to ``Fraction``.
+returns a small canonical int (-64 to 64, nearly every entry of a document)
+from a table built at import, reads any other canonical string directly with
+``int()`` at any length, past the int-to-str digit limit included, and hands
+only other spellings to ``Fraction``.  A spelling whose decimal exponent is
+past ``EXPONENT_BUDGET`` is refused with BudgetError before ``Fraction``
+would build ``10**exponent``.
 
 Matrices act on column vectors: column ``j`` of a map's matrix is the image
 of the ``j``-th basis vector.  Vectors are plain tuples of scalars.
@@ -18,6 +22,8 @@ of the ``j``-th basis vector.  Vectors are plain tuples of scalars.
 
 from __future__ import annotations
 
+import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -30,8 +36,17 @@ ZERO = 0
 ONE = 1
 
 POWER_BITS = 1 << 18  # the bit length a matrix power's entries may reach (79,000 digits)
+EXPONENT_BUDGET = int(POWER_BITS * math.log10(2))  # 78,913: 10**e has at most POWER_BITS bits
 
 _SHORT_DIGITS = 600  # int() converts this many digits under any int-to-str limit (least 640)
+
+_SMALL_INTS = {str(n): n for n in range(-64, 65)}  # "0" alone is most of a document's entries
+
+# a decimal spelling with an exponent (group 1), in Fraction's grammar: single
+# underscores between digits, so a malformed spelling stays an input error
+_DIGIT_RUN = r"\d+(?:_\d+)*"
+_EXPONENT = re.compile(
+    rf"[-+]?(?=\.?\d)(?:{_DIGIT_RUN})?(?:\.(?:{_DIGIT_RUN})?)?[eE][-+]?({_DIGIT_RUN})")
 
 
 def _int_by_halves(digits: str) -> int:
@@ -49,17 +64,38 @@ def _short_repr(value) -> str:
     return text if len(text) <= 60 else f"{text[:40]}... ({len(text)} characters)"
 
 
+def _check_exponent(text: str, value) -> None:
+    """Refuse a decimal spelling whose exponent is past EXPONENT_BUDGET, read
+    without underscores and leading zeros: Fraction would build 10**exponent,
+    in time that grows about 40-fold per exponent digit."""
+    match = _EXPONENT.fullmatch(text)
+    if match is None:
+        return
+    digits = match.group(1).replace("_", "").lstrip("0")
+    if len(digits) > _SHORT_DIGITS or int(digits or "0") > EXPONENT_BUDGET:
+        raise BudgetError(f"the exponent of {_short_repr(value)} is past the entry budget "
+                          f"of {EXPONENT_BUDGET} digits", budget=EXPONENT_BUDGET)
+
+
 def rat(value):
     """Read a rational from an int, a Fraction or a string, normalizing
     integral values to int.
 
-    A canonical string, "p" or "p/q" in decimal digits with an optional sign
-    on p (surrounding whitespace aside), is read directly at any length.
-    Any other string goes to Fraction(text), which also reads "0.5", "1e3"
-    or "1_000"; what neither reads raises InputError.
+    A str that is exactly str(n) for an int n from -64 to 64 is looked up in
+    a table; a str subclass, and every other spelling of such a value
+    ("+1", "-0", "007", " 1"), is parsed.  A canonical string, "p" or "p/q"
+    in decimal digits with an optional sign on p (surrounding whitespace
+    aside), is read directly at any length.  Any other string goes to
+    Fraction(text), which also reads "0.5", "1e3" or "1_000", unless its
+    exponent is past EXPONENT_BUDGET, which raises BudgetError; what neither
+    reads raises InputError.
     """
     if type(value) is int:
         return value
+    if type(value) is str:
+        small = _SMALL_INTS.get(value)
+        if small is not None:
+            return small
     if isinstance(value, str):
         text = value.strip()
         num, slash, den = text.partition("/")
@@ -71,6 +107,7 @@ def rat(value):
                     return n
                 d = _int_by_halves(den)
                 return Fraction(n, d) if n % d else n // d  # n % 0 raises
+            _check_exponent(text, value)
             q = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational: {_short_repr(value)}") from exc
@@ -127,14 +164,15 @@ def vec_scale(k, x):
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense matrix of canonical rationals (int when integral,
+    Fraction otherwise), row-major."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows_of_entries: Sequence[Sequence], cols: int = 0):
         """The rows' entries; ``cols`` counts the columns of a matrix without
         rows (else the first row's length, which every row must have)."""
-        data = tuple(tuple(rat(v) for v in row) for row in rows_of_entries)
+        data = tuple(tuple(map(rat, row)) for row in rows_of_entries)
         self.data = data
         self.rows = len(data)
         self.cols = len(data[0]) if data else cols
@@ -351,7 +389,8 @@ def nullspace(m: Matrix) -> list[Matrix]:
 
 
 class Tensor3:
-    """Rank-3 array of Fractions; entry (i,j,k) is stored at i*d2*d3 + j*d3 + k.
+    """Rank-3 array of canonical rationals (int when integral, Fraction
+    otherwise); entry (i,j,k) is stored at i*d2*d3 + j*d3 + k.
 
     Encodes a bilinear product on a based space: (e_i, e_j) -> sum_k t[i,j,k] e_k.
     """
@@ -359,7 +398,7 @@ class Tensor3:
     __slots__ = ("d1", "d2", "d3", "data")
 
     def __init__(self, d1: int, d2: int, d3: int, entries: Sequence):
-        entries = tuple(rat(v) for v in entries)
+        entries = tuple(map(rat, entries))
         if len(entries) != d1 * d2 * d3:
             raise InputError(
                 f"tensor entries length {len(entries)} != {d1}*{d2}*{d3}")

@@ -481,3 +481,22 @@ def test_no_color_respected(workdir, affine_lie, monkeypatch):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "\x1b[" not in result.stdout
+
+
+@pytest.mark.parametrize("argv", [["check", "huge.json"],
+                                  ["check", "one.json", "op.json", "--predicate", "rota-baxter",
+                                   "--weight", "1e1000000000"]])
+def test_an_exponent_past_the_entry_budget_exits_3_at_once(workdir, argv):
+    """Fraction would build 10**1000000000, for hours; the reader refuses the
+    spelling before that, as a budget, in a document and in --weight."""
+    one = HomAlgebra(1, "hom-associative", {"mul": Tensor3.zeros(1)}, Matrix.identity(1))
+    write_algebra("one.json", one)
+    docs.save_json("op.json", docs.operator_to_doc(Matrix.identity(1)))
+    doc = docs.algebra_to_doc(one)
+    doc["ops"]["mul"][0][0][0] = "1e1000000000"
+    docs.save_json("huge.json", doc)
+    result = subprocess.run([sys.executable, "-m", "homcert.cli", *argv],
+                            capture_output=True, text=True, timeout=20)
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr == ("budget exceeded: the exponent of '1e1000000000' is past the "
+                             "entry budget of 78913 digits\n")

@@ -10,16 +10,19 @@ import os
 import re
 import tempfile
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from homcert import docs
-from homcert.cli import CHECKS, DERIVE_FLAGS, FUNCTORS, _input_digest, main
+from homcert.cli import (_CERTIFY, CHECKS, DERIVE_FLAGS, FUNCTORS, _bind, _input_digest,
+                         _parser, main, report_to_doc)
 from homcert.exactlin import Matrix, Tensor3, rat, rat_str
 from homcert.functors import adjoint_bimodule
-from homcert.hommod import adjoint_postlie_module
-from homcert.search import brute_force_oop_search
+from homcert.homcore import HomAlgebra
+from homcert.hommod import HomModule, adjoint_postlie_module
+from homcert.search import CATALOG, brute_force_oop_search
 
 from conftest import catalog_algebra
 
@@ -425,3 +428,95 @@ def test_mutated_documents_keep_the_derive_exit_contract(inputs_dir, data):
             flags += ["--out", os.path.join(tmp, "out.json")]
         code = main(["derive", name, *paths, *flags])
     assert code in (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# what derive writes, check and docs read back
+
+def _typed(x):
+    """Every entry of an algebra, module, matrix or tensor with its type (int
+    or Fraction), in a fixed order."""
+    if isinstance(x, Matrix):
+        return [[(type(v), v) for v in row] for row in x.data]
+    if isinstance(x, Tensor3):
+        return [x.dims] + [(type(v), v) for v in x.data]
+    if isinstance(x, HomModule):
+        return (x.kind, x.mdim, _typed(x.algebra), _typed(x.beta),
+                {name: [_typed(m) for m in fam] for name, fam in x.actions.items()})
+    return (x.kind, x.dim, _typed(x.alpha), {name: _typed(t) for name, t in x.ops.items()})
+
+
+def _spelled(q):
+    """A rational as "p/q" over a multiple of its denominator, or canonically."""
+    return st.sampled_from([1, 2, 3]).map(
+        lambda m: rat_str(q) if m == 1 else f"{q.numerator * m}/{q.denominator * m}")
+
+
+_RATIONALS = st.fractions(-3, 3, max_denominator=4)
+_NONZERO = st.builds(Fraction, st.integers(1, 6) | st.integers(-6, -1), st.integers(1, 4))
+# valid values of each flag; scale's --k is a nonzero rational, every other --k an integer
+_VALID_FLAGS = {"k": st.integers(0, 3).map(str), "n": st.integers(0, 3).map(str),
+                "weight": _RATIONALS.flatmap(_spelled),
+                "mode": st.sampled_from(["horizontal", "vertical"])}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_functor_output_reads_back_through_check(inputs_dir, data):
+    """derive NAME ... --out, then check on the output.  The document reads
+    back to the structure derive built, entry types included, and writes back
+    to the same document; its provenance names the parsed flags and input
+    digests; its .cert.json is derive's report, which check reproduces."""
+    name = data.draw(st.sampled_from(list(FUNCTORS)))
+    entry = FUNCTORS[name]
+    stems = VALID[name][:len(entry.inputs)]
+    flags = {flag: data.draw(_NONZERO.flatmap(_spelled) if (name, flag) == ("scale", "k")
+                             else _VALID_FLAGS[flag])
+             for flag, (_, default) in sorted(entry.flags.items())
+             if default is None or data.draw(st.booleans())}
+    if name == "rb-dendriform":  # -id is Rota-Baxter of weight 1 only, zero of every weight
+        weight = rat(flags.get("weight", "0"))
+        stems = ["a.json", "minus-id2.json" if weight == 1 else "zero2.json"]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [str(inputs_dir / stem) for stem in stems]
+        if entry.inputs[0] == "algebra":  # a catalog algebra of the same kind, scaled
+            given_algebra = docs.algebra_from_doc(docs.load_json(paths[0]))
+            algebra = data.draw(st.sampled_from([
+                e.algebra for e in CATALOG[given_algebra.kind]
+                if e.algebra.dim == given_algebra.dim or len(entry.inputs) == 1]))
+            c = data.draw(_NONZERO)
+            algebra = HomAlgebra(algebra.dim, algebra.kind,
+                                 {op: t.scale(c) for op, t in algebra.ops.items()}, algebra.alpha)
+            paths[0] = os.path.join(tmp, "algebra.json")
+            docs.save_json(paths[0], docs.algebra_to_doc(algebra))
+        argv = ["derive", name, *paths, *(f"--{flag}={value}" for flag, value in flags.items())]
+        out = os.path.join(tmp, "out.json")
+        derived, checked = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(derived), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--out", out])
+        assert code in (0, 1, 2, 3)
+        assert code in (0, 1) and os.path.isfile(out), (argv, code)
+        with contextlib.redirect_stdout(checked), contextlib.redirect_stderr(io.StringIO()):
+            check_code = main(["check", out])
+        doc, cert_doc = docs.load_json(out), docs.load_json(out + ".cert.json")
+        args = _parser().parse_args(argv)
+        inputs, params = _bind(name, entry, args.inputs, args, DERIVE_FLAGS)
+        output, cert = _CERTIFY[entry.returns](entry.run(*inputs, **params))
+    is_module = isinstance(output, HomModule)
+    read = (docs.module_from_doc if is_module else docs.algebra_from_doc)(doc)
+    assert read == output and _typed(read) == _typed(output)
+    assert doc["provenance"] == {"functor": name,
+                                 "params": {k: str(v) for k, v in sorted(params.items())},
+                                 "inputs": [_input_digest(x) for x in inputs]}
+    rewritten = (docs.module_to_doc if is_module else docs.algebra_to_doc)(read)
+    assert list({**rewritten, "provenance": doc["provenance"]}.items()) == list(doc.items())
+    assert cert_doc == report_to_doc(cert) and code == (0 if cert.passed else 1)
+    # check certifies the output's axioms: derive's rows, or some of them where
+    # derive certifies more (prelie-module-split's module, or a second system
+    # whose rows are named "system:law")
+    check_rows = [line.split()[:2] for line in checked.getvalue().splitlines()]
+    cert_rows = {(row["name"].rpartition(":")[2], row["passed"]) for row in cert_doc["axioms"]}
+    assert check_rows and {(law, status == "PASS") for status, law in check_rows} <= cert_rows
+    assert check_code == (1 if any(status == "FAIL" for status, _ in check_rows) else 0)
+    if len(check_rows) == len(cert_doc["axioms"]):
+        assert checked.getvalue() == derived.getvalue() and check_code == code

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,68 @@ def test_rat_reads_a_str_subclass_as_its_text():
 
     assert _read(rat, Text(" 6/4")) == _read(rat_oracle.rat, Text(" 6/4")) == (
         Fraction, Fraction(3, 2))
+
+
+_TABLE = [str(n) for n in range(-64, 65)]
+
+
+def _near_misses(key):
+    """Other spellings of the table key's value, none of them the key itself."""
+    digits = key.lstrip("-")
+    sign = key[:len(key) - len(digits)]
+    eastern = digits.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                          "\u0665\u0666\u0667\u0668\u0669"))
+    texts = [sign + "0" + digits, " " + key, key + " ", key + "/1", sign + eastern]
+    return texts + (["+" + key] if not sign else []) + (["-0"] if key == "0" else [])
+
+
+def test_rat_reads_each_table_key_and_its_near_misses_as_the_fraction_reader_did():
+    for key in _TABLE:
+        for text in [key] + _near_misses(key):
+            assert _read(rat, text) == _read(rat_oracle.rat, text) == (int, int(key)), text
+
+
+def test_rat_reads_the_values_past_each_end_of_the_table_as_the_fraction_reader_did():
+    for text, expected in (("-65", -65), ("65", 65), ("-064", -64), ("+65", 65)):
+        assert _read(rat, text) == _read(rat_oracle.rat, text) == (int, expected), text
+
+
+def test_rat_reads_a_str_subclass_whose_text_is_a_table_key():
+    class Text(str):
+        pass
+
+    for key in ("0", "-64", "64", "7"):
+        assert _read(rat, Text(key)) == _read(rat_oracle.rat, Text(key)) == (int, int(key))
+
+
+@pytest.mark.parametrize("text", ["1e1000000000", "1e-1_000_000_000", "-2.5E99999",
+                                  " 1e78914", "1E+0_078_914", ".5e" + "9" * 5000])
+def test_rat_refuses_an_exponent_past_the_entry_budget_at_once(text, monkeypatch):
+    def never(*args):  # Fraction(text) would build 10**exponent, for hours
+        raise AssertionError(f"Fraction{args} called")
+
+    monkeypatch.setattr(exactlin, "Fraction", never)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as err:
+        rat(text)
+    assert time.perf_counter() - start < 0.5
+    assert err.value.budget == exactlin.EXPONENT_BUDGET == 78913
+    assert "\n" not in str(err.value) and len(str(err.value)) < 120
+
+
+@pytest.mark.parametrize("text, bits", [("1e78913", 262144), ("-1e-78913", 262144),
+                                        ("1e00005", 17), ("1_0e0_0003", 14)])
+def test_rat_reads_an_exponent_inside_the_entry_budget(text, bits):
+    q = rat(text)
+    assert max(q.numerator.bit_length(), q.denominator.bit_length()) == bits
+    assert bits <= exactlin.POWER_BITS
+
+
+@pytest.mark.parametrize("text", ["1e5e1000000000", "x1e1000000000", "e1000000000", "1e",
+                                  "1__0e1000000000", "1e1__000000000", "1e1000000000_"])
+def test_rat_leaves_a_malformed_exponent_spelling_an_input_error(text):
+    assert _read(rat, text) == _read(rat_oracle.rat, text)
+    assert _read(rat, text)[0] == "InputError"
 
 
 def test_exact_div():
