@@ -144,6 +144,12 @@ CHECKS = {
 }
 
 
+def _with_rows(report: CertReport, kind: str) -> CertReport:
+    if not report.axioms:  # a PASS over no rows would certify nothing
+        raise InputError(f"kind {kind!r} declares no axioms to certify")
+    return report
+
+
 def _check_document(loaded) -> CertReport:
     """``check`` without --predicate: the axioms of the document's type."""
     doc, base_dir = loaded
@@ -157,7 +163,7 @@ def _check_document(loaded) -> CertReport:
     if dtype == "bialgebra":  # the coproduct rows too, never a PASS that ignored delta
         report = CertReport.from_results(
             report.axioms + tuple(_epsilon_delta_rows(docs.bialgebra_over(algebra, doc))))
-    return report
+    return _with_rows(report, algebra.kind)
 
 
 _AXIOMS = Entry(("any",), {}, _check_document)
@@ -230,6 +236,7 @@ def cmd_derive(args) -> int:
     entry = _lookup(FUNCTORS, name, "functor")
     inputs, params = _bind(name, entry, args.inputs, args, DERIVE_FLAGS)
     output, cert = _CERTIFY[entry.returns](entry.run(*inputs, **params))
+    _with_rows(cert, output.kind)
     if args.out:
         to_doc = docs.module_to_doc if isinstance(output, HomModule) else docs.algebra_to_doc
         doc = to_doc(output)

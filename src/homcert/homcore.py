@@ -219,25 +219,24 @@ def _degree(t: Term, name: str) -> int:
         _degree(u, name) for u in t.args)
 
 
-def _compile(t: Term, basis: bool):
-    """fn(variables, tables) -> the term's sparse vector.  With basis=True
-    the variables are basis indices, and a product or map of variables is a
-    table lookup; otherwise they are sparse vectors."""
+def _compile(t: Term):
+    """fn(indices, tables) -> the term's sparse vector at a tuple of basis
+    indices, one per variable: a product or map of variables is a table lookup."""
     name = t.name
     if t.kind == "var":
-        return (lambda v, T: ((v[name], ONE),)) if basis else (lambda v, T: v[name])
+        return lambda v, T: ((v[name], ONE),)
     # a template's hole: the basis index its tensor node stores under None
     if t.kind == "hole":
         return lambda v, T: ((T[None], ONE),)
     if t.kind == "map" and t.args[0].kind == "hole":
         return lambda v, T: T[name][T[None]]
-    if basis and t.kind in ("op", "map") and all(u.kind == "var" for u in t.args):
+    if t.kind in ("op", "map") and all(u.kind == "var" for u in t.args):
         if t.kind == "map":
             i, = (u.name for u in t.args)
             return lambda v, T: T[name][v[i]]
         i, j = (u.name for u in t.args)
         return lambda v, T: T[name][v[i]][v[j]]
-    fns = [_compile(u, basis) for u in t.args]
+    fns = [_compile(u) for u in t.args]
     if t.kind == "sum":
         parts = tuple(zip(name, fns))
 
@@ -323,8 +322,8 @@ class Law:
     """A declared identity lhs == rhs: its arity, one node per name a
     structure must bind, its degree in each name, its annihilators (the
     products and maps whose zero makes both sides zero), and both sides
-    compiled for basis tuples and for vectors, each on first use (a process
-    that never evaluates a law holds no closures for it).
+    compiled for basis tuples on first use (a process that never evaluates
+    a law holds no closures for it).
 
     ``signature`` gives each product and map its shape over named spaces,
     one letter a space and several their tensor product ("AA" is A (x) A):
@@ -389,11 +388,7 @@ class Law:
 
     @functools.cached_property
     def on_basis(self):
-        return _compile(self.lhs, True), _compile(self.rhs, True)
-
-    @functools.cached_property
-    def on_vectors(self):
-        return _compile(self.lhs, False), _compile(self.rhs, False)
+        return _compile(self.lhs), _compile(self.rhs)
 
 
 @functools.cache  # a law is bound again and again to objects of the same shapes
@@ -507,8 +502,13 @@ class Identity:
         tables, dims, m = self.bind()
         if (lengths := tuple(map(len, vectors))) != dims:
             raise InputError(f"{self.name!r} takes vectors of lengths {dims}, got {lengths}")
-        v = [tuple(enumerate(x)) for x in vectors]
-        return tuple(tuple(map(rat, _dense(side(v, tables), m))) for side in self.law.on_vectors)
+        sides = [ZERO] * m, [ZERO] * m
+        for coordinates in itertools.product(*map(_pairs, vectors)):  # the law is multilinear
+            idx, c = tuple(i for i, _ in coordinates), math.prod(a for _, a in coordinates)
+            for side, fn in zip(sides, self.law.on_basis):
+                for k, a in fn(idx, tables):
+                    side[k] += c * a
+        return tuple(tuple(map(rat, side)) for side in sides)
 
     def basis_sides(self):
         """(indices, lhs, rhs) at every basis tuple, 0-based indices in
@@ -537,8 +537,9 @@ def unit_basis(shape: tuple) -> list:
 # (_combined) and runs through the same interpreter.  With c_i the monomials
 # of _Poly, a residual coordinate of a law of degree at most 2 in the unknown
 # is the exact form const + sum_i c_i linear[i] + sum_{i<=j} c_i c_j
-# quadratic[i, j]; with c_i the _Lanes of many points' coefficients, one walk
-# evaluates every point (linear_rows, check_on_box; see below).
+# quadratic[i, j] (quadratic_rows, which linear_rows reads); with c_i the
+# _Lanes of many points' coefficients, one walk evaluates every point
+# (check_on_box; see below).
 
 @functools.cache
 def _monomials(d: int) -> tuple[tuple, tuple]:
@@ -658,39 +659,20 @@ def _combined(base, basis: Sequence, coefficients: Sequence):
     return out
 
 
-def _residuals(laws: Sequence[Law], env: Mapping) -> list:
-    """lhs - rhs of each law bound to env at every basis tuple, in law,
-    lexicographic tuple and coordinate order, in the active scope or one
-    opened for the call: a law that vanishes (Identity.vanishes) gives its
-    zeros without a walk."""
-    out = []
-    with certification_scope():
-        for law in laws:
-            ident = Identity(law, env)
-            if ident.vanishes():
-                dims, m, _ = ident.sizes()
-                out += [ZERO] * (math.prod(dims) * m)
-            else:
-                out += [r for _, lhs, rhs in ident.basis_sides() for r in vec_sub(lhs, rhs)]
-    return out
-
-
 def linear_rows(laws: Sequence[Law], env: Mapping, unknown: str, basis: Sequence) -> Matrix:
     """The residuals of ``laws`` over ``basis``: column c holds lhs - rhs of
     every law at every basis tuple, in law, lexicographic tuple and coordinate
-    order, with basis[c] bound to ``unknown``.  For laws linear in ``unknown``
-    that is each residual's coefficient of c_c, and over ``unit_basis(shape)``
-    the kernel is the set of unknowns on which the laws hold, written
-    row-major; for other laws it is no more than the residual at basis[c].
-    One walk reads every column: the unknown is bound once as _Lanes, lane c
-    holding basis[c], and column c is lane c.  A law with an annihilator
-    bound to zero gives its zero rows without a walk."""
-    d = len(basis)
-    if not d:
+    order, with basis[c] bound to ``unknown``: each of quadratic_rows' forms
+    over a zero base, read at the unit point c, const + linear[c] +
+    quadratic[c, c].  For laws linear in ``unknown`` that is each residual's
+    coefficient of c_c, and over ``unit_basis(shape)`` the kernel is the set
+    of unknowns on which the laws hold, written row-major; for a law of
+    degree 2 it is only the residual at basis[c]."""
+    if not (d := len(basis)):
         return Matrix.zeros(0, 0)
-    units = [_Lanes(tuple(int(i == c) for c in range(d))) for i in range(d)]
-    residuals = _residuals(laws, {**env, unknown: _combined(None, basis, units)})
-    return Matrix._exact((r.values if type(r) is _Lanes else (r,) * d for r in residuals), d)
+    return Matrix._exact(([const + lin.get(c, ZERO) + quad.get((c, c), ZERO) for c in range(d)]
+                          for const, lin, quad in quadratic_rows(
+                              laws, {**env, unknown: None}, unknown, basis)), d)
 
 
 def quadratic_rows(laws: Sequence[Law], env: Mapping, unknown: str,
@@ -698,22 +680,31 @@ def quadratic_rows(laws: Sequence[Law], env: Mapping, unknown: str,
     """The residuals lhs - rhs of laws of degree at most 2 in ``unknown``,
     as exact forms in coefficients c over ``basis``: with env[unknown] +
     sum_i c_i basis[i] bound to ``unknown`` (env[unknown] None: zero), row r
-    (in linear_rows' order) is
+    (in law, lexicographic tuple and coordinate order) is
 
         const + sum_i c_i linear[i] + sum_{i<=j} c_i c_j quadratic[i, j],
 
     returned as (const, linear, quadratic), dicts keeping nonzero entries,
-    each an int exactly when integral.  One walk of the laws reads them,
-    with the unknown's entries polynomials in c (_combined over the
-    monomials c_i) and its shape checked by _sizes; a law with an
-    annihilator bound to zero gives its zero rows without a walk.
-    InputError for a law of higher degree: its forms are not exact."""
+    each an int exactly when integral.  One walk of the laws, in the active
+    scope or one opened for the call, reads them: the unknown's entries are
+    polynomials in c (_combined over the monomials c_i), its shape checked by
+    _sizes, and a law that vanishes (Identity.vanishes) gives its zero rows
+    without a walk.  InputError for a law of higher degree: its forms are
+    not exact."""
     for law in laws:
         if law.degrees.get(unknown, 0) > 2:
             raise InputError(f"law {law.name!r} has degree above 2 in {unknown!r}")
     products, keys = _monomials(len(basis))
     monomials = [_Poly({1 + i: 1}, 1, products) for i in range(len(basis))]
-    residuals = _residuals(laws, {**env, unknown: _combined(env[unknown], basis, monomials)})
+    bound = {**env, unknown: _combined(env[unknown], basis, monomials)}
+    residuals = []
+    with certification_scope():
+        for ident in (Identity(law, bound) for law in laws):
+            if ident.vanishes():
+                dims, m, _ = ident.sizes()
+                residuals += [ZERO] * (math.prod(dims) * m)
+            else:
+                residuals += [r for _, lhs, rhs in ident.basis_sides() for r in vec_sub(lhs, rhs)]
     rows = []
     for residual in residuals:
         const, linear, quadratic = ZERO, {}, {}

@@ -16,10 +16,11 @@ entries are canonical rationals, as every witness's are.
 
 The post-Lie module axioms follow the element/operator form (the one every
 proof in the source theory actually uses); the literal printed variant of
-the first axiom is available behind ``strict_twist_commute`` for comparison
-only.  The L-dendriform bimodule equations are the five multilinear
-components of the semidirect-sum characterization; see the first preLie
-bimodule axiom for the analogous printed-typo correction.
+the first axiom is declared beside them, as the ``postlie-module-literal``
+group, for comparison only: no certifier reads it.  The L-dendriform
+bimodule equations are the five multilinear components of the
+semidirect-sum characterization; see the first preLie bimodule axiom for
+the analogous printed-typo correction.
 """
 
 from __future__ import annotations
@@ -130,13 +131,11 @@ def _module_env(m: HomModule) -> dict:
     return {**a.ops, "alpha": a.alpha, "beta": m.beta, **m.tensors}
 
 
-def check_module_axioms(m: HomModule, strict_twist_commute: bool = False) -> CertReport:
+def check_module_axioms(m: HomModule) -> CertReport:
     """Certify the module against the axiom system of its kind, declared in
-    ``homcore``; a post-Lie module with ``strict_twist_commute`` also gets
-    the literal twist rows.  Witness indices are the algebra basis indices,
-    then the first carrier index (the matrix column) where the sides differ."""
-    group = m.kind + ("-literal" if strict_twist_commute and m.kind == "postlie-module" else "")
-    return CertReport.from_results(certify(_declare_identities()[group], _module_env(m)))
+    ``homcore``.  Witness indices are the algebra basis indices, then the
+    first carrier index (the matrix column) where the sides differ."""
+    return CertReport.from_results(certify(_declare_identities()[m.kind], _module_env(m)))
 
 
 def require_module_certified(m: HomModule, what="input module") -> CertReport:

@@ -1,22 +1,23 @@
 """Searching for Hom-post-Lie products, plus the instance generators and
 box searches the test corpus is built from.
 
-Every search is one call of ``_box_search``, which walks the integer
-coefficients c of a basis: the kernel basis of the bracket-compatibility
-rows for the post-Lie search, the unknown's own units for an operator or
-coproduct box.  One walk of the declared laws, with the unknown bound to a
-matrix or tensor of polynomials in c (``homcore.quadratic_rows``), gives
-every residual as an exact form.  The linear step: each row of the reduced
-echelon form of the purely linear forms is a form.  The quadratic step: the
-forms of degree 2 (the twisted left-symmetry identity; the Rota-Baxter,
-O-operator or Hom-coassociativity law) are kept as they are.  One
-enumerator, ``kernel_points``, takes both, and whatever survives is
+Every search is one call of ``_box_search`` over the laws and binding it
+reads from its plain certifier, one list that both filters the box and
+certifies what survives.  It walks the integer coefficients c of a basis:
+the kernel basis of the bracket-compatibility rows for the post-Lie search,
+the unknown's own units for an operator or coproduct box.  One walk of the
+laws, with the unknown bound to a matrix or tensor of polynomials in c
+(``homcore.quadratic_rows``), gives every residual as an exact form.  The
+linear step: each row of the reduced echelon form of the purely linear
+forms is a form.  The quadratic step: the forms of degree 2 (the twisted
+left-symmetry identity; the Rota-Baxter, O-operator or Hom-coassociativity
+law) are kept as they are; the post-Lie search's other rows give zero forms.
+One enumerator, ``kernel_points``, takes both, and whatever survives is
 certified in full by ``homcore.check_on_box``, the one box certifier (the
 search-consistency oracle's too): one law walk per batch of 64 survivors,
-over the rows and binding each search reads from its plain certifier, and
-one shared immutable report for every survivor whose rows all pass.  A law
-with an annihilator bound to zero (a zero product, bracket or twist) gives
-its zero rows, and passes, without a walk.
+and one shared immutable report for every survivor whose rows all pass.  A
+law with an annihilator bound to zero gives its zero rows, and passes,
+without a walk.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ def postlie_search(l: HomAlgebra, combo_bound: int,
                    max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> list[PostLieSurvivor]:
     """Every bounded-box candidate product satisfying both defining identities,
     each returned as a fully certified Hom-post-Lie algebra: the box over
-    the kernel basis, with the twisted left-symmetry law as its quadratic step."""
+    the kernel basis, filtered and certified by check_axioms' ``hom-postlie``
+    laws, whose twisted left-symmetry law is its quadratic step."""
     basis = _kernel_basis(l, combo_bound, max_candidates)
     n, bracket = l.dim, l.op("bracket")
 
@@ -159,8 +161,8 @@ def postlie_search(l: HomAlgebra, combo_bound: int,
                                             "mul": _combination(n, basis, coeffs)}, l.alpha)
         return PostLieSurvivor(out, report, coeffs)
 
-    return _box_search([_postlie_law(TWISTED_LEFT_SYMMETRY)], _declare_identities()["hom-postlie"],
-                       postlie_env(l, Tensor3.zeros(n)), "mul", basis, combo_bound, build)
+    return _box_search(_declare_identities()["hom-postlie"], postlie_env(l, Tensor3.zeros(n)),
+                       "mul", basis, combo_bound, build)
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +246,18 @@ def _linear_forms(system: Matrix) -> list[tuple]:
             for row in rref(system)[0].data if any(row)]
 
 
-def _box_search(laws: Sequence, certifying: Sequence, env: dict, unknown: str,
-                basis: Sequence, bound: int, build: Callable) -> list:
+def _box_search(laws: Sequence, env: dict, unknown: str, basis: Sequence, bound: int,
+                build: Callable) -> list:
     """build(c, report) for every c in [-bound, bound]^len(basis), in product
     order, at which env[unknown] + sum_i c_i basis[i] satisfies the ``laws``
-    (each of degree at most 2 in it); report is check_on_box's over ``certifying``."""
+    (each of degree at most 2 in it); report is check_on_box's over them."""
     with certification_scope():
         forms = quadratic_rows(laws, env, unknown, basis if bound else ())
         system = Matrix._exact([[lin.get(c, ZERO) for c in range(len(basis))]
                                 for const, lin, quad in forms if lin and not const and not quad])
         points = kernel_points(len(basis), bound, _linear_forms(system)
                                + [f for f in forms if f[0] or f[2]])
-        reports = list(check_on_box(certifying, env, unknown, basis, points))
+        reports = list(check_on_box(laws, env, unknown, basis, points))
         if not all(r.passed for r in reports):
             raise AssertionError("search enumerator and certifier disagree on a survivor")
         return list(map(build, points, reports))
@@ -285,7 +287,7 @@ def brute_force_oop_search(a: HomAlgebra, m: HomModule, entry_bound: int,
         raise InputError("the module is not over the given algebra")
     laws, env = _oop_laws(m)
     _require_box("operator", a.dim * m.mdim, entry_bound, max_candidates)
-    return _box_search(laws, laws, {**env, "T": Matrix.zeros(a.dim, m.mdim)}, "T",
+    return _box_search(laws, {**env, "T": Matrix.zeros(a.dim, m.mdim)}, "T",
                        unit_basis((a.dim, m.mdim)), entry_bound,
                        lambda flat, _: _matrix(flat, m.mdim))
 
@@ -301,7 +303,7 @@ def brute_force_rb_search(a: HomAlgebra, weight, entry_bound: int,
     laws, env = _rota_baxter_laws(a, weight)  # InputError before the box is counted
     n = a.dim
     _require_box("operator", n * n, entry_bound, max_candidates)
-    return _box_search(laws, laws, {**env, "r": Matrix.zeros(n, n)}, "r", unit_basis((n, n)),
+    return _box_search(laws, {**env, "r": Matrix.zeros(n, n)}, "r", unit_basis((n, n)),
                        entry_bound, lambda flat, _: _matrix(flat, n))
 
 
@@ -326,7 +328,7 @@ def brute_force_epsilon_bialgebras(mul: Tensor3, alpha: Matrix, entry_bound: int
     # the rows are over the n^2 x n coproduct map, whose cell (r, i) is
     # delta's flat position i*n^2+r: the transposed n x n^2 units walk delta
     laws, env = _epsilon_delta_laws(probe)
-    return _box_search(laws, laws, env, "Delta", [u.transpose() for u in unit_basis((n, n * n))],
+    return _box_search(laws, env, "Delta", [u.transpose() for u in unit_basis((n, n * n))],
                        entry_bound,
                        lambda flat, _: EpsilonHomBialgebra(n, mul, Tensor3(n, n, n, flat), alpha))
 

@@ -229,6 +229,26 @@ def test_check_bialgebra_needs_a_single_product(workdir, capsys):
     assert captured.out == "" and "input error: " in captured.err
 
 
+def test_a_kind_without_axioms_is_never_a_vacuous_pass(workdir, capsys):
+    """A generic document declares no axioms: check, and derive on its
+    output, exit 2 with one line naming the kind and write nothing, where a
+    PASS over no rows would certify nothing; every predicate still gives rows."""
+    with open("gen.json", "w") as fh:
+        json.dump({"schema_version": "1", "kind": "generic", "dim": 1, "alpha": [["1"]],
+                   "ops": {"foo": [[["1"]]]}}, fh)
+    docs.save_json("op.json", docs.operator_to_doc(Matrix.identity(1)))
+    capsys.readouterr()
+    assert main(["check", "gen.json"]) == 2
+    assert main(["derive", "yau-twist", "gen.json", "op.json", "--out", "out.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not os.path.exists("out.json")
+    assert captured.err.splitlines() == [
+        "input error: kind 'generic' declares no axioms to certify"] * 2
+    assert main(["check", "gen.json", "op.json", "--predicate", "rota-baxter"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  rota-baxter  witness at (1, 1): lhs=(1) rhs=(2)", "PASS  commutes-with-twist"]
+
+
 def test_derive_commutator_and_cert_sibling(workdir, dual_numbers):
     path = write_algebra("dual.json", dual_numbers)
     assert main(["derive", "commutator-lie", path, "--out", "lie.json"]) == 0

@@ -6,8 +6,9 @@ import pytest
 
 from homcert.errors import InputError, PreconditionError
 from homcert.exactlin import Matrix, Tensor3
-from homcert.homcore import HomAlgebra, check_axioms, yau_twist
-from homcert.hommod import (HomModule, adjoint_postlie_module,
+from homcert.homcore import (CertReport, HomAlgebra, _declare_identities, certify,
+                             check_axioms, yau_twist)
+from homcert.hommod import (HomModule, _module_env, adjoint_postlie_module,
                             bimodule_to_lie_module, check_module_axioms,
                             check_oop, direct_sum, tensor_product, twist_0k,
                             twist_beta, twist_beta_data, twist_n0)
@@ -241,17 +242,18 @@ def test_bimodule_to_lie_module_corpus(assoc_corpus):
         assert check_module_axioms(lie_mod).passed
 
 
-def test_strict_twist_commute_flag():
+def test_literal_twist_commute_rows():
     """The literal printed form of the first module axiom (module twist
     commuting with each action) fails on genuinely twisted instances that the
-    adopted element-form axioms certify; it stays behind a non-default flag."""
+    adopted element-form axioms certify; no certifier reads its rows."""
     base = catalog_algebra("hom-postlie", "skew-pair-postlie")
     twisted = yau_twist(base, Matrix([[2, 0, 0], [0, 2, 0], [0, 0, 1]]))
     m = adjoint_postlie_module(twisted, 0)
     assert check_module_axioms(m).passed
-    strict = check_module_axioms(m, strict_twist_commute=True)
-    assert not strict.passed
-    assert not strict.axiom("literal-twist-commute-diamond").passed
+    literal = CertReport.from_results(
+        certify(_declare_identities()["postlie-module-literal"], _module_env(m)))
+    assert not literal.passed
+    assert not literal.axiom("literal-twist-commute-diamond").passed
 
 
 def test_check_oop_requires_twist_compat():

@@ -176,9 +176,16 @@ def test_random_structures_match_oracle(data, rnd):
 
 # -- module axioms ------------------------------------------------------------
 
+def literal_report(m):
+    """The module's axiom rows, and for a post-Lie module the printed literal
+    twist rows among them: the oracle's strict_twist_commute report."""
+    group = m.kind + ("-literal" if m.kind == "postlie-module" else "")
+    return CertReport.from_results(certify(_declare_identities()[group], _module_env(m)))
+
+
 def assert_module_matches(m):
-    for strict in (False, True):
-        same(check_module_axioms(m, strict), oracle.check_module_axioms(m, strict))
+    same(check_module_axioms(m), oracle.check_module_axioms(m))
+    same(literal_report(m), oracle.check_module_axioms(m, True))
 
 
 @pytest.fixture(scope="module")
@@ -186,9 +193,9 @@ def corpus_modules():
     """Every distinct module certified during a small corpus pass."""
     seen = {}
 
-    def collect(m, strict_twist_commute=False):
+    def collect(m):
         seen.setdefault(m.digest(), m)
-        return check_module_axioms(m, strict_twist_commute)
+        return check_module_axioms(m)
 
     with pytest.MonkeyPatch.context() as mp:
         for namespace in (hommod, functors):
@@ -237,7 +244,7 @@ def test_module_without_carrier_matches_oracle(dual_numbers, affine_lie):
             1, alg_kind, {op: Tensor3.zeros(1) for op in KIND_OPS[alg_kind]}, Matrix.identity(1))
         m = HomModule(a, 0, Matrix.zeros(0, 0),
                       {name: (Matrix.zeros(0, 0),) * a.dim for name in names}, kind)
-        assert check_module_axioms(m, True).passed
+        assert literal_report(m).passed
         assert_module_matches(m)
 
 
@@ -266,7 +273,7 @@ def test_random_modules_match_oracle(m):
     # vectors (carrier last) it gives the witness's sides
     group = m.kind + ("-literal" if m.kind == "postlie-module" else "")
     specs = {law.name: Identity(law, _module_env(m)) for law in _declare_identities()[group]}
-    for row in check_module_axioms(m, True).failing():
+    for row in literal_report(m).failing():
         *alg, v = row.witness.indices
         vectors = [basis_vec(m.algebra.dim, i - 1) for i in alg] + [basis_vec(m.mdim, v - 1)]
         same(specs[row.name](*vectors), (row.witness.lhs, row.witness.rhs))

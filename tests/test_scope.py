@@ -42,8 +42,8 @@ def evaluations(monkeypatch):
 @pytest.fixture(scope="module")
 def corpus_reports():
     """Every distinct algebra (with the predicates it was checked with) and
-    module (with its strictness) certified during a small corpus pass, each
-    with the report its work item's scope gave it, batched reports included."""
+    module certified during a small corpus pass, each with the report its
+    work item's scope gave it, batched reports included."""
     algebras, predicates, modules = {}, {}, {}
     real_axioms, real_predicate, real_modules = check_axioms, check_predicate, check_module_axioms
     real_box = check_on_box
@@ -70,10 +70,8 @@ def corpus_reports():
         report = real_predicate(a, name)
         return record(predicates, (a.digest(), name), (a, name), report)
 
-    def collect_module(m, strict_twist_commute=False):
-        report = real_modules(m, strict_twist_commute)
-        return record(modules, (m.digest(), strict_twist_commute), (m, strict_twist_commute),
-                      report)
+    def collect_module(m):
+        return record(modules, m.digest(), m, real_modules(m))
 
     with pytest.MonkeyPatch.context() as mp:
         for namespace in (homcore, functors, hommod, search):
@@ -93,7 +91,7 @@ def test_corpus_reports_in_scope_equal_fresh_ones(corpus_reports):
     assert homcore._SCOPE.get() is None
     assert {a.kind for (a, _), _ in algebras} >= set(homcore.KINDS) - {"generic"}
     assert {name for (_, name), _ in predicates} == set(PREDICATES)
-    assert {m.kind for (m, _), _ in modules} >= {
+    assert {m.kind for m, _ in modules} >= {
         "assoc-bimodule", "ldend-bimodule", "lie-representation", "postlie-module",
         "prelie-bimodule"}
     assert any(not r.passed for _, r in algebras) and len(algebras) > 1000
@@ -101,8 +99,8 @@ def test_corpus_reports_in_scope_equal_fresh_ones(corpus_reports):
         same(report, check_axioms(a))
     for (a, name), report in predicates:
         same(report, check_predicate(a, name))
-    for (m, strict), report in modules:
-        same(report, check_module_axioms(m, strict))
+    for m, report in modules:
+        same(report, check_module_axioms(m))
 
 
 def test_fraction_entries_reuse_identical_witnesses(evaluations):

@@ -14,7 +14,8 @@ from homcert.exactlin import vec_sub
 from homcert.homcore import (KINDS, CertReport, EpsilonHomBialgebra, HomAlgebra,
                              Identity, Law, Term, _declare_identities, _monomials, _Poly,
                              certification_scope, check_axioms, check_rota_baxter,
-                             epsilon_prerequisites, linear_rows, quadratic_rows, yau_twist)
+                             epsilon_prerequisites, linear_rows, quadratic_rows, unit_basis,
+                             yau_twist)
 from homcert.hommod import OOP_LAWS, HomModule, _module_env, adjoint_postlie_module, check_oop
 from homcert.functors import adjoint_bimodule
 from homcert.search import (CATALOG, GENERATORS, RandomInstanceSpec, _catalog_entries,
@@ -488,6 +489,8 @@ def test_quadratic_rows_reject_a_cubic_law():
     cubic = Law("cubic", r(r(r(x))), Term("sum", ()), {"r": "A A"})
     with pytest.raises(InputError, match="degree above 2"):
         quadratic_rows([cubic], {"r": Matrix.zeros(2, 2)}, "r", [])
+    with pytest.raises(InputError, match="degree above 2"):  # linear_rows reads those forms
+        linear_rows([cubic], {"r": Matrix.zeros(2, 2)}, "r", unit_basis((2, 2)))
 
 
 def test_forms_reject_a_basis_of_another_shape():
